@@ -1,7 +1,7 @@
 """Energy-density fluctuations of driven quantum systems.
 
-Exact closed forms for transversally driven collective spins, a dense 2^N
-lattice oracle that backs them, Magnus-expansion diagnostics, two-Hamiltonian
+Exact closed forms for transversally driven collective spins, a 2^N lattice
+oracle that backs them, Magnus-expansion diagnostics, two-Hamiltonian
 uncertainty bounds, domain-wall/Dicke entanglement combinatorics, and the
 smeared-observable phenomenology (erfc viscosity collapse, smeared Green's
 functions and thermal radiance) that a broadened intensive parameter implies.

@@ -129,9 +129,15 @@ class DriveSchedule:
         )
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
-        for duration, _ in self.segments:
+        if not math.isfinite(self.b_z):
+            raise ValueError(f"b_z must be finite, got {self.b_z!r}")
+        for index, (duration, b_y) in enumerate(self.segments):
+            if not math.isfinite(duration):
+                raise ValueError(f"segment {index} duration must be finite, got {duration!r}")
             if not duration > 0.0:
                 raise ValueError("segment durations must be strictly positive")
+            if not math.isfinite(b_y):
+                raise ValueError(f"segment {index} b_y must be finite, got {b_y!r}")
 
     @property
     def total_duration(self) -> float:

@@ -1,20 +1,35 @@
 """Brute-force 2^N oracle for driven spin-1/2 lattices.
 
 Everything here is built on the full product basis (bit i of a basis index is
-site i, bit value 1 = spin up) and diagonalized densely: the point is an
-exact reference for the closed forms in :mod:`collective_spin`, not a
-production simulator, hence the hard cap at 14 sites.  Includes the
-hard-core-boson dual obtained from the spin algebra (boson number = up-spin
-indicator), whose spectrum must coincide with the spin Hamiltonian's.
+site i, bit value 1 = spin up): the point is an exact reference for the
+closed forms in :mod:`collective_spin`, not a production simulator, hence the
+cap at 14 sites.  Includes the hard-core-boson dual obtained from the spin
+algebra (boson number = up-spin indicator), whose spectrum must coincide with
+the spin Hamiltonian's.
+
+Matrix-free routes (memory O(N 2^N) for a chain): operators and their
+local-term decompositions are built from bit operations as sparse entry
+lists and applied as scipy CSR arrays; replace-mode evolution applies the
+same single-site y-rotation to every site of the state; ``expectation``,
+``variance``, ``connected_pair_correlators``, ``bounds.uncertainty_check``
+and ``magnus.variance_rate`` use matrix-vector products only.  Dense routes
+(16 * 4^N bytes per 2^N x 2^N complex array, 4.3 GB at N = 14):
+``MatrixOperator.matrix``, ``propagator``, augment-mode evolution (one
+cached ``eigh`` per segment field, O(8^N) time), ``eigenbasis_distribution``,
+``bose_dual``, the total-spin operators and the :mod:`magnus` generators.
+Each raises :class:`SizeLimitError` before allocating more than the
+machine's physical memory.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+import os
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh
 
 from .collective_spin import DriveSchedule, EmpiricalDistribution, ScheduleRangeError
@@ -49,7 +64,7 @@ MAX_SITES = 14
 
 
 class SizeLimitError(ValueError):
-    """Raised for lattices beyond the dense-oracle site cap."""
+    """Raised for lattices beyond the site cap, or dense arrays beyond memory."""
 
 
 class NumericalDriftError(RuntimeError):
@@ -68,7 +83,7 @@ class LatticeSpec:
         if self.n_sites < 1:
             raise ValueError("n_sites must be positive")
         if self.n_sites > MAX_SITES:
-            raise SizeLimitError(f"dense oracle capped at {MAX_SITES} sites")
+            raise SizeLimitError(f"lattice oracle capped at {MAX_SITES} sites")
         seen = set()
         normalized = []
         for i, j, j_ij in self.couplings:
@@ -111,8 +126,8 @@ class QuantumState:
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (1 << self.n_sites,):
             raise ValueError("amplitude vector length must be 2^n_sites")
-        drift = abs(np.linalg.norm(amps) - 1.0)
-        if drift > self.norm_tol:
+        drift = abs(math.sqrt(np.vdot(amps, amps).real) - 1.0)
+        if not drift <= self.norm_tol:  # NaN fails too
             raise ValueError(f"state norm off unity by {drift:.3e}")
 
     def to_json_dict(self) -> dict:
@@ -128,39 +143,163 @@ class QuantumState:
         return cls(amplitudes=amps, n_sites=record["n_sites"])
 
 
-@dataclass(frozen=True)
-class MatrixOperator:
-    """Dense Hermitian operator, optionally with a local-term decomposition.
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
-    ``terms`` holds one matrix per label; when present they must sum back to
-    the full operator (bond terms are split half-half between their two
-    sites, one fixed choice among the many admissible splits).
+
+def _require_dense_memory(n_sites: int) -> None:
+    """Refuse a dense 2^N x 2^N complex array larger than physical memory."""
+    needed = 16 * 4**n_sites
+    available = _physical_memory_bytes()
+    if needed > available:
+        raise SizeLimitError(
+            f"a dense {n_sites}-site operator needs {needed} bytes, "
+            f"more than the {available} bytes of physical memory"
+        )
+
+
+# A sparse matrix as parallel (rows, cols, values) arrays; values at one
+# position add up.
+Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _join(pieces) -> Entries:
+    rows, cols, values = (np.concatenate(part) for part in zip(*pieces))
+    return rows, cols, values.astype(complex)
+
+
+def _dense_entries(dense: np.ndarray) -> Entries:
+    # every position, zeros included: no larger than the dense input itself
+    idx = np.arange(dense.shape[0])
+    return np.repeat(idx, idx.size), np.tile(idx, idx.size), dense.ravel()
+
+
+def _dense(dim: int, entries: Entries) -> np.ndarray:
+    rows, cols, values = entries
+    dense = np.zeros((dim, dim), dtype=complex)
+    np.add.at(dense, (rows, cols), values)
+    return dense
+
+
+def _csr(shape: tuple[int, int], entries: Entries) -> sparse.csr_array:
+    rows, cols, values = entries
+    if not (rows[1:] >= rows[:-1]).all():
+        order = np.argsort(rows, kind="stable")
+        rows, cols, values = rows[order], cols[order], values[order]
+    indptr = np.searchsorted(rows, np.arange(shape[0] + 1))
+    return sparse.csr_array((values, cols, indptr), shape=shape)
+
+
+def _max_abs_of_sum(dim: int, pieces) -> float:
+    """Largest |entry| of the sum of entry lists, in O(nnz log nnz)."""
+    rows, cols, values = (np.concatenate(part) for part in zip(*pieces))
+    if not values.size:
+        return 0.0
+    keys = rows * dim + cols
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    starts = (keys[1:] != keys[:-1]).nonzero()[0] + 1
+    sums = np.add.reduceat(values[order], np.concatenate(([0], starts)))
+    return float(np.abs(sums).max(initial=0.0))
+
+
+class MatrixOperator:
+    """Hermitian operator, optionally with a local-term decomposition.
+
+    Stored sparse, as the (rows, cols, values) entries of the operator and
+    of each term.  ``csr`` and ``term_stack`` (term k in rows k*2^N ..
+    (k+1)*2^N - 1) are CSR arrays built from them on first use; ``matrix``
+    is a dense copy made on each read.  The constructor takes dense or scipy
+    sparse matrices.  When present the terms must sum back to the full
+    operator (bond terms are split half-half between their two sites, one
+    fixed choice among the many admissible splits).
     """
 
-    matrix: np.ndarray
-    n_sites: int
-    labels: tuple[str, ...] = ()
-    terms: tuple[np.ndarray, ...] | None = None
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
-        if mat.shape != (1 << self.n_sites, 1 << self.n_sites):
+    def __init__(
+        self,
+        matrix,
+        n_sites: int,
+        labels: tuple[str, ...] = (),
+        terms=None,
+    ):
+        dim = 1 << n_sites
+        matrices = [matrix, *(terms or ())]
+        is_sparse = any(sparse.issparse(m) for m in matrices)
+        matrices = [sparse.coo_array(m) if is_sparse else np.asarray(m, dtype=complex) for m in matrices]
+        if any(m.shape != (dim, dim) for m in matrices):
             raise ValueError("matrix shape must be 2^n x 2^n")
-        herm = np.max(np.abs(mat - mat.conj().T))
+        if is_sparse:
+            entries, *term_entries = [(m.row, m.col, m.data.astype(complex)) for m in matrices]
+            deviations = (None, None)
+        else:
+            # dense input is checked as given, at the O(4^N) cost of reading it
+            dense, *dense_terms = matrices
+            deviations = (
+                float(np.abs(dense - dense.conj().T).max()),
+                None if terms is None else float(np.abs(sum(dense_terms) - dense).max()),
+            )
+            entries = _dense_entries(dense)
+            # with its resum gap measured, a single term is the operator itself
+            term_entries = [entries] if len(dense_terms) == 1 else [_dense_entries(m) for m in dense_terms]
+        self._store(n_sites, entries, labels, None if terms is None else term_entries, deviations)
+
+    @classmethod
+    def _from_entries(
+        cls, n_sites: int, entries: Entries, labels: tuple[str, ...] = (), term_entries=None
+    ) -> "MatrixOperator":
+        operator = cls.__new__(cls)
+        operator._store(n_sites, entries, labels, term_entries)
+        return operator
+
+    def _store(self, n_sites, entries, labels, term_entries, deviations=(None, None)) -> None:
+        # deviations: Hermiticity and resum gaps already measured, or None
+        self.n_sites = n_sites
+        self.labels = tuple(labels)
+        self.entries = entries
+        self.term_entries = term_entries
+        dim = self.dim
+        rows, cols, values = entries
+        herm, gap = deviations
+        if herm is None:
+            herm = _max_abs_of_sum(dim, [entries, (cols, rows, -values.conj())])
         if herm > 1e-12:
             raise ValueError(f"operator not Hermitian within 1e-12 (max dev {herm:.3e})")
-        if self.terms is not None:
-            if len(self.terms) != len(self.labels):
+        if term_entries is not None:
+            if len(term_entries) != len(self.labels):
                 raise ValueError("one label per decomposition term required")
-            resum = sum(self.terms)
-            gap = np.max(np.abs(resum - mat))
+            if gap is None:
+                gap = _max_abs_of_sum(dim, [*term_entries, (rows, cols, -values)])
             if gap > 1e-12:
                 raise ValueError(f"decomposition does not resum to operator ({gap:.3e})")
 
     @property
     def dim(self) -> int:
         return 1 << self.n_sites
+
+    @cached_property
+    def csr(self) -> sparse.csr_array:
+        return _csr((self.dim, self.dim), self.entries)
+
+    @cached_property
+    def term_stack(self) -> sparse.csr_array | None:
+        if self.term_entries is None:
+            return None
+        dim = self.dim
+        stacked = [(r + k * dim, c, v) for k, (r, c, v) in enumerate(self.term_entries)]
+        return _csr((len(stacked) * dim, dim), _join(stacked))
+
+    @property
+    def terms(self) -> tuple[sparse.csr_array, ...] | None:
+        """The local terms as separate CSR arrays, or None."""
+        if self.term_entries is None:
+            return None
+        return tuple(_csr((self.dim, self.dim), term) for term in self.term_entries)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense copy of the operator (16 * 4^N bytes), made on each read."""
+        _require_dense_memory(self.n_sites)
+        return _dense(self.dim, self.entries)
 
     def to_json_dict(self) -> dict:
         """Binary-free JSON form: row-major [re, im] pairs (decomposition omitted)."""
@@ -193,7 +332,7 @@ class CorrelatorReport:
 
     def __post_init__(self):
         n_terms = self.g_matrix.shape[0]
-        resummed = float(np.sum(self.g_matrix)) / n_terms**2
+        resummed = float(self.g_matrix.sum()) / n_terms**2
         if abs(resummed - self.sigma_sq) > 1e-12:
             raise ValueError(
                 f"variance identity violated: sum G/N'^2 = {resummed}, sigma^2 = {self.sigma_sq}"
@@ -207,86 +346,73 @@ def _site_bits(n_sites: int) -> np.ndarray:
     return np.array([(idx >> i) & 1 for i in range(n_sites)])
 
 
-def _single_site_matrix(n_sites: int, site: int, which: str) -> np.ndarray:
-    """Dense S^x, S^y or S^z (spin-1/2, hbar = 1) acting on one site."""
-    dim = 1 << n_sites
-    idx = np.arange(dim)
+def _site_spin(n_sites: int, site: int, which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of S^x, S^y or S^z (spin-1/2, hbar = 1) on one site."""
+    idx = np.arange(1 << n_sites)
     bit = (idx >> site) & 1
-    out = np.zeros((dim, dim), dtype=complex)
     if which == "z":
-        out[idx, idx] = bit - 0.5
-        return out
+        return idx, idx, bit - 0.5
     flipped = idx ^ (1 << site)
     if which == "x":
-        out[flipped, idx] = 0.5
-        return out
+        return flipped, idx, np.full(idx.size, 0.5)
     if which == "y":
         # <down|S_y|up> = i/2, <up|S_y|down> = -i/2
-        out[flipped, idx] = 1j * (bit - 0.5)
-        return out
+        return flipped, idx, 1j * (bit - 0.5)
     raise ValueError(which)
-
-
-def _bond_heisenberg(n_sites: int, i: int, j: int) -> np.ndarray:
-    """Dense S_i . S_j via its diagonal Ising part plus the flip-flop part."""
-    dim = 1 << n_sites
-    idx = np.arange(dim)
-    bit_i = (idx >> i) & 1
-    bit_j = (idx >> j) & 1
-    out = np.zeros((dim, dim), dtype=complex)
-    out[idx, idx] = (bit_i - 0.5) * (bit_j - 0.5)
-    differ = bit_i != bit_j
-    src = idx[differ]
-    out[src ^ ((1 << i) | (1 << j)), src] = 0.5
-    return out
 
 
 def build_spin_hamiltonian(lattice: LatticeSpec, with_decomposition: bool = True) -> MatrixOperator:
     """Heisenberg-coupled spins in a longitudinal field: -sum J S.S - B_z sum S_z.
 
-    The decomposition assigns each site its field term plus half of every
-    incident bond, so the term count equals the site count.
+    Built from bit operations: the field and Ising parts are diagonal, and a
+    bond's flip-flop part swaps two antiparallel spins.  The decomposition
+    assigns each site its field term plus half of every incident bond, so the
+    term count equals the site count.
     """
-    dim = lattice.dim
-    total = np.zeros((dim, dim), dtype=complex)
-    site_terms = (
-        [np.zeros((dim, dim), dtype=complex) for _ in range(lattice.n_sites)]
-        if with_decomposition
-        else None
-    )
-    for site in range(lattice.n_sites):
-        f_term = -lattice.b_z * _single_site_matrix(lattice.n_sites, site, "z")
-        total += f_term
-        if site_terms is not None:
-            site_terms[site] += f_term
+    n = lattice.n_sites
+    idx = np.arange(lattice.dim)
+    spin_z = [((idx >> s) & 1) - 0.5 for s in range(n)]
+    diagonal = np.zeros(lattice.dim)
+    site_diagonals = []
+    for s in range(n):
+        field_term = lattice.b_z * spin_z[s]
+        diagonal -= field_term
+        site_diagonals.append(-field_term)
+    flips = []
+    site_flips: list[list] = [[] for _ in range(n)]
     for i, j, j_ij in lattice.couplings:
-        bond = -j_ij * _bond_heisenberg(lattice.n_sites, i, j)
-        total += bond
-        if site_terms is not None:
-            site_terms[i] += 0.5 * bond
-            site_terms[j] += 0.5 * bond
-    labels = tuple(f"site-{s}" for s in range(lattice.n_sites)) if site_terms is not None else ()
-    return MatrixOperator(
-        matrix=total,
-        n_sites=lattice.n_sites,
-        labels=labels,
-        terms=tuple(site_terms) if site_terms is not None else None,
-    )
+        ising = -j_ij * (spin_z[i] * spin_z[j])
+        diagonal += ising
+        src = idx[spin_z[i] != spin_z[j]]
+        rows, values = src ^ ((1 << i) | (1 << j)), np.full(src.size, -0.5 * j_ij)
+        flips.append((rows, src, values))
+        for site in (i, j):
+            site_diagonals[site] = site_diagonals[site] + 0.5 * ising
+            site_flips[site].append((rows, src, 0.5 * values))
+    total = _join([(idx, idx, diagonal), *flips])
+    if not with_decomposition:
+        return MatrixOperator._from_entries(n, total)
+    terms = [_join([(idx, idx, site_diagonals[s]), *site_flips[s]]) for s in range(n)]
+    labels = tuple(f"site-{s}" for s in range(n))
+    return MatrixOperator._from_entries(n, total, labels, terms)
 
 
-def build_transverse_field(n_sites: int, b_y: float) -> MatrixOperator:
-    """Uniform transverse drive -b_y sum_i S_i^y with its per-site decomposition."""
+def build_transverse_field(n_sites: int, b_y: float, with_decomposition: bool = True) -> MatrixOperator:
+    """Uniform transverse drive -b_y sum_i S_i^y, with its per-site decomposition
+    unless ``with_decomposition`` is false."""
     if n_sites > MAX_SITES:
-        raise SizeLimitError(f"dense oracle capped at {MAX_SITES} sites")
-    terms = tuple(
-        -b_y * _single_site_matrix(n_sites, site, "y") for site in range(n_sites)
-    )
-    return MatrixOperator(
-        matrix=sum(terms),
-        n_sites=n_sites,
-        labels=tuple(f"site-{s}" for s in range(n_sites)),
-        terms=terms,
-    )
+        raise SizeLimitError(f"lattice oracle capped at {MAX_SITES} sites")
+    idx = np.arange(1 << n_sites)
+    sites = np.arange(n_sites)[:, None]
+    # <down|S_y|up> = i/2, <up|S_y|down> = -i/2 on each site
+    rows = idx ^ (1 << sites)
+    values = -b_y * (1j * (((idx >> sites) & 1) - 0.5))
+    total = (rows.ravel(), np.tile(idx, n_sites), values.ravel())
+    if not with_decomposition:
+        return MatrixOperator._from_entries(n_sites, total)
+    terms = [(rows[s], idx, values[s]) for s in range(n_sites)]
+    labels = tuple(f"site-{s}" for s in range(n_sites))
+    return MatrixOperator._from_entries(n_sites, total, labels, terms)
 
 
 def dicke_state(n_sites: int, m: float) -> QuantumState:
@@ -295,82 +421,133 @@ def dicke_state(n_sites: int, m: float) -> QuantumState:
     if abs(n_up - round(n_up)) > 1e-9 or not (0 <= round(n_up) <= n_sites):
         raise ValueError(f"m = {m} is not a magnetization of {n_sites} spin-1/2 sites")
     n_up = int(round(n_up))
-    idx = np.arange(1 << n_sites)
-    popcount = np.array([bin(s).count("1") for s in idx])
+    hits = _site_bits(n_sites).sum(axis=0) == n_up
     amps = np.zeros(1 << n_sites, dtype=complex)
-    hits = popcount == n_up
     amps[hits] = 1.0 / math.sqrt(int(hits.sum()))
     return QuantumState(amplitudes=amps, n_sites=n_sites)
 
 
 @lru_cache(maxsize=8)
-def _segment_eigensystem(
-    lattice: LatticeSpec, mode: str, b_y: float
-) -> tuple[np.ndarray, np.ndarray]:
-    # Cached (eigenvalues, eigenvectors) of one drive segment's Hamiltonian;
-    # the returned arrays are shared and must be treated as read-only.
-    drive = build_transverse_field(lattice.n_sites, b_y).matrix
-    if mode == "augment":
-        drive = drive + build_spin_hamiltonian(lattice, with_decomposition=False).matrix
+def _segment_eigensystem(lattice: LatticeSpec, b_y: float) -> tuple[np.ndarray, np.ndarray]:
+    # Cached (eigenvalues, eigenvectors) of one augment-mode segment's
+    # Hamiltonian, spin Hamiltonian plus transverse field; the returned
+    # arrays are shared and must be treated as read-only.
+    drive = build_transverse_field(lattice.n_sites, b_y, with_decomposition=False).matrix
+    drive = drive + build_spin_hamiltonian(lattice, with_decomposition=False).matrix
     eigvals, eigvecs = eigh(drive)
     return eigvals, eigvecs
+
+
+def _y_rotations(angles) -> tuple[np.ndarray, np.ndarray]:
+    """exp(i angle S^y) on one site (basis order down, up) for each angle,
+    and the two-site rotation R (x) R."""
+    half = 0.5 * np.asarray(angles, dtype=float)
+    c, s = np.cos(half), np.sin(half)
+    single = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2).astype(complex)
+    pair = (single[:, :, None, :, None] * single[:, None, :, None, :]).reshape(-1, 4, 4)
+    return single, pair
+
+
+def _rotate_every_site(psi: np.ndarray, n_sites: int, single: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Apply the single-site rotation to every site of ``psi``, O(N 2^N).
+
+    Each pass applies ``pair`` = R (x) R to the two least significant sites
+    and moves them to the most significant positions, so after N/2 passes
+    (and one single-site pass for odd N) every site is rotated once and the
+    bit order is back where it started.
+    """
+    for _ in range(n_sites // 2):
+        psi = np.dot(pair, psi.reshape(-1, 4).T).reshape(-1)
+    if n_sites % 2:
+        psi = np.dot(single, psi.reshape(-1, 2).T).reshape(-1)
+    return psi
 
 
 def evolve_state(
     state: QuantumState, lattice: LatticeSpec, schedule: DriveSchedule
 ) -> list[tuple[float, QuantumState]]:
-    """Evolve through every schedule segment by exact eigendecomposition.
+    """Evolve exactly through every schedule segment.
 
-    Returns (time, state) at t = 0 and each segment boundary.  Norms are
-    checked against 1e-10 drift and never renormalized.
+    A replace-mode segment is exp(i b_y t S^y_tot), the same y-rotation on
+    every site; an augment-mode segment uses the cached eigendecomposition of
+    the spin Hamiltonian plus the transverse field.  Returns (time, state) at
+    t = 0 and each segment boundary.  Norms are checked against 1e-10 drift
+    and never renormalized.
     """
     if state.n_sites != lattice.n_sites:
         raise ValueError("state and lattice site counts differ")
+    replace = schedule.mode == "replace"
+    if replace:
+        singles, pairs = _y_rotations([b_y * duration for duration, b_y in schedule.segments])
     psi = state.amplitudes
     t = 0.0
     trajectory = [(0.0, state)]
-    for duration, b_y in schedule.segments:
-        eigvals, eigvecs = _segment_eigensystem(lattice, schedule.mode, b_y)
-        psi = eigvecs @ (np.exp(-1j * eigvals * duration) * (eigvecs.conj().T @ psi))
+    for k, (duration, b_y) in enumerate(schedule.segments):
+        if replace:
+            psi = _rotate_every_site(psi, lattice.n_sites, singles[k], pairs[k])
+        else:
+            eigvals, eigvecs = _segment_eigensystem(lattice, b_y)
+            psi = eigvecs @ (np.exp(-1j * eigvals * duration) * (eigvecs.conj().T @ psi))
         t += duration
-        drift = abs(np.linalg.norm(psi) - 1.0)
-        if drift > 1e-10:
+        drift = abs(math.sqrt(np.vdot(psi, psi).real) - 1.0)
+        if not drift <= 1e-10:  # NaN fails too
             raise NumericalDriftError(f"norm drift {drift:.3e} at t = {t}")
         trajectory.append((t, QuantumState(amplitudes=psi, n_sites=state.n_sites, norm_tol=1e-10)))
     return trajectory
 
 
 def propagator(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> np.ndarray:
-    """Exact unitary U(t) for the schedule (partial final segment included)."""
+    """Exact unitary U(t) for the schedule (partial final segment included).
+
+    Dense, 16 * 4^N bytes.  In replace mode U(t) is the N-fold Kronecker
+    power of the accumulated single-site y-rotation.
+    """
     if t < -1e-12 or t > schedule.total_duration + 1e-9:
         raise ScheduleRangeError(f"t = {t} outside schedule span")
-    dim = lattice.dim
-    unitary = np.eye(dim, dtype=complex)
+    _require_dense_memory(lattice.n_sites)
+    steps = []
     remaining = t
     for duration, b_y in schedule.segments:
         step = min(duration, remaining)
         if step <= 0.0:
             break
-        eigvals, eigvecs = _segment_eigensystem(lattice, schedule.mode, b_y)
-        unitary = (eigvecs @ (np.exp(-1j * eigvals * step)[:, None] * (eigvecs.conj().T @ unitary)))
+        steps.append((step, b_y))
         remaining -= step
+    if schedule.mode == "replace":
+        # y-rotations commute: the product is the rotation by the summed angle
+        rotation = _y_rotations([math.fsum(b_y * step for step, b_y in steps)])[0][0]
+        return reduce(np.kron, [rotation] * lattice.n_sites)
+    unitary = np.eye(lattice.dim, dtype=complex)
+    for step, b_y in steps:
+        eigvals, eigvecs = _segment_eigensystem(lattice, b_y)
+        unitary = (eigvecs @ (np.exp(-1j * eigvals * step)[:, None] * (eigvecs.conj().T @ unitary)))
     return unitary
 
 
+def _apply(operator: MatrixOperator | np.ndarray, psi: np.ndarray) -> np.ndarray:
+    return (operator.csr if isinstance(operator, MatrixOperator) else operator) @ psi
+
+
 def expectation(state: QuantumState, operator: MatrixOperator | np.ndarray) -> float:
-    mat = operator.matrix if isinstance(operator, MatrixOperator) else operator
-    value = np.vdot(state.amplitudes, mat @ state.amplitudes)
+    value = np.vdot(state.amplitudes, _apply(operator, state.amplitudes))
     return float(value.real)
 
 
+def _spread(psi: np.ndarray, applied: np.ndarray) -> float:
+    """Variance of A in psi from applied = A psi.
+
+    Two-pass form ||(A - <A>) psi||^2: immune to the <A^2> - <A>^2
+    cancellation that floors sigma at ~1e-8 near zero-variance states.
+    Dividing by <psi|psi> keeps the state's norm rounding (1 ulp for a Dicke
+    state, up to 1e-10 after evolution) out of the result.
+    """
+    norm_sq = np.vdot(psi, psi).real
+    residual = applied - (np.vdot(psi, applied).real / norm_sq) * psi
+    return float(np.vdot(residual, residual).real / norm_sq)
+
+
 def variance(state: QuantumState, operator: MatrixOperator | np.ndarray) -> float:
-    # two-pass form ||(A - <A>) psi||^2: immune to the <A^2> - <A>^2
-    # cancellation that floors sigma at ~1e-8 near zero-variance states
-    mat = operator.matrix if isinstance(operator, MatrixOperator) else operator
-    applied = mat @ state.amplitudes
-    mean = np.vdot(state.amplitudes, applied).real
-    residual = applied - mean * state.amplitudes
-    return float(np.vdot(residual, residual).real)
+    return _spread(state.amplitudes, _apply(operator, state.amplitudes))
 
 
 def energy_density_sigma(state: QuantumState, operator: MatrixOperator) -> float:
@@ -387,12 +564,11 @@ def site_magnetizations(state: QuantumState) -> np.ndarray:
 
 def total_spin_operators(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense global (S_x, S_y, S_z)."""
-    ops = []
-    for which in ("x", "y", "z"):
-        total = sum(
-            _single_site_matrix(n_sites, site, which) for site in range(n_sites)
-        )
-        ops.append(total)
+    _require_dense_memory(n_sites)
+    ops = [
+        _dense(1 << n_sites, _join([_site_spin(n_sites, site, which) for site in range(n_sites)]))
+        for which in ("x", "y", "z")
+    ]
     return ops[0], ops[1], ops[2]
 
 
@@ -411,16 +587,22 @@ def connected_pair_correlators(
     modeled (for the driven collective-spin model they stay local, so the
     two pictures agree there).
     """
-    if operator.terms is None:
+    return _pair_correlators(state.amplitudes, operator, _apply(operator, state.amplitudes))
+
+
+def _pair_correlators(psi: np.ndarray, operator: MatrixOperator, applied: np.ndarray) -> CorrelatorReport:
+    # applied = operator psi; the only term of a one-term decomposition is
+    # the operator itself (resummed within 1e-12), so it needs no product
+    if operator.term_entries is None:
         raise ValueError("operator carries no local-term decomposition")
-    applied = np.stack([term @ state.amplitudes for term in operator.terms])
-    means = np.array([np.vdot(state.amplitudes, row).real for row in applied])
-    overlap = applied.conj() @ applied.T
-    g_matrix = overlap.real - np.outer(means, means)
+    n_terms = len(operator.labels)
+    terms_psi = applied[None, :] if n_terms == 1 else (operator.term_stack @ psi).reshape(n_terms, -1)
+    means = (terms_psi @ psi.conj()).real
+    overlap = terms_psi.conj() @ terms_psi.T
+    g_matrix = overlap.real - means[:, None] * means
     g_matrix = 0.5 * (g_matrix + g_matrix.T)
-    n_terms = len(operator.terms)
-    gbar = float(np.mean(np.abs(g_matrix)))
-    sigma_sq = variance(state, operator) / n_terms**2
+    gbar = float(np.abs(g_matrix).sum() / g_matrix.size)
+    sigma_sq = _spread(psi, applied) / n_terms**2
     return CorrelatorReport(g_matrix=g_matrix, gbar=gbar, sigma_sq=sigma_sq)
 
 
@@ -478,6 +660,7 @@ def bose_doping_operator(n_sites: int, b_y: float) -> np.ndarray:
     b^dag, fixing this sign; the opposite overall sign corresponds to the
     boson = down-spin convention and generates the same rotation family.
     """
+    _require_dense_memory(n_sites)
     dim = 1 << n_sites
     idx = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
@@ -518,6 +701,7 @@ def bose_dual(lattice: LatticeSpec) -> tuple[MatrixOperator, BoseDualReport]:
     plus -B_z sum n_i + B_z N/2.  The c-number pieces keep the full spectrum
     identical to the spin Hamiltonian's, not merely equal up to a shift.
     """
+    _require_dense_memory(lattice.n_sites)
     dim = lattice.dim
     n = lattice.n_sites
     total = np.zeros((dim, dim), dtype=complex)
@@ -538,7 +722,7 @@ def bose_dual(lattice: LatticeSpec) -> tuple[MatrixOperator, BoseDualReport]:
         np.max(np.abs(np.sort(eigh(total, eigvals_only=True)) - np.sort(eigh(spin_op.matrix, eigvals_only=True))))
     )
     doping = bose_doping_operator(n, 1.0)
-    transverse = build_transverse_field(n, 1.0).matrix
+    transverse = build_transverse_field(n, 1.0, with_decomposition=False).matrix
     doping_ok = bool(np.max(np.abs(doping - transverse)) <= 1e-12)
     number_total = sum(numbers)
     _, _, sz = total_spin_operators(n)

@@ -289,8 +289,8 @@ def dicke_entanglement(
     if method == "exact":
         entropy = 0.0
         for weight in _schmidt_fractions(split):
-            if weight > 0:
-                w = float(weight)
+            w = float(weight)
+            if w > 0.0:  # a weight that underflows to 0.0 adds w ln w -> 0
                 entropy -= w * math.log(w)
         return entropy
     if method == "saddle":

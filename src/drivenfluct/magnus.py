@@ -70,7 +70,7 @@ def segment_hamiltonians(
     )
     out = []
     for duration, b_y in schedule.segments:
-        drive = build_transverse_field(lattice.n_sites, b_y).matrix
+        drive = build_transverse_field(lattice.n_sites, b_y, with_decomposition=False).matrix
         if spin is not None:
             drive = drive + spin
         out.append((duration, drive))
@@ -217,16 +217,18 @@ def variance_rate(
 
     Evaluates (i/N^2) <{D, H} - 2 <H> D> with D = [H_drive, H]; equals the
     time derivative of the energy-density variance when H_drive generates the
-    motion at that instant.
+    motion at that instant.  With T = H_drive, {D, H} = T H^2 - H^2 T, so
+    both expectations come from H psi, T psi and H T psi.
     """
     if h_drive.dim != h_ref.dim:
         raise ValueError("operator dimensions differ")
     psi = state_t.amplitudes
-    h = h_ref.matrix
-    d = h_drive.matrix @ h - h @ h_drive.matrix
-    mean_h = _expect(psi, h).real
-    anti = _expect(psi, d @ h + h @ d)
-    mean_d = _expect(psi, d)
+    h_psi = h_ref.csr @ psi
+    t_psi = h_drive.csr @ psi
+    ht_psi = h_ref.csr @ t_psi
+    mean_h = np.vdot(psi, h_psi).real
+    anti = np.vdot(ht_psi, h_psi) - np.vdot(h_psi, ht_psi)
+    mean_d = np.vdot(t_psi, h_psi) - np.vdot(h_psi, t_psi)
     value = 1j * (anti - 2.0 * mean_h * mean_d) / float(h_ref.n_sites) ** 2
     if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
         raise ArithmeticError("variance rate acquired an imaginary part")

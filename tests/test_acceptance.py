@@ -40,7 +40,7 @@ def test_criterion_01_analytic_oracle_equivalence():
     start = time.monotonic()
     theta_step = 2.0 * math.pi / 20.0
     worst = 0.0
-    for n in range(2, 11):
+    for n in range(2, xl.MAX_SITES + 1):
         lattice = xl.LatticeSpec.chain(n, 1.0, 1.0)
         hamiltonian = xl.build_spin_hamiltonian(lattice, with_decomposition=False)
         schedule = cs.DriveSchedule("replace", ((theta_step, 1.0),) * 20, 1.0)

@@ -76,6 +76,19 @@ class TestSpinCommands:
         summary = read_json(tmp_path / "exact_check.json")
         assert summary["ok"] and summary["max_abs_diff"] < 1e-10
 
+    def test_exact_check_fails_when_nothing_compared(self, tmp_path):
+        assert run_cli(["exact-check", "--n-min", "2", "--n-max", "1"], tmp_path) == 1
+        summary = read_json(tmp_path / "exact_check.json")
+        assert summary["ok"] is False
+        assert read_csv(tmp_path / "exact_check.csv") == []
+
+    def test_spin_sigma_rejects_nan_by_name(self, tmp_path, capsys):
+        status = run_cli(
+            ["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--theta", "nan"], tmp_path
+        )
+        assert status == 1
+        assert "duration must be finite, got nan" in capsys.readouterr().err
+
     def test_bose_dual(self, tmp_path):
         assert run_cli(["bose-dual", "--n", "5", "--sets", "4"], tmp_path) == 0
         assert read_json(tmp_path / "bose_dual.json")["all_ok"]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
@@ -64,6 +66,37 @@ class TestDriveSchedule:
         sched = replace_schedule(1.0)
         with pytest.raises(cs.ScheduleRangeError):
             sched.theta_at(2.0)
+
+
+FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+DURATIONS = st.floats(min_value=1e-6, max_value=1e3)
+SEGMENTS = st.lists(st.tuples(DURATIONS, FINITE), min_size=1, max_size=6)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+class TestDriveScheduleValidation:
+    @given(st.sampled_from(["replace", "augment"]), SEGMENTS, FINITE)
+    def test_finite_input_accepted(self, mode, segments, b_z):
+        sched = cs.DriveSchedule(mode, tuple(segments), b_z)
+        assert sched.segments == tuple((float(d), float(b)) for d, b in segments)
+        assert sched.boundary_times()[-1] == pytest.approx(sched.total_duration)
+
+    @given(SEGMENTS, FINITE, st.sampled_from(["duration", "b_y", "b_z"]), NON_FINITE, st.data())
+    def test_non_finite_rejected_by_name(self, segments, b_z, field, bad, data):
+        index = data.draw(st.integers(min_value=0, max_value=len(segments) - 1))
+        if field == "b_z":
+            b_z = bad
+        else:
+            duration, b_y = segments[index]
+            segments[index] = (bad, b_y) if field == "duration" else (duration, bad)
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {bad!r}"):
+            cs.DriveSchedule("replace", tuple(segments), b_z)
+
+    @given(SEGMENTS, st.floats(max_value=0.0, allow_nan=False, allow_infinity=False))
+    def test_non_positive_duration_rejected(self, segments, duration):
+        segments[-1] = (duration, segments[-1][1])
+        with pytest.raises(ValueError, match="strictly positive"):
+            cs.DriveSchedule("replace", tuple(segments), 1.0)
 
 
 class TestAnalyticSigma:

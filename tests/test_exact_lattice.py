@@ -2,13 +2,18 @@
 
 import json
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import eigh
+from scipy.sparse.linalg import expm_multiply
 
+from drivenfluct import bounds as bd
 from drivenfluct import collective_spin as cs
 from drivenfluct import exact_lattice as xl
+from drivenfluct import magnus as mg
 
 PI = math.pi
 
@@ -290,3 +295,219 @@ class TestSerialization:
         back = xl.MatrixOperator.from_json_dict(ham.to_json_dict())
         assert np.allclose(back.matrix, ham.matrix)
         assert back.labels == ham.labels
+
+
+# ---------------------------------------------------------------------------
+# matrix-free routes against a dense Kronecker-product reference
+# ---------------------------------------------------------------------------
+
+# single-site spin-1/2 matrices in the library's basis order (index 0 = down)
+SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+SY = np.array([[0.0, 0.5j], [-0.5j, 0.0]], dtype=complex)
+SZ = np.diag([-0.5, 0.5]).astype(complex)
+
+
+def kron_sites(n_sites, singles):
+    """Dense product of single-site matrices ({site: matrix}, identity elsewhere)."""
+    # site 0 is the least significant bit of the basis index: rightmost factor
+    return reduce(np.kron, [singles.get(k, np.eye(2)) for k in reversed(range(n_sites))])
+
+
+def kron_hamiltonian_terms(lattice):
+    """Dense per-site terms of H, one at a time: field plus half of every incident bond."""
+    n = lattice.n_sites
+    for s in range(n):
+        term = -lattice.b_z * kron_sites(n, {s: SZ})
+        for i, j, coupling in lattice.couplings:
+            if s in (i, j):
+                term = term - 0.5 * coupling * sum(
+                    kron_sites(n, {i: single, j: single}) for single in (SX, SY, SZ)
+                )
+        yield term
+
+
+def random_lattice(kind, n_sites, rng):
+    pairs = (
+        [(i, i + 1) for i in range(n_sites - 1)]
+        if kind == "chain"
+        else [(i, j) for i in range(n_sites) for j in range(i + 1, n_sites)]
+    )
+    bonds = tuple((i, j, float(rng.uniform(-1.5, 1.5))) for i, j in pairs)
+    return xl.LatticeSpec(n_sites, bonds, float(rng.uniform(-1.5, 1.5)))
+
+
+def random_state(n_sites, rng):
+    vector = rng.normal(size=1 << n_sites) + 1j * rng.normal(size=1 << n_sites)
+    return xl.QuantumState(vector / np.linalg.norm(vector), n_sites)
+
+
+def dense_variance(psi, applied):
+    residual = applied - np.vdot(psi, applied).real * psi
+    return np.vdot(residual, residual).real
+
+
+def dense_correlators(psi, applied_terms):
+    applied = np.stack(applied_terms)
+    means = np.array([np.vdot(psi, row).real for row in applied])
+    return (applied.conj() @ applied.T).real - np.outer(means, means)
+
+
+def close(got, want, tol=1e-12):
+    # agreement to tol, relative once the reference exceeds one
+    return np.max(np.abs(np.asarray(got) - np.asarray(want))) <= tol * max(1.0, np.max(np.abs(want)))
+
+
+LATTICES = [("chain", n) for n in (2, 5, 8, 10)] + [("complete", n) for n in (3, 6, 8)]
+
+
+@pytest.mark.parametrize("kind,n", LATTICES)
+def test_matrix_free_routes_match_kron_reference(kind, n):
+    rng = np.random.default_rng([n, kind == "chain"])
+    lattice = random_lattice(kind, n, rng)
+    ham = xl.build_spin_hamiltonian(lattice)
+    b_y = float(rng.uniform(0.3, 1.5))
+    drive = xl.build_transverse_field(n, b_y)
+
+    # replace mode rotates every site about y: compare against the action of
+    # the exponential of the dense S^y_tot (exp(-i H t) with H = -b_y S^y_tot)
+    sy_sites = [kron_sites(n, {s: SY}) for s in range(n)]
+    sy_total = sum(sy_sites)
+
+    def rotate(angle, vectors):
+        return expm_multiply(1j * angle * sy_total, vectors)
+
+    segments = tuple(
+        (float(d), float(b))
+        for d, b in zip(rng.uniform(0.1, 0.8, 5), rng.choice([-1, 1], 5) * rng.uniform(0.3, 1.5, 5))
+    )
+    schedule = cs.DriveSchedule("replace", segments, lattice.b_z)
+    state = random_state(n, rng)
+    trajectory = xl.evolve_state(state, lattice, schedule)
+    psi = state.amplitudes
+    for (duration, field), (_, evolved) in zip(segments, trajectory[1:]):
+        psi = rotate(field * duration, psi)
+        assert close(evolved.amplitudes, psi)
+    t_partial = schedule.total_duration - 0.3 * segments[-1][0]
+    angle = sum(b * d for d, b in segments[:-1]) + segments[-1][1] * 0.7 * segments[-1][0]
+    probes = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+    assert close(xl.propagator(lattice, schedule, t_partial) @ probes, rotate(angle, probes))
+
+    final = trajectory[-1][1]
+    psi = final.amplitudes
+    h_ref = 0.0
+    h_applied = []
+    for term, dense_term in zip(ham.terms, kron_hamiltonian_terms(lattice)):
+        assert close(term.toarray(), dense_term)
+        h_ref = h_ref + dense_term
+        h_applied.append(dense_term @ psi)
+    t_applied = [-b_y * (sy @ psi) for sy in sy_sites]
+    assert close(ham.matrix, h_ref)
+    assert close(drive.matrix, -b_y * sum(sy_sites))
+    h_psi, t_psi = sum(h_applied), sum(t_applied)
+
+    assert close(xl.variance(final, ham), dense_variance(psi, h_psi))
+    assert close(xl.expectation(final, ham), np.vdot(psi, h_psi).real)
+    report = xl.connected_pair_correlators(final, ham)
+    assert close(report.g_matrix, dense_correlators(psi, h_applied))
+
+    reports = bd.uncertainty_check(final, ham, drive, n)
+    commutator = np.vdot(psi, h_ref @ t_psi) - np.vdot(psi, -b_y * sum(sy @ h_psi for sy in sy_sites))
+    lhs = math.sqrt(dense_variance(psi, h_psi)) / n * math.sqrt(dense_variance(psi, t_psi))
+    gbar_product = np.mean(np.abs(dense_correlators(psi, h_applied))) * np.mean(
+        np.abs(dense_correlators(psi, t_applied))
+    )
+    assert close([r.lhs for r in reports], [lhs, lhs, gbar_product])
+    assert close(
+        [r.rhs for r in reports],
+        [0.5 * abs(commutator) / n] * 2 + [commutator.imag**2 / (4.0 * n**2)],
+    )
+
+    # variance rate from D = [T, H] applied term by term
+    t_ref = -b_y * sum(sy_sites)
+
+    def d_apply(vector):
+        return t_ref @ (h_ref @ vector) - h_ref @ (t_ref @ vector)
+
+    mean_h = np.vdot(psi, h_psi).real
+    anti = np.vdot(psi, d_apply(h_psi)) + np.vdot(psi, h_ref @ d_apply(psi))
+    rate = 1j * (anti - 2.0 * mean_h * np.vdot(psi, d_apply(psi))) / n**2
+    assert close(mg.variance_rate(final, drive, ham), rate.real)
+
+
+class TestSparseOperatorChecks:
+    def test_operator_holds_no_dense_arrays(self):
+        ham = xl.build_spin_hamiltonian(xl.LatticeSpec.chain(4, 0.9, 0.4))
+        assert sparse.issparse(ham.csr) and sparse.issparse(ham.term_stack)
+        assert all(sparse.issparse(term) for term in ham.terms)
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+
+        assert all(a.ndim == 1 for a in arrays(list(vars(ham).values())))
+
+    def test_transverse_field_without_decomposition(self):
+        full = xl.build_transverse_field(4, 0.7)
+        bare = xl.build_transverse_field(4, 0.7, with_decomposition=False)
+        assert bare.terms is None and len(full.terms) == 4
+        assert np.array_equal(bare.matrix, full.matrix)
+
+    def test_sparse_hermiticity_enforced(self):
+        # an entry whose transposed partner is missing, and a wrong partner
+        one_sided = sparse.csr_array(np.array([[0.0, 1e-9], [0.0, 0.0]], dtype=complex))
+        with pytest.raises(ValueError, match="Hermitian"):
+            xl.MatrixOperator(one_sided, 1)
+        skewed = sparse.csr_array(np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]], dtype=complex))
+        with pytest.raises(ValueError, match="Hermitian"):
+            xl.MatrixOperator(skewed, 1)
+        ham = xl.build_spin_hamiltonian(xl.LatticeSpec.complete(4, 0.8, 1.3))
+        assert xl.MatrixOperator(ham.csr, 4).dim == 16
+
+    def test_sparse_resum_enforced(self):
+        ham = xl.build_spin_hamiltonian(xl.LatticeSpec.chain(4, 0.9, 0.4))
+        terms = list(ham.terms)
+        assert xl.MatrixOperator(ham.csr, 4, ham.labels, terms).terms is not None
+        terms[2] = terms[2] * (1.0 + 1e-9)
+        with pytest.raises(ValueError, match="resum"):
+            xl.MatrixOperator(ham.csr, 4, ham.labels, terms)
+        with pytest.raises(ValueError, match="one label per"):
+            xl.MatrixOperator(ham.csr, 4, ham.labels[:3], ham.terms)
+
+
+class TestDenseMemoryGuard:
+    @pytest.fixture
+    def tiny_memory(self, monkeypatch):
+        # 1000 bytes: a 3-site dense operator needs 16 * 4^3 = 1024
+        monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 1000)
+
+    def test_dense_routes_refuse_before_allocating(self, tiny_memory):
+        lattice = xl.LatticeSpec.chain(3, 0.61, 1.37)
+        ham = xl.build_spin_hamiltonian(lattice)
+        state = xl.dicke_state(3, 0.5)
+        replace = cs.DriveSchedule("replace", ((0.4, 1.0),), 1.37)
+        augment = cs.DriveSchedule("augment", ((0.4, 0.777),), 1.37)
+        for dense_route in (
+            lambda: ham.matrix,
+            lambda: xl.propagator(lattice, replace, 0.4),
+            lambda: xl.evolve_state(state, lattice, augment),
+            lambda: xl.eigenbasis_distribution(state, ham),
+            lambda: xl.bose_dual(lattice),
+            lambda: xl.total_spin_operators(3),
+            lambda: mg.magnus_terms(lattice, augment, 0.4),
+        ):
+            with pytest.raises(xl.SizeLimitError, match="needs 1024 bytes"):
+                dense_route()
+
+    def test_matrix_free_routes_need_no_dense_memory(self, tiny_memory):
+        lattice = xl.LatticeSpec.chain(3, 0.61, 1.37)
+        ham = xl.build_spin_hamiltonian(lattice)
+        drive = xl.build_transverse_field(3, 1.0)
+        schedule = cs.DriveSchedule("replace", ((0.4, 1.0), (0.3, -0.5)), 1.37)
+        state = xl.evolve_state(xl.dicke_state(3, 0.5), lattice, schedule)[-1][1]
+        assert xl.variance(state, ham) > 0.0
+        assert xl.connected_pair_correlators(state, ham).sigma_sq > 0.0
+        assert bd.uncertainty_check(state, ham, drive, 3)[0].satisfied
+        assert math.isfinite(mg.variance_rate(state, drive, ham))

@@ -144,6 +144,14 @@ class TestDickeEntanglement:
         slope = np.polyfit(np.log(sizes), entropies, 1)[0]
         assert slope == pytest.approx(0.5, abs=0.1)
 
+    def test_exact_past_weight_underflow(self):
+        # from n ~ 1100 on, the smallest Schmidt weights underflow to 0.0 as
+        # floats; they add w ln w -> 0, and the entropy keeps the saddle's trend
+        exact = {n: ie.dicke_entanglement(ie.DickeSplit(n, 0, n // 2)) for n in (600, 1200)}
+        saddle = {n: ie.dicke_entanglement(ie.DickeSplit(n, 0, n // 2), "saddle") for n in (600, 1200)}
+        assert math.isfinite(exact[1200])
+        assert exact[1200] - exact[600] == pytest.approx(saddle[1200] - saddle[600], abs=2e-3)
+
     def test_saddle_formula_and_agreement(self):
         split = ie.DickeSplit(64, 0, 32)
         width = ie.dicke_split_sigma_sq(split)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_lattice import MatrixOperator, QuantumState, _pair_correlators, _spread
+from .exact_lattice import MatrixOperator, QuantumState, connected_pair_correlators, variance
 
 __all__ = ["BoundReport", "uncertainty_check", "equilibrium_rate_threshold"]
 
@@ -67,21 +67,21 @@ def uncertainty_check(
     if h_system.dim != h_total.dim:
         raise ValueError("operator dimensions differ")
     psi = state.amplitudes
-    system_psi = h_system.csr @ psi
-    total_psi = h_total.csr @ psi
-    sigma_density = math.sqrt(_spread(psi, system_psi)) / n_sites
-    sigma_total = math.sqrt(_spread(psi, total_psi))
+    sigma_density = math.sqrt(variance(state, h_system)) / n_sites
+    sigma_total = math.sqrt(variance(state, h_total))
     lhs = sigma_density * sigma_total
 
     # <[H, H_total]> = <H psi|H_total psi> - <H_total psi|H psi> (both Hermitian)
+    system_psi = h_system.array @ psi
+    total_psi = h_total.array @ psi
     commutator_mean = complex(np.vdot(system_psi, total_psi) - np.vdot(total_psi, system_psi))
     robertson_rhs = 0.5 * abs(commutator_mean) / n_sites
 
     energy_rate = (1j * -commutator_mean).real  # i <[H_total, H]> = -i <[H, H_total]>
     rate_rhs = 0.5 * abs(energy_rate) / n_sites
 
-    gbar_system = _pair_correlators(psi, h_system, system_psi).gbar
-    gbar_total = _pair_correlators(psi, h_total, total_psi).gbar
+    gbar_system = connected_pair_correlators(state, h_system).gbar
+    gbar_total = connected_pair_correlators(state, h_total).gbar
     correlator_rhs = energy_rate**2 / (4.0 * n_sites**2)
 
     return (

@@ -8,8 +8,8 @@ algebra (boson number = up-spin indicator), whose spectrum must coincide with
 the spin Hamiltonian's.
 
 Matrix-free routes (memory O(N 2^N) for a chain): operators and their
-local-term decompositions are built from bit operations as sparse entry
-lists and applied as scipy CSR arrays; replace-mode evolution applies the
+local-term decompositions are written from bit operations straight into
+scipy CSR arrays and applied as such; replace-mode evolution applies the
 same single-site y-rotation to every site of the state; ``expectation``,
 ``variance``, ``connected_pair_correlators``, ``bounds.uncertainty_check``
 and ``magnus.variance_rate`` use matrix-vector products only.  Dense routes
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import sparse
@@ -158,59 +158,43 @@ def _require_dense_memory(n_sites: int) -> None:
         )
 
 
-# A sparse matrix as parallel (rows, cols, values) arrays; values at one
-# position add up.
-Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _join(pieces) -> Entries:
-    rows, cols, values = (np.concatenate(part) for part in zip(*pieces))
-    return rows, cols, values.astype(complex)
-
-
-def _dense_entries(dense: np.ndarray) -> Entries:
-    # every position, zeros included: no larger than the dense input itself
-    idx = np.arange(dense.shape[0])
-    return np.repeat(idx, idx.size), np.tile(idx, idx.size), dense.ravel()
-
-
-def _dense(dim: int, entries: Entries) -> np.ndarray:
-    rows, cols, values = entries
-    dense = np.zeros((dim, dim), dtype=complex)
-    np.add.at(dense, (rows, cols), values)
-    return dense
-
-
-def _csr(shape: tuple[int, int], entries: Entries) -> sparse.csr_array:
-    rows, cols, values = entries
-    if not (rows[1:] >= rows[:-1]).all():
-        order = np.argsort(rows, kind="stable")
-        rows, cols, values = rows[order], cols[order], values[order]
-    indptr = np.searchsorted(rows, np.arange(shape[0] + 1))
-    return sparse.csr_array((values, cols, indptr), shape=shape)
+def _entries(array: sparse.csr_array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of a CSR array's stored entries."""
+    indptr = array.indptr
+    return np.repeat(np.arange(array.shape[0]), indptr[1:] - indptr[:-1]), array.indices, array.data
 
 
 def _max_abs_of_sum(dim: int, pieces) -> float:
-    """Largest |entry| of the sum of entry lists, in O(nnz log nnz)."""
+    """Largest |entry| of the sum of (rows, cols, values) pieces, O(nnz log nnz).
+
+    Written in numpy because scipy's own duplicate summing costs about 4x
+    more per call on the few-site operators that the CLI builds by the dozen.
+    """
     rows, cols, values = (np.concatenate(part) for part in zip(*pieces))
     if not values.size:
         return 0.0
-    keys = rows * dim + cols
-    order = keys.argsort(kind="stable")
+    keys = rows.astype(np.int64) * dim + cols
+    order = keys.argsort()
     keys = keys[order]
-    starts = (keys[1:] != keys[:-1]).nonzero()[0] + 1
-    sums = np.add.reduceat(values[order], np.concatenate(([0], starts)))
-    return float(np.abs(sums).max(initial=0.0))
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return float(np.abs(np.add.reduceat(values[order], starts)).max())
+
+
+def _as_csr(matrix) -> sparse.csr_array:
+    matrix = matrix.tocsr() if sparse.issparse(matrix) else sparse.csr_array(matrix)
+    return matrix.astype(complex, copy=False)
 
 
 class MatrixOperator:
     """Hermitian operator, optionally with a local-term decomposition.
 
-    Stored sparse, as the (rows, cols, values) entries of the operator and
-    of each term.  ``csr`` and ``term_stack`` (term k in rows k*2^N ..
-    (k+1)*2^N - 1) are CSR arrays built from them on first use; ``matrix``
-    is a dense copy made on each read.  The constructor takes dense or scipy
-    sparse matrices.  When present the terms must sum back to the full
+    ``array`` holds the operator and ``term_stack`` its terms, term k in rows
+    k*2^N .. (k+1)*2^N - 1, so one product gives every term's.  ``terms``
+    may be given one matrix per label or already stacked.  Both are scipy
+    CSR arrays when either is given sparse (the builders here) and dense
+    arrays otherwise, so neither form is ever copied into the other.
+    ``matrix`` is the dense form, a new 16 * 4^N-byte array on each read of
+    a sparse operator.  When present the terms must sum back to the full
     operator (bond terms are split half-half between their two sites, one
     fixed choice among the many admissible splits).
     """
@@ -223,83 +207,60 @@ class MatrixOperator:
         terms=None,
     ):
         dim = 1 << n_sites
-        matrices = [matrix, *(terms or ())]
-        is_sparse = any(sparse.issparse(m) for m in matrices)
-        matrices = [sparse.coo_array(m) if is_sparse else np.asarray(m, dtype=complex) for m in matrices]
-        if any(m.shape != (dim, dim) for m in matrices):
-            raise ValueError("matrix shape must be 2^n x 2^n")
-        if is_sparse:
-            entries, *term_entries = [(m.row, m.col, m.data.astype(complex)) for m in matrices]
-            deviations = (None, None)
+        if not (terms is None or sparse.issparse(terms) or getattr(terms, "ndim", 0) == 2):
+            terms = list(terms)
+            if any(sparse.issparse(term) for term in terms):
+                terms = sparse.vstack([_as_csr(term) for term in terms], format="csr")
+            else:
+                terms = np.concatenate([np.asarray(term) for term in terms])
+        if sparse.issparse(matrix) or sparse.issparse(terms):
+            array = _as_csr(matrix)
+            term_stack = None if terms is None else _as_csr(terms)
         else:
-            # dense input is checked as given, at the O(4^N) cost of reading it
-            dense, *dense_terms = matrices
-            deviations = (
-                float(np.abs(dense - dense.conj().T).max()),
-                None if terms is None else float(np.abs(sum(dense_terms) - dense).max()),
-            )
-            entries = _dense_entries(dense)
-            # with its resum gap measured, a single term is the operator itself
-            term_entries = [entries] if len(dense_terms) == 1 else [_dense_entries(m) for m in dense_terms]
-        self._store(n_sites, entries, labels, None if terms is None else term_entries, deviations)
-
-    @classmethod
-    def _from_entries(
-        cls, n_sites: int, entries: Entries, labels: tuple[str, ...] = (), term_entries=None
-    ) -> "MatrixOperator":
-        operator = cls.__new__(cls)
-        operator._store(n_sites, entries, labels, term_entries)
-        return operator
-
-    def _store(self, n_sites, entries, labels, term_entries, deviations=(None, None)) -> None:
-        # deviations: Hermiticity and resum gaps already measured, or None
-        self.n_sites = n_sites
-        self.labels = tuple(labels)
-        self.entries = entries
-        self.term_entries = term_entries
-        dim = self.dim
-        rows, cols, values = entries
-        herm, gap = deviations
-        if herm is None:
-            herm = _max_abs_of_sum(dim, [entries, (cols, rows, -values.conj())])
+            array = np.asarray(matrix, dtype=complex)
+            term_stack = None if terms is None else np.asarray(terms, dtype=complex)
+        if array.shape != (dim, dim) or (term_stack is not None and term_stack.shape[1] != dim):
+            raise ValueError("matrix shape must be 2^n x 2^n")
+        if sparse.issparse(array):
+            rows, cols, values = _entries(array)
+            herm = _max_abs_of_sum(dim, [(rows, cols, values), (cols, rows, -values.conj())])
+        else:
+            herm = float(np.abs(array - array.conj().T).max())
         if herm > 1e-12:
             raise ValueError(f"operator not Hermitian within 1e-12 (max dev {herm:.3e})")
-        if term_entries is not None:
-            if len(term_entries) != len(self.labels):
+        if term_stack is not None:
+            if term_stack.shape[0] != len(labels) * dim:
                 raise ValueError("one label per decomposition term required")
-            if gap is None:
-                gap = _max_abs_of_sum(dim, [*term_entries, (rows, cols, -values)])
+            if sparse.issparse(array):
+                term_rows, term_cols, term_values = _entries(term_stack)
+                gap = _max_abs_of_sum(dim, [(term_rows % dim, term_cols, term_values), (rows, cols, -values)])
+            else:
+                gap = float(np.abs(term_stack.reshape(-1, dim, dim).sum(axis=0) - array).max())
             if gap > 1e-12:
                 raise ValueError(f"decomposition does not resum to operator ({gap:.3e})")
+        self.array = array
+        self.term_stack = term_stack
+        self.n_sites = n_sites
+        self.labels = tuple(labels)
+
+    @property
+    def terms(self) -> tuple | None:
+        """The local terms, one 2^N x 2^N block of ``term_stack`` per label."""
+        if self.term_stack is None:
+            return None
+        dim = self.dim
+        return tuple(self.term_stack[k * dim:(k + 1) * dim] for k in range(len(self.labels)))
 
     @property
     def dim(self) -> int:
         return 1 << self.n_sites
 
-    @cached_property
-    def csr(self) -> sparse.csr_array:
-        return _csr((self.dim, self.dim), self.entries)
-
-    @cached_property
-    def term_stack(self) -> sparse.csr_array | None:
-        if self.term_entries is None:
-            return None
-        dim = self.dim
-        stacked = [(r + k * dim, c, v) for k, (r, c, v) in enumerate(self.term_entries)]
-        return _csr((len(stacked) * dim, dim), _join(stacked))
-
-    @property
-    def terms(self) -> tuple[sparse.csr_array, ...] | None:
-        """The local terms as separate CSR arrays, or None."""
-        if self.term_entries is None:
-            return None
-        return tuple(_csr((self.dim, self.dim), term) for term in self.term_entries)
-
     @property
     def matrix(self) -> np.ndarray:
-        """Dense copy of the operator (16 * 4^N bytes), made on each read."""
+        if not sparse.issparse(self.array):
+            return self.array
         _require_dense_memory(self.n_sites)
-        return _dense(self.dim, self.entries)
+        return self.array.toarray()
 
     def to_json_dict(self) -> dict:
         """Binary-free JSON form: row-major [re, im] pairs (decomposition omitted)."""
@@ -332,7 +293,7 @@ class CorrelatorReport:
 
     def __post_init__(self):
         n_terms = self.g_matrix.shape[0]
-        resummed = float(self.g_matrix.sum()) / n_terms**2
+        resummed = float(np.sum(self.g_matrix)) / n_terms**2
         if abs(resummed - self.sigma_sq) > 1e-12:
             raise ValueError(
                 f"variance identity violated: sum G/N'^2 = {resummed}, sigma^2 = {self.sigma_sq}"
@@ -341,24 +302,24 @@ class CorrelatorReport:
             raise ValueError("mean |G| cannot undercut the variance bound")
 
 
+def _csr(cols: np.ndarray, values: np.ndarray, dim: int) -> sparse.csr_array:
+    """CSR array whose row r holds values[r] at columns cols[r].
+
+    Every row has the same number of slots, so the CSR arrays are the inputs
+    flattened: O(entries), no sorting.  Stored zeros are dropped.
+    """
+    width = cols.shape[1]
+    out = sparse.csr_array(
+        (values.astype(complex).ravel(), cols.ravel(), np.arange(0, cols.size + 1, width)),
+        shape=(cols.shape[0], dim),
+    )
+    out.eliminate_zeros()
+    return out
+
+
 def _site_bits(n_sites: int) -> np.ndarray:
     idx = np.arange(1 << n_sites)
     return np.array([(idx >> i) & 1 for i in range(n_sites)])
-
-
-def _site_spin(n_sites: int, site: int, which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, values) of S^x, S^y or S^z (spin-1/2, hbar = 1) on one site."""
-    idx = np.arange(1 << n_sites)
-    bit = (idx >> site) & 1
-    if which == "z":
-        return idx, idx, bit - 0.5
-    flipped = idx ^ (1 << site)
-    if which == "x":
-        return flipped, idx, np.full(idx.size, 0.5)
-    if which == "y":
-        # <down|S_y|up> = i/2, <up|S_y|down> = -i/2
-        return flipped, idx, 1j * (bit - 0.5)
-    raise ValueError(which)
 
 
 def build_spin_hamiltonian(lattice: LatticeSpec, with_decomposition: bool = True) -> MatrixOperator:
@@ -378,41 +339,52 @@ def build_spin_hamiltonian(lattice: LatticeSpec, with_decomposition: bool = True
         field_term = lattice.b_z * spin_z[s]
         diagonal -= field_term
         site_diagonals.append(-field_term)
+    # row r holds the diagonal and, per bond, column r ^ mask; flipping both
+    # spins keeps a pair antiparallel, so the row's own spins decide the entry
     flips = []
     site_flips: list[list] = [[] for _ in range(n)]
     for i, j, j_ij in lattice.couplings:
         ising = -j_ij * (spin_z[i] * spin_z[j])
         diagonal += ising
-        src = idx[spin_z[i] != spin_z[j]]
-        rows, values = src ^ ((1 << i) | (1 << j)), np.full(src.size, -0.5 * j_ij)
-        flips.append((rows, src, values))
+        flip = (1 << i) | (1 << j), np.where(spin_z[i] != spin_z[j], -0.5 * j_ij, 0.0)
+        flips.append(flip)
         for site in (i, j):
             site_diagonals[site] = site_diagonals[site] + 0.5 * ising
-            site_flips[site].append((rows, src, 0.5 * values))
-    total = _join([(idx, idx, diagonal), *flips])
+            site_flips[site].append((flip[0], 0.5 * flip[1]))
+    masks = np.array([0] + [mask for mask, _ in flips])
+    total = _csr(idx[:, None] ^ masks, np.column_stack([diagonal, *(v for _, v in flips)]), lattice.dim)
     if not with_decomposition:
-        return MatrixOperator._from_entries(n, total)
-    terms = [_join([(idx, idx, site_diagonals[s]), *site_flips[s]]) for s in range(n)]
+        return MatrixOperator(total, n)
+    # row block s holds site s's term; rows of sites with fewer bonds are
+    # padded with zero diagonal slots, which _csr drops
+    width = 1 + max(map(len, site_flips))
+    cols = np.tile(idx[:, None], (n, 1, width))
+    values = np.zeros(cols.shape)
+    for s in range(n):
+        values[s, :, 0] = site_diagonals[s]
+        for k, (mask, flip_values) in enumerate(site_flips[s], start=1):
+            cols[s, :, k] ^= mask
+            values[s, :, k] = flip_values
+    terms = _csr(cols.reshape(-1, width), values.reshape(-1, width), lattice.dim)
     labels = tuple(f"site-{s}" for s in range(n))
-    return MatrixOperator._from_entries(n, total, labels, terms)
+    return MatrixOperator(total, n, labels, terms)
 
 
-def build_transverse_field(n_sites: int, b_y: float, with_decomposition: bool = True) -> MatrixOperator:
-    """Uniform transverse drive -b_y sum_i S_i^y, with its per-site decomposition
-    unless ``with_decomposition`` is false."""
+def build_transverse_field(n_sites: int, b_y: float) -> MatrixOperator:
+    """Uniform transverse drive -b_y sum_i S_i^y, with its per-site decomposition."""
     if n_sites > MAX_SITES:
         raise SizeLimitError(f"lattice oracle capped at {MAX_SITES} sites")
     idx = np.arange(1 << n_sites)
-    sites = np.arange(n_sites)[:, None]
-    # <down|S_y|up> = i/2, <up|S_y|down> = -i/2 on each site
-    rows = idx ^ (1 << sites)
-    values = -b_y * (1j * (((idx >> sites) & 1) - 0.5))
-    total = (rows.ravel(), np.tile(idx, n_sites), values.ravel())
-    if not with_decomposition:
-        return MatrixOperator._from_entries(n_sites, total)
-    terms = [(rows[s], idx, values[s]) for s in range(n_sites)]
+    sites = np.arange(n_sites)
+    # row r holds column c = r ^ 2^s for every site s, with
+    # <down|S_y|up> = i/2 and <up|S_y|down> = -i/2 read from bit s of c
+    cols = idx[:, None] ^ (1 << sites)
+    values = -b_y * (1j * (((cols >> sites) & 1) - 0.5))
+    total = _csr(cols, values, idx.size)
+    # site s alone is one entry per row, in row block s of the stack
+    terms = _csr(cols.T.reshape(-1, 1), values.T.reshape(-1, 1), idx.size)
     labels = tuple(f"site-{s}" for s in range(n_sites))
-    return MatrixOperator._from_entries(n_sites, total, labels, terms)
+    return MatrixOperator(total, n_sites, labels, terms)
 
 
 def dicke_state(n_sites: int, m: float) -> QuantumState:
@@ -432,7 +404,7 @@ def _segment_eigensystem(lattice: LatticeSpec, b_y: float) -> tuple[np.ndarray, 
     # Cached (eigenvalues, eigenvectors) of one augment-mode segment's
     # Hamiltonian, spin Hamiltonian plus transverse field; the returned
     # arrays are shared and must be treated as read-only.
-    drive = build_transverse_field(lattice.n_sites, b_y, with_decomposition=False).matrix
+    drive = build_transverse_field(lattice.n_sites, b_y).matrix
     drive = drive + build_spin_hamiltonian(lattice, with_decomposition=False).matrix
     eigvals, eigvecs = eigh(drive)
     return eigvals, eigvecs
@@ -525,7 +497,7 @@ def propagator(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> np.nd
 
 
 def _apply(operator: MatrixOperator | np.ndarray, psi: np.ndarray) -> np.ndarray:
-    return (operator.csr if isinstance(operator, MatrixOperator) else operator) @ psi
+    return (operator.array if isinstance(operator, MatrixOperator) else operator) @ psi
 
 
 def expectation(state: QuantumState, operator: MatrixOperator | np.ndarray) -> float:
@@ -533,21 +505,19 @@ def expectation(state: QuantumState, operator: MatrixOperator | np.ndarray) -> f
     return float(value.real)
 
 
-def _spread(psi: np.ndarray, applied: np.ndarray) -> float:
-    """Variance of A in psi from applied = A psi.
+def variance(state: QuantumState, operator: MatrixOperator | np.ndarray) -> float:
+    """Two-pass form ||(A - <A>) psi||^2 / <psi|psi>.
 
-    Two-pass form ||(A - <A>) psi||^2: immune to the <A^2> - <A>^2
-    cancellation that floors sigma at ~1e-8 near zero-variance states.
-    Dividing by <psi|psi> keeps the state's norm rounding (1 ulp for a Dicke
-    state, up to 1e-10 after evolution) out of the result.
+    Immune to the <A^2> - <A>^2 cancellation that floors sigma at ~1e-8 near
+    zero-variance states.  Dividing by <psi|psi> keeps the state's norm
+    rounding (1 ulp for a Dicke state, up to 1e-10 after evolution) out of
+    the result.
     """
+    psi = state.amplitudes
+    applied = _apply(operator, psi)
     norm_sq = np.vdot(psi, psi).real
     residual = applied - (np.vdot(psi, applied).real / norm_sq) * psi
     return float(np.vdot(residual, residual).real / norm_sq)
-
-
-def variance(state: QuantumState, operator: MatrixOperator | np.ndarray) -> float:
-    return _spread(state.amplitudes, _apply(operator, state.amplitudes))
 
 
 def energy_density_sigma(state: QuantumState, operator: MatrixOperator) -> float:
@@ -565,11 +535,15 @@ def site_magnetizations(state: QuantumState) -> np.ndarray:
 def total_spin_operators(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense global (S_x, S_y, S_z)."""
     _require_dense_memory(n_sites)
-    ops = [
-        _dense(1 << n_sites, _join([_site_spin(n_sites, site, which) for site in range(n_sites)]))
-        for which in ("x", "y", "z")
-    ]
-    return ops[0], ops[1], ops[2]
+    idx = np.arange(1 << n_sites)
+    sites = np.arange(n_sites)
+    # S^x and S^y flip one site: row r holds column c = r ^ 2^s for each s,
+    # with <down|S_y|up> = i/2 and <up|S_y|down> = -i/2 read from bit s of c
+    cols = idx[:, None] ^ (1 << sites)
+    sx = _csr(cols, np.full(cols.shape, 0.5), idx.size)
+    sy = _csr(cols, 1j * (((cols >> sites) & 1) - 0.5), idx.size)
+    sz = _csr(idx[:, None], (((idx[:, None] >> sites) & 1) - 0.5).sum(axis=1, keepdims=True), idx.size)
+    return sx.toarray(), sy.toarray(), sz.toarray()
 
 
 def spin_squared_operator(n_sites: int) -> np.ndarray:
@@ -587,22 +561,17 @@ def connected_pair_correlators(
     modeled (for the driven collective-spin model they stay local, so the
     two pictures agree there).
     """
-    return _pair_correlators(state.amplitudes, operator, _apply(operator, state.amplitudes))
-
-
-def _pair_correlators(psi: np.ndarray, operator: MatrixOperator, applied: np.ndarray) -> CorrelatorReport:
-    # applied = operator psi; the only term of a one-term decomposition is
-    # the operator itself (resummed within 1e-12), so it needs no product
-    if operator.term_entries is None:
+    if operator.term_stack is None:
         raise ValueError("operator carries no local-term decomposition")
+    psi = state.amplitudes
     n_terms = len(operator.labels)
-    terms_psi = applied[None, :] if n_terms == 1 else (operator.term_stack @ psi).reshape(n_terms, -1)
+    terms_psi = (operator.term_stack @ psi).reshape(n_terms, -1)
     means = (terms_psi @ psi.conj()).real
     overlap = terms_psi.conj() @ terms_psi.T
     g_matrix = overlap.real - means[:, None] * means
     g_matrix = 0.5 * (g_matrix + g_matrix.T)
     gbar = float(np.abs(g_matrix).sum() / g_matrix.size)
-    sigma_sq = _spread(psi, applied) / n_terms**2
+    sigma_sq = variance(state, operator) / n_terms**2
     return CorrelatorReport(g_matrix=g_matrix, gbar=gbar, sigma_sq=sigma_sq)
 
 
@@ -722,7 +691,7 @@ def bose_dual(lattice: LatticeSpec) -> tuple[MatrixOperator, BoseDualReport]:
         np.max(np.abs(np.sort(eigh(total, eigvals_only=True)) - np.sort(eigh(spin_op.matrix, eigvals_only=True))))
     )
     doping = bose_doping_operator(n, 1.0)
-    transverse = build_transverse_field(n, 1.0, with_decomposition=False).matrix
+    transverse = build_transverse_field(n, 1.0).matrix
     doping_ok = bool(np.max(np.abs(doping - transverse)) <= 1e-12)
     number_total = sum(numbers)
     _, _, sz = total_spin_operators(n)

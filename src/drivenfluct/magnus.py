@@ -68,9 +68,11 @@ def segment_hamiltonians(
         if schedule.mode == "augment"
         else None
     )
+    # -b_y sum_i S_i^y for every segment from one unit field
+    unit_field = build_transverse_field(lattice.n_sites, 1.0).matrix
     out = []
     for duration, b_y in schedule.segments:
-        drive = build_transverse_field(lattice.n_sites, b_y, with_decomposition=False).matrix
+        drive = b_y * unit_field
         if spin is not None:
             drive = drive + spin
         out.append((duration, drive))
@@ -223,9 +225,9 @@ def variance_rate(
     if h_drive.dim != h_ref.dim:
         raise ValueError("operator dimensions differ")
     psi = state_t.amplitudes
-    h_psi = h_ref.csr @ psi
-    t_psi = h_drive.csr @ psi
-    ht_psi = h_ref.csr @ t_psi
+    h_psi = h_ref.array @ psi
+    t_psi = h_drive.array @ psi
+    ht_psi = h_ref.array @ t_psi
     mean_h = np.vdot(psi, h_psi).real
     anti = np.vdot(ht_psi, h_psi) - np.vdot(h_psi, ht_psi)
     mean_d = np.vdot(t_psi, h_psi) - np.vdot(h_psi, t_psi)

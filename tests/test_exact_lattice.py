@@ -437,23 +437,9 @@ def test_matrix_free_routes_match_kron_reference(kind, n):
 class TestSparseOperatorChecks:
     def test_operator_holds_no_dense_arrays(self):
         ham = xl.build_spin_hamiltonian(xl.LatticeSpec.chain(4, 0.9, 0.4))
-        assert sparse.issparse(ham.csr) and sparse.issparse(ham.term_stack)
-        assert all(sparse.issparse(term) for term in ham.terms)
-
-        def arrays(value):
-            if isinstance(value, np.ndarray):
-                yield value
-            elif isinstance(value, (tuple, list)):
-                for item in value:
-                    yield from arrays(item)
-
-        assert all(a.ndim == 1 for a in arrays(list(vars(ham).values())))
-
-    def test_transverse_field_without_decomposition(self):
-        full = xl.build_transverse_field(4, 0.7)
-        bare = xl.build_transverse_field(4, 0.7, with_decomposition=False)
-        assert bare.terms is None and len(full.terms) == 4
-        assert np.array_equal(bare.matrix, full.matrix)
+        assert sparse.issparse(ham.array) and all(sparse.issparse(term) for term in ham.terms)
+        held = [*vars(ham).values(), *ham.terms]
+        assert not any(isinstance(value, np.ndarray) for value in held)
 
     def test_sparse_hermiticity_enforced(self):
         # an entry whose transposed partner is missing, and a wrong partner
@@ -464,17 +450,22 @@ class TestSparseOperatorChecks:
         with pytest.raises(ValueError, match="Hermitian"):
             xl.MatrixOperator(skewed, 1)
         ham = xl.build_spin_hamiltonian(xl.LatticeSpec.complete(4, 0.8, 1.3))
-        assert xl.MatrixOperator(ham.csr, 4).dim == 16
+        assert xl.MatrixOperator(ham.array, 4).dim == 16
 
     def test_sparse_resum_enforced(self):
         ham = xl.build_spin_hamiltonian(xl.LatticeSpec.chain(4, 0.9, 0.4))
         terms = list(ham.terms)
-        assert xl.MatrixOperator(ham.csr, 4, ham.labels, terms).terms is not None
+        assert xl.MatrixOperator(ham.array, 4, ham.labels, terms).terms is not None
+        # the terms may also come stacked, as the builders hand them over
+        stacked = xl.MatrixOperator(ham.array, 4, ham.labels, ham.term_stack)
+        assert all((a != b).nnz == 0 for a, b in zip(stacked.terms, terms))
+        with pytest.raises(ValueError, match="resum"):
+            xl.MatrixOperator(ham.array, 4, ham.labels, ham.term_stack * (1.0 + 1e-9))
         terms[2] = terms[2] * (1.0 + 1e-9)
         with pytest.raises(ValueError, match="resum"):
-            xl.MatrixOperator(ham.csr, 4, ham.labels, terms)
+            xl.MatrixOperator(ham.array, 4, ham.labels, terms)
         with pytest.raises(ValueError, match="one label per"):
-            xl.MatrixOperator(ham.csr, 4, ham.labels[:3], ham.terms)
+            xl.MatrixOperator(ham.array, 4, ham.labels[:3], ham.terms)
 
 
 class TestDenseMemoryGuard:

@@ -12,13 +12,17 @@ local-term decompositions are written from bit operations straight into
 scipy CSR arrays and applied as such; replace-mode evolution applies the
 same single-site y-rotation to every site of the state; ``expectation``,
 ``variance``, ``connected_pair_correlators``, ``bounds.uncertainty_check``
-and ``magnus.variance_rate`` use matrix-vector products only.  Dense routes
-(16 * 4^N bytes per 2^N x 2^N complex array, 4.3 GB at N = 14):
-``MatrixOperator.matrix``, ``propagator``, augment-mode evolution (one
-cached ``eigh`` per segment field, O(8^N) time), ``eigenbasis_distribution``,
-``bose_dual``, the total-spin operators and the :mod:`magnus` generators.
-Each raises :class:`SizeLimitError` before allocating more than the
-machine's physical memory.
+and ``magnus.variance_rate`` use matrix-vector products only.  Augment-mode
+evolution is exact without a dense operator: the exchange E = -sum J S_i.S_j
+commutes with S_tot, so a segment is the same single-site field rotation on
+every site followed by exp(-i E t), taken from one cached real eigensystem
+of E per lattice (one block per magnetisation sector, O(sum_k C(N,k)^3)
+time once, 208 MB of eigenvectors at N = 14, refused beyond physical
+memory).  Dense routes (16 * 4^N bytes per 2^N x 2^N complex array, 4.3 GB
+at N = 14): ``MatrixOperator.matrix``, ``propagator``,
+``eigenbasis_distribution``, ``bose_dual``, the total-spin operators and the
+:mod:`magnus` generators.  Each raises :class:`SizeLimitError` before
+allocating more than the machine's physical memory.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -147,15 +151,18 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _require_dense_memory(n_sites: int) -> None:
-    """Refuse a dense 2^N x 2^N complex array larger than physical memory."""
-    needed = 16 * 4**n_sites
+def _require_memory(needed: int, what: str) -> None:
+    """Refuse to allocate ``needed`` bytes for ``what`` beyond physical memory."""
     available = _physical_memory_bytes()
     if needed > available:
         raise SizeLimitError(
-            f"a dense {n_sites}-site operator needs {needed} bytes, "
-            f"more than the {available} bytes of physical memory"
+            f"{what} needs {needed} bytes, more than the {available} bytes of physical memory"
         )
+
+
+def _require_dense_memory(n_sites: int) -> None:
+    """Refuse a dense 2^N x 2^N complex array larger than physical memory."""
+    _require_memory(16 * 4**n_sites, f"a dense {n_sites}-site operator")
 
 
 def _entries(array: sparse.csr_array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -322,6 +329,24 @@ def _site_bits(n_sites: int) -> np.ndarray:
     return np.array([(idx >> i) & 1 for i in range(n_sites)])
 
 
+def _spin_z(n_sites: int) -> list[np.ndarray]:
+    """S^z of each site on every basis index."""
+    idx = np.arange(1 << n_sites)
+    return [((idx >> s) & 1) - 0.5 for s in range(n_sites)]
+
+
+def _exchange_bonds(spin_z: list[np.ndarray], couplings):
+    """Per bond, (i, j, Ising diagonal, flip mask, flip values) of -J S_i.S_j.
+
+    The flip-flop part swaps two antiparallel spins: row r holds it at
+    column r ^ mask, and since flipping both spins keeps the pair
+    antiparallel, the row's own spins decide the entry.
+    """
+    for i, j, j_ij in couplings:
+        ising = -j_ij * (spin_z[i] * spin_z[j])
+        yield i, j, ising, (1 << i) | (1 << j), np.where(spin_z[i] != spin_z[j], -0.5 * j_ij, 0.0)
+
+
 def build_spin_hamiltonian(lattice: LatticeSpec, with_decomposition: bool = True) -> MatrixOperator:
     """Heisenberg-coupled spins in a longitudinal field: -sum J S.S - B_z sum S_z.
 
@@ -332,25 +357,22 @@ def build_spin_hamiltonian(lattice: LatticeSpec, with_decomposition: bool = True
     """
     n = lattice.n_sites
     idx = np.arange(lattice.dim)
-    spin_z = [((idx >> s) & 1) - 0.5 for s in range(n)]
+    spin_z = _spin_z(n)
     diagonal = np.zeros(lattice.dim)
     site_diagonals = []
     for s in range(n):
         field_term = lattice.b_z * spin_z[s]
         diagonal -= field_term
         site_diagonals.append(-field_term)
-    # row r holds the diagonal and, per bond, column r ^ mask; flipping both
-    # spins keeps a pair antiparallel, so the row's own spins decide the entry
+    # row r holds the diagonal and, per bond, column r ^ mask
     flips = []
     site_flips: list[list] = [[] for _ in range(n)]
-    for i, j, j_ij in lattice.couplings:
-        ising = -j_ij * (spin_z[i] * spin_z[j])
+    for i, j, ising, mask, flip_values in _exchange_bonds(spin_z, lattice.couplings):
         diagonal += ising
-        flip = (1 << i) | (1 << j), np.where(spin_z[i] != spin_z[j], -0.5 * j_ij, 0.0)
-        flips.append(flip)
+        flips.append((mask, flip_values))
         for site in (i, j):
             site_diagonals[site] = site_diagonals[site] + 0.5 * ising
-            site_flips[site].append((flip[0], 0.5 * flip[1]))
+            site_flips[site].append((mask, 0.5 * flip_values))
     masks = np.array([0] + [mask for mask, _ in flips])
     total = _csr(idx[:, None] ^ masks, np.column_stack([diagonal, *(v for _, v in flips)]), lattice.dim)
     if not with_decomposition:
@@ -399,25 +421,136 @@ def dicke_state(n_sites: int, m: float) -> QuantumState:
     return QuantumState(amplitudes=amps, n_sites=n_sites)
 
 
+# Sectors are diagonalised together, as one block-diagonal block, until the
+# block has this many rows: below it the products cost less than the numpy
+# call overhead of one more block.
+_MERGED_BLOCK_ROWS = 32
+
+
 @lru_cache(maxsize=8)
-def _segment_eigensystem(lattice: LatticeSpec, b_y: float) -> tuple[np.ndarray, np.ndarray]:
-    # Cached (eigenvalues, eigenvectors) of one augment-mode segment's
-    # Hamiltonian, spin Hamiltonian plus transverse field; the returned
-    # arrays are shared and must be treated as read-only.
-    drive = build_transverse_field(lattice.n_sites, b_y).matrix
-    drive = drive + build_spin_hamiltonian(lattice, with_decomposition=False).matrix
-    eigvals, eigvecs = eigh(drive)
-    return eigvals, eigvecs
+def _segment_eigensystem(n_sites: int, couplings: tuple) -> tuple:
+    # Cached eigensystem of the exchange E = -sum J_ij S_i.S_j, the part of
+    # an augment segment's Hamiltonian that depends on neither field, so
+    # one entry serves every b_y and B_z on a lattice.  E conserves the
+    # up-spin count k, so it is block diagonal by sector, with real blocks,
+    # and flipping every spin maps sector k onto sector N - k with the same
+    # block.  Returns (order, inverse, blocks).  ``order`` lists the basis
+    # indices group by group: a group is a run of sectors k < N/2, each
+    # index followed by its flipped image, or the sector k = N/2 alone.
+    # ``inverse`` undoes that order.  ``blocks`` holds per group its span in
+    # ``order`` and the (eigenvalues, eigenvectors) of its sectors k <= N/2.
+    # The memory check counts the eigenvectors' bytes: from N = 8 on, 0.5 to
+    # 0.75 of the 8 * C(2N, N) of one block per sector.  The arrays are
+    # shared and read-only.
+    sizes = [math.comb(n_sites, k) for k in range(n_sites // 2 + 1)]
+    # [first, end) sectors per group: runs of the sectors k < N/2, each
+    # closed once it has enough rows, then the middle sector of even N
+    spans, rows_in_run = [], _MERGED_BLOCK_ROWS
+    for k in range((n_sites + 1) // 2):
+        if rows_in_run >= _MERGED_BLOCK_ROWS:
+            spans.append([k, k])
+            rows_in_run = 0
+        spans[-1][1] = k + 1
+        rows_in_run += sizes[k]
+    if n_sites % 2 == 0:
+        spans.append([n_sites // 2, n_sites // 2 + 1])
+    _require_memory(
+        8 * sum(sum(sizes[first:end]) ** 2 for first, end in spans),
+        f"the {n_sites}-site exchange eigensystem",
+    )
+    full = (1 << n_sites) - 1
+    idx = np.arange(full + 1)
+    spin_z = _spin_z(n_sites)
+    ups = sum((idx >> s) & 1 for s in range(n_sites))
+    diagonal = np.zeros(idx.size)
+    rows, cols, values = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], [np.empty(0)]
+    for _, _, ising, mask, flip_values in _exchange_bonds(spin_z, couplings):
+        diagonal += ising
+        # a flip keeps the up-spin count: both ends lie in the row's sector
+        hit = np.flatnonzero(flip_values)
+        rows.append(hit)
+        cols.append(hit ^ mask)
+        values.append(flip_values[hit])
+    rows, cols, values = (np.concatenate(part) for part in (rows, cols, values))
+    row_ups = ups[rows]
+    position = np.empty_like(idx)
+    groups, blocks = [], []
+    start = 0
+    for first, end in spans:
+        states = np.flatnonzero((ups >= first) & (ups < end))
+        position[states] = np.arange(states.size)
+        block = np.diag(diagonal[states])
+        entries = (row_ups >= first) & (row_ups < end)
+        block[position[rows[entries]], position[cols[entries]]] = values[entries]
+        groups.append(np.column_stack([states, full - states]).ravel() if 2 * first < n_sites else states)
+        blocks.append((start, start + groups[-1].size, *np.linalg.eigh(block)))
+        start += groups[-1].size
+    order = np.concatenate(groups)
+    inverse = np.argsort(order)
+    for array in (order, inverse, *(a for block in blocks for a in block[2:])):
+        array.flags.writeable = False
+    return order, inverse, tuple(blocks)
 
 
-def _y_rotations(angles) -> tuple[np.ndarray, np.ndarray]:
-    """exp(i angle S^y) on one site (basis order down, up) for each angle,
-    and the two-site rotation R (x) R."""
+def _exchange_evolution(vectors: np.ndarray, eigensystem: tuple, duration: float) -> np.ndarray:
+    """exp(-i E t) applied to a state, or to every column of a matrix.
+
+    A group's rows, each index's and its flipped image's side by side,
+    take two real products with the group's eigenvectors: complex input is
+    viewed as its real and imaginary parts, so no complex copy of the
+    eigenvectors is made.
+    """
+    order, inverse, blocks = eigensystem
+    grouped = vectors[order]
+    for lo, hi, eigvals, eigvecs in blocks:
+        part = grouped[lo:hi].view(float).reshape(eigvals.size, -1)
+        coeffs = (eigvecs.T @ part).view(complex)
+        coeffs *= np.exp((-1j * duration) * eigvals)[:, None]
+        part[...] = eigvecs @ coeffs.view(float)
+    return grouped[inverse]
+
+
+def _y_rotation(angles) -> np.ndarray:
+    """exp(i angle S^y) on one site (basis order down, up), one per angle."""
     half = 0.5 * np.asarray(angles, dtype=float)
     c, s = np.cos(half), np.sin(half)
-    single = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2).astype(complex)
+    return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2).astype(complex)
+
+
+def _field_turn(duration: float, b_y: float, b_z: float) -> tuple[complex, complex]:
+    """exp(i t (B_z S^z + b_y S^y)) on one site, as the (a, b) of ``_su2``:
+    the turn about the axis (0, b_y, B_z) that the fields of an augment
+    segment make in time t."""
+    omega = math.hypot(b_y, b_z)
+    half = 0.5 * omega * duration
+    # sin(half) / omega, continued to t / 2 where there is no field and the
+    # turn is the identity
+    s = math.sin(half) / omega if omega > 0.0 else 0.5 * duration
+    return complex(math.cos(half), -s * b_z), complex(s * b_y)
+
+
+def _su2(turns) -> np.ndarray:
+    """The stack of single-site unitaries [[a, -conj(b)], [b, conj(a)]], one
+    per (a, b), in basis order (down, up)."""
+    return np.array(
+        [[[a, -b.conjugate()], [b, a.conjugate()]] for a, b in turns], dtype=complex
+    ).reshape(-1, 2, 2)
+
+
+def _rotations(singles) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of single-site 2x2 unitaries R, and the two-site R (x) R of each."""
+    single = np.asarray(singles, dtype=complex).reshape(-1, 2, 2)
     pair = (single[:, :, None, :, None] * single[:, None, :, None, :]).reshape(-1, 4, 4)
     return single, pair
+
+
+def _kron_power(single: np.ndarray, n_sites: int) -> np.ndarray:
+    """The N-fold Kronecker power of a single-site matrix, as ``np.kron``
+    would multiply it out, without its per-call overhead."""
+    out = single
+    for _ in range(n_sites - 1):
+        out = (out[:, None, :, None] * single[None, :, None, :]).reshape(2 * out.shape[0], -1)
+    return out
 
 
 def _rotate_every_site(psi: np.ndarray, n_sites: int, single: np.ndarray, pair: np.ndarray) -> np.ndarray:
@@ -441,38 +574,45 @@ def evolve_state(
     """Evolve exactly through every schedule segment.
 
     A replace-mode segment is exp(i b_y t S^y_tot), the same y-rotation on
-    every site; an augment-mode segment uses the cached eigendecomposition of
-    the spin Hamiltonian plus the transverse field.  Returns (time, state) at
-    t = 0 and each segment boundary.  Norms are checked against 1e-10 drift
-    and never renormalized.
+    every site.  An augment-mode segment's Hamiltonian E - B_z S^z_tot -
+    b_y S^y_tot splits exactly, because the exchange E commutes with S_tot:
+    the same field rotation on every site, then exp(-i E t) from the cached
+    sector eigensystem of E.  Returns (time, state) at t = 0 and each
+    segment boundary.  Norms are checked against 1e-10 drift and never
+    renormalized.
     """
     if state.n_sites != lattice.n_sites:
         raise ValueError("state and lattice site counts differ")
     replace = schedule.mode == "replace"
     if replace:
-        singles, pairs = _y_rotations([b_y * duration for duration, b_y in schedule.segments])
+        singles = _y_rotation([b_y * duration for duration, b_y in schedule.segments])
+    else:
+        singles = _su2([_field_turn(duration, b_y, lattice.b_z) for duration, b_y in schedule.segments])
+        exchange = _segment_eigensystem(lattice.n_sites, lattice.couplings)
+    singles, pairs = _rotations(singles)
     psi = state.amplitudes
     t = 0.0
     trajectory = [(0.0, state)]
-    for k, (duration, b_y) in enumerate(schedule.segments):
-        if replace:
-            psi = _rotate_every_site(psi, lattice.n_sites, singles[k], pairs[k])
-        else:
-            eigvals, eigvecs = _segment_eigensystem(lattice, b_y)
-            psi = eigvecs @ (np.exp(-1j * eigvals * duration) * (eigvecs.conj().T @ psi))
+    for k, (duration, _) in enumerate(schedule.segments):
+        psi = _rotate_every_site(psi, lattice.n_sites, singles[k], pairs[k])
+        if not replace:
+            psi = _exchange_evolution(psi, exchange, duration)
         t += duration
-        drift = abs(math.sqrt(np.vdot(psi, psi).real) - 1.0)
-        if not drift <= 1e-10:  # NaN fails too
-            raise NumericalDriftError(f"norm drift {drift:.3e} at t = {t}")
-        trajectory.append((t, QuantumState(amplitudes=psi, n_sites=state.n_sites, norm_tol=1e-10)))
+        try:
+            evolved = QuantumState(amplitudes=psi, n_sites=state.n_sites, norm_tol=1e-10)
+        except ValueError as exc:  # the norm check: psi keeps its length
+            raise NumericalDriftError(f"{exc} at t = {t}") from exc
+        trajectory.append((t, evolved))
     return trajectory
 
 
 def propagator(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> np.ndarray:
     """Exact unitary U(t) for the schedule (partial final segment included).
 
-    Dense, 16 * 4^N bytes.  In replace mode U(t) is the N-fold Kronecker
-    power of the accumulated single-site y-rotation.
+    Dense, 16 * 4^N bytes.  Every segment turns each site by the same 2x2
+    rotation, so the product of the turns is the N-fold Kronecker power of
+    one accumulated rotation: about y in replace mode, and in augment mode
+    followed by exp(-i E t) of the exchange, which commutes with them all.
     """
     if t < -1e-12 or t > schedule.total_duration + 1e-9:
         raise ScheduleRangeError(f"t = {t} outside schedule span")
@@ -487,13 +627,16 @@ def propagator(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> np.nd
         remaining -= step
     if schedule.mode == "replace":
         # y-rotations commute: the product is the rotation by the summed angle
-        rotation = _y_rotations([math.fsum(b_y * step for step, b_y in steps)])[0][0]
-        return reduce(np.kron, [rotation] * lattice.n_sites)
-    unitary = np.eye(lattice.dim, dtype=complex)
+        rotation = _y_rotation([math.fsum(b_y * step for step, b_y in steps)])[0]
+        return _kron_power(rotation, lattice.n_sites)
+    # compose the turns, later ones on the left, as (a, b) pairs
+    a, b = 1.0 + 0.0j, 0.0j
     for step, b_y in steps:
-        eigvals, eigvecs = _segment_eigensystem(lattice, b_y)
-        unitary = (eigvecs @ (np.exp(-1j * eigvals * step)[:, None] * (eigvecs.conj().T @ unitary)))
-    return unitary
+        a_step, b_step = _field_turn(step, b_y, lattice.b_z)
+        a, b = a_step * a - b_step.conjugate() * b, b_step * a + a_step.conjugate() * b
+    rotation = _su2([(a, b)])[0]
+    exchange = _segment_eigensystem(lattice.n_sites, lattice.couplings)
+    return _exchange_evolution(_kron_power(rotation, lattice.n_sites), exchange, math.fsum(step for step, _ in steps))
 
 
 def _apply(operator: MatrixOperator | np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -58,22 +59,26 @@ class MagnusTerms:
         return self.omega1 + self.omega2
 
 
+@lru_cache(maxsize=8)
+def _dense_generators(lattice: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Dense spin Hamiltonian and unit transverse field -sum_i S_i^y of a
+    lattice, built once and shared read-only by every call on it."""
+    spin = build_spin_hamiltonian(lattice, with_decomposition=False).matrix
+    unit_field = build_transverse_field(lattice.n_sites, 1.0).matrix
+    spin.flags.writeable = unit_field.flags.writeable = False
+    return spin, unit_field
+
+
 def segment_hamiltonians(
     lattice: LatticeSpec, schedule: DriveSchedule
 ) -> list[tuple[float, np.ndarray]]:
     """(duration, H) per segment; replace mode drives with the transverse field
     alone, augment mode with the spin Hamiltonian plus the transverse field."""
-    spin = (
-        build_spin_hamiltonian(lattice, with_decomposition=False).matrix
-        if schedule.mode == "augment"
-        else None
-    )
-    # -b_y sum_i S_i^y for every segment from one unit field
-    unit_field = build_transverse_field(lattice.n_sites, 1.0).matrix
+    spin, unit_field = _dense_generators(lattice)
     out = []
     for duration, b_y in schedule.segments:
         drive = b_y * unit_field
-        if spin is not None:
+        if schedule.mode == "augment":
             drive = drive + spin
         out.append((duration, drive))
     return out
@@ -174,7 +179,7 @@ def variance_expansion(
     if state.n_sites != lattice.n_sites:
         raise ValueError("state and lattice site counts differ")
     n_sq = float(lattice.n_sites) ** 2
-    h_ref = build_spin_hamiltonian(lattice, with_decomposition=False).matrix
+    h_ref = _dense_generators(lattice)[0]
     h_sq = h_ref @ h_ref
     psi = state.amplitudes
     e0 = _expect(psi, h_ref).real

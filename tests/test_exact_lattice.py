@@ -7,7 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.linalg import eigh
+from scipy.linalg import eigh, expm
 from scipy.sparse.linalg import expm_multiply
 
 from drivenfluct import bounds as bd
@@ -139,6 +139,13 @@ class TestEvolution:
         with pytest.raises(ValueError):
             xl.evolve_state(xl.dicke_state(2, 0), lat, replace_schedule(1.0))
 
+    def test_norm_drift_raises_with_time(self, monkeypatch):
+        rotate = xl._rotate_every_site
+        monkeypatch.setattr(xl, "_rotate_every_site", lambda *args: 1.001 * rotate(*args))
+        sched = cs.DriveSchedule("replace", ((0.5, 1.0), (0.25, 1.0)), 1.0)
+        with pytest.raises(xl.NumericalDriftError, match=r"by 1\.000e-03 at t = 0\.5$"):
+            xl.evolve_state(xl.dicke_state(3, 0.5), xl.LatticeSpec.chain(3), sched)
+
     def test_augment_sigma_matches_closed_form(self):
         lat = xl.LatticeSpec.chain(4, 1.0, 0.8)
         ham = xl.build_spin_hamiltonian(lat, with_decomposition=False)
@@ -204,7 +211,9 @@ class TestCorrelators:
         state = xl.evolve_state(xl.dicke_state(4, 0), lat, replace_schedule(PI / 2))[-1][1]
         report = xl.connected_pair_correlators(state, ham)
         assert report.sigma_sq > 0.0
-        assert report.gbar >= report.sigma_sq
+        # every G_ij is positive, so mean |G| is mean G, which is sigma^2
+        assert np.all(report.g_matrix > 0.0)
+        assert report.gbar == pytest.approx(report.sigma_sq, rel=1e-14)
         assert report.sigma_sq == pytest.approx(
             xl.energy_density_sigma(state, ham) ** 2, abs=1e-12
         )
@@ -434,6 +443,67 @@ def test_matrix_free_routes_match_kron_reference(kind, n):
     assert close(mg.variance_rate(final, drive, ham), rate.real)
 
 
+def check_augment_against_expm(lattice, segments, rng):
+    """Augment evolution and propagator against expm of Kronecker-built H."""
+    n = lattice.n_sites
+    h_spin = sum(kron_hamiltonian_terms(lattice))
+    sy_total = sum(kron_sites(n, {s: SY}) for s in range(n))
+
+    def step(duration, b_y):
+        return expm(-1j * duration * (h_spin - b_y * sy_total))
+
+    schedule = cs.DriveSchedule("augment", segments, lattice.b_z)
+    state = random_state(n, rng)
+    psi = state.amplitudes
+    for (duration, b_y), (_, evolved) in zip(segments, xl.evolve_state(state, lattice, schedule)[1:]):
+        psi = step(duration, b_y) @ psi
+        assert close(evolved.amplitudes, psi)
+    # partial last segment
+    t_partial = schedule.total_duration - 0.3 * segments[-1][0]
+    unitary = step(0.7 * segments[-1][0], segments[-1][1])
+    for duration, b_y in reversed(segments[:-1]):
+        unitary = unitary @ step(duration, b_y)
+    assert close(xl.propagator(lattice, schedule, t_partial), unitary)
+
+
+AUGMENT_LATTICES = [("chain", n) for n in range(2, 9)] + [("complete", n) for n in range(3, 7)]
+
+
+@pytest.mark.parametrize("kind,n", AUGMENT_LATTICES)
+def test_augment_routes_match_expm(kind, n):
+    rng = np.random.default_rng([n, kind == "chain", 3])
+    segments = tuple(
+        (float(d), float(b)) for d, b in zip(rng.uniform(0.1, 0.8, 4), rng.uniform(-1.5, 1.5, 4))
+    )
+    check_augment_against_expm(random_lattice(kind, n, rng), segments, rng)
+
+
+@pytest.mark.parametrize("b_y,b_z", [(0.0, 0.83), (0.71, 0.0), (0.0, 0.0)])
+def test_augment_field_edge_cases(b_y, b_z):
+    rng = np.random.default_rng(17)
+    lattice = xl.LatticeSpec(5, random_lattice("chain", 5, rng).couplings, b_z)
+    check_augment_against_expm(lattice, ((0.6, b_y), (0.35, b_y)), rng)
+    if b_y == b_z == 0.0:
+        # no field, no axis: the turn is exactly the identity
+        assert np.array_equal(xl._su2([xl._field_turn(0.6, b_y, b_z)])[0], np.eye(2))
+
+
+def test_augment_eigensystem_one_per_lattice():
+    bonds = ((0, 1, 0.373), (1, 2, -0.917), (2, 3, 1.231), (0, 3, 0.052))
+    state = xl.dicke_state(4, 0)
+    before = xl._segment_eigensystem.cache_info()
+    # fields b_y of every sign and B_z of two lattices on the same bonds
+    for b_z in (0.4, -1.7):
+        lattice = xl.LatticeSpec(4, bonds, b_z)
+        for b_y in (0.3, -1.1, 0.0):
+            schedule = cs.DriveSchedule("augment", ((0.5, b_y), (0.2, 2.0 * b_y)), b_z)
+            xl.evolve_state(state, lattice, schedule)
+            xl.propagator(lattice, schedule, 0.6)
+    after = xl._segment_eigensystem.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 11
+
+
 class TestSparseOperatorChecks:
     def test_operator_holds_no_dense_arrays(self):
         ham = xl.build_spin_hamiltonian(xl.LatticeSpec.chain(4, 0.9, 0.4))
@@ -483,7 +553,7 @@ class TestDenseMemoryGuard:
         for dense_route in (
             lambda: ham.matrix,
             lambda: xl.propagator(lattice, replace, 0.4),
-            lambda: xl.evolve_state(state, lattice, augment),
+            lambda: xl.propagator(lattice, augment, 0.4),
             lambda: xl.eigenbasis_distribution(state, ham),
             lambda: xl.bose_dual(lattice),
             lambda: xl.total_spin_operators(3),
@@ -502,3 +572,20 @@ class TestDenseMemoryGuard:
         assert xl.connected_pair_correlators(state, ham).sigma_sq > 0.0
         assert bd.uncertainty_check(state, ham, drive, 3)[0].satisfied
         assert math.isfinite(mg.variance_rate(state, drive, ham))
+        # augment evolution holds real sector eigenvectors, not a dense operator
+        augment = cs.DriveSchedule("augment", ((0.4, 0.777), (0.2, -0.3)), 1.37)
+        assert xl.variance(xl.evolve_state(state, lattice, augment)[-1][1], ham) > 0.0
+
+    def test_exchange_eigensystem_refuses_beyond_memory(self, monkeypatch):
+        lattice = xl.LatticeSpec(6, ((0, 1, 0.29), (1, 2, -0.64), (3, 4, 1.08), (2, 5, 0.47)), 0.9)
+        eigensystem = xl._segment_eigensystem(6, lattice.couplings)
+        # the check counts the bytes of the eigenvectors the cache holds
+        held = sum(eigvecs.nbytes for *_, eigvecs in eigensystem[2])
+        xl._segment_eigensystem.cache_clear()
+        schedule = cs.DriveSchedule("augment", ((0.4, 0.5),), 0.9)
+        state = xl.dicke_state(6, 0)
+        monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: held - 1)
+        with pytest.raises(xl.SizeLimitError, match=f"6-site exchange eigensystem needs {held} bytes"):
+            xl.evolve_state(state, lattice, schedule)
+        monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: held)
+        assert len(xl.evolve_state(state, lattice, schedule)) == 2

@@ -99,8 +99,10 @@ def equilibrium_rate_threshold(
     2 T^2 sqrt(C_total C_subsystem) in natural units (hbar = k_B = 1); a
     plain formula evaluator, no bath model behind it.
     """
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    if cv_total < 0.0 or cv_subsystem < 0.0:
-        raise ValueError("heat capacities must be non-negative")
+    # the chained comparisons also fail for nan, which passes a plain `<= 0` test
+    if not 0.0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
+    for name, value in (("cv_total", cv_total), ("cv_subsystem", cv_subsystem)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
     return 2.0 * temperature**2 * math.sqrt(cv_total * cv_subsystem)

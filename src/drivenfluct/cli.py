@@ -121,25 +121,24 @@ def _emit(
     return 0
 
 
-def _floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+_KERNEL_SYNTAX = "delta:AT | gauss:MEAN,SIGMA | empirical:V:W,..."
 
 
 def _parse_kernel(spec: str) -> no.SmearKernel:
-    """Kernel flag syntax: delta:AT | gauss:MEAN,SIGMA | empirical:V:W,V:W,..."""
+    """Parse the --kernel flag: comma-separated fields of colon-separated floats."""
     kind, _, rest = spec.partition(":")
-    if kind == "delta":
-        return no.DeltaKernel(at=float(rest))
-    if kind == "gauss":
-        mean, sigma = _floats(rest)
-        return no.GaussianKernel(mean=mean, sigma=sigma)
-    if kind == "empirical":
-        points = []
-        for chunk in rest.split(","):
-            value, _, weight = chunk.partition(":")
-            points.append((float(value), float(weight)))
-        return no.EmpiricalKernel(points=tuple(points))
-    raise ValueError(f"unknown kernel spec {spec!r}")
+    try:
+        fields = [tuple(float(part) for part in chunk.split(":")) for chunk in rest.split(",")]
+    except ValueError:
+        fields = []
+    widths = {len(field) for field in fields}
+    if kind == "delta" and len(fields) == 1 and widths == {1}:
+        return no.DeltaKernel(at=fields[0][0])
+    if kind == "gauss" and len(fields) == 2 and widths == {1}:
+        return no.GaussianKernel(mean=fields[0][0], sigma=fields[1][0])
+    if kind == "empirical" and widths == {2}:
+        return no.EmpiricalKernel(points=tuple(fields))
+    raise ValueError(f"malformed kernel spec {spec!r}, expected {_KERNEL_SYNTAX}")
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +597,6 @@ def _cmd_exact_check(args: argparse.Namespace) -> int:
 def _cmd_bose_dual(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
-    all_ok = True
     for index in range(args.sets):
         n = int(rng.integers(2, args.n + 1))
         bonds = tuple(
@@ -614,8 +612,8 @@ def _cmd_bose_dual(args: argparse.Namespace) -> int:
             and report.doping_matches_transverse
             and report.number_maps_to_magnetization
         )
-        all_ok = all_ok and ok
         rows.append((index, n, len(bonds), report.spectrum_max_delta, ok))
+    all_ok = bool(rows) and all(row[-1] for row in rows)
     status = _emit(
         args,
         "bose-dual",
@@ -628,6 +626,8 @@ def _cmd_bose_dual(args: argparse.Namespace) -> int:
 
 
 def _cmd_magnus_check(args: argparse.Namespace) -> int:
+    if args.count < 2:
+        raise ValueError(f"--count must be at least 2 to fit a slope, got {args.count}")
     lat = xl.LatticeSpec.chain(args.n, args.j, args.bz)
     times = np.geomspace(args.t_min, args.t_max, args.count)
     rows = []
@@ -683,7 +683,7 @@ def _cmd_variance_rate(args: argparse.Namespace) -> int:
         rel = abs(rate - fd) / max(abs(fd), 1e-30)
         worst = max(worst, rel)
         rows.append((t_f, rate, fd, rel))
-    summary = {"max_rel_err": worst, "ok": worst < 1e-6}
+    summary = {"max_rel_err": worst, "ok": bool(rows) and worst < 1e-6}
     status = _emit(
         args,
         "variance-rate",
@@ -1113,7 +1113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-k", dest="eps_k", type=float, default=0.0)
     p.add_argument("--z", type=float, default=1.0)
     p.add_argument("--tau", type=float, default=10.0)
-    p.add_argument("--kernel", required=True, help="delta:AT | gauss:MEAN,SIGMA | empirical:V:W,...")
+    p.add_argument("--kernel", required=True, help=_KERNEL_SYNTAX)
     p.set_defaults(func=_cmd_smear_green)
 
     p = subparsers.add_parser("smear-planck", help="temperature-smeared thermal radiance")

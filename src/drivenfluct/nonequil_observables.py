@@ -80,8 +80,8 @@ class GaussianKernel:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError("gaussian kernel needs sigma > 0")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"gaussian kernel needs finite sigma > 0, got {self.sigma!r}")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -486,8 +486,8 @@ def moment_compare(g: int, sigma: float) -> tuple[float, float]:
     """
     if g < 1:
         raise ValueError("g must be a positive integer")
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     arcsine = math.comb(2 * g, g) * (0.5 * sigma * sigma) ** g
     gaussian = (
         math.factorial(2 * g) / (2.0**g * math.factorial(g))

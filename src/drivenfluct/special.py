@@ -1,178 +1,45 @@
-"""Self-contained scalar special functions: erfc family and the Bessel J0.
+"""Scalar special functions used by the closed forms: erfc family and Bessel J0.
 
-Both functions are implemented from scratch so that the package carries no
-special-function dependency and their accuracy can be pinned against frozen
-high-precision reference tables (see tests/data).  Target accuracy is
-relative 1e-13 for the erfc family on [0, 30] and 1e-12 for J0 away from
-its zeros; the implementations below test one to two orders better.
+Thin wrappers over :mod:`scipy.special` that return Python floats and keep
+the package's contracts: ``erfc`` underflows to 0 past x ~ 26.6,
+``erfcx`` and ``log_erfc`` are defined for x >= 0 only, and ``log_erfc``,
+taken through ``erfcx``, stays finite far past that underflow.  Their
+accuracy is pinned against the frozen 50-digit reference tables in
+tests/data.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
 
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-_SQRT_PI = math.sqrt(math.pi)
-# Dekker splitter 2**27 + 1: splits a double into two 26-bit halves so that
-# x*x can be represented exactly as hi + lo (no fma available in pure Python).
-_SPLITTER = 134217729.0
-
-# Crossover between the Maclaurin series (cancellation-safe below) and the
-# Laplace continued fraction (convergent enough above).
-_ERFC_SERIES_MAX = 1.5
-# Crossover between the exact-arithmetic Maclaurin series and the Hankel
-# asymptotic expansion, whose optimal-truncation error ~ e^(-2x) is below
-# double rounding for x > 18.
-_J0_SERIES_MAX = 18.0
-
-
-def _square_exact(x: float) -> tuple[float, float]:
-    """Return (hi, lo) with hi + lo == x*x exactly (Dekker two-product)."""
-    hi = x * x
-    c = _SPLITTER * x
-    xh = c - (c - x)
-    xl = x - xh
-    lo = ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl
-    return hi, lo
-
-
-def _erf_series(x: float) -> float:
-    # erf(x) = 2/sqrt(pi) * sum_n (-1)^n x^(2n+1) / (n! (2n+1)); for |x| < 1.5
-    # the largest term is ~4x the result, so double precision keeps ~1 ulp.
-    xsq = x * x
-    term = x
-    total = x
-    n = 0
-    while True:
-        n += 1
-        term *= -xsq / n
-        contrib = term / (2 * n + 1)
-        total += contrib
-        if abs(contrib) <= 1e-20 * abs(total):
-            break
-    return _TWO_OVER_SQRT_PI * total
-
-
-def _erfcx_continued_fraction(x: float, max_iter: int = 3000) -> float:
-    # Laplace continued fraction (modified Lentz):
-    #   sqrt(pi) e^(x^2) erfc(x) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    # Converges in < 200 iterations for x >= 1, faster as x grows.
-    f = x
-    c_lentz = f
-    d_lentz = 0.0
-    for n in range(1, max_iter + 1):
-        a = 0.5 * n
-        d_lentz = x + a * d_lentz
-        c_lentz = x + a / c_lentz
-        d_lentz = 1.0 / d_lentz
-        delta = c_lentz * d_lentz
-        f *= delta
-        if abs(delta - 1.0) < 2.3e-16:
-            break
-    return 1.0 / (_SQRT_PI * f)
+from scipy import special as sc
 
 
 def erfc(x: float) -> float:
-    """Complementary error function, series + continued-fraction regimes.
-
-    Underflows to subnormal/zero beyond x ~ 26.6 like every double-precision
-    erfc; use :func:`erfcx` or :func:`log_erfc` in that regime.
-    """
-    x = float(x)
-    if math.isnan(x):
-        return x
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x < _ERFC_SERIES_MAX:
-        return 1.0 - _erf_series(x)
-    hi, lo = _square_exact(x)
-    return math.exp(-hi) * math.exp(-lo) * _erfcx_continued_fraction(x)
+    """Complementary error function; use :func:`log_erfc` past its underflow."""
+    return float(sc.erfc(x))
 
 
 def erfcx(x: float) -> float:
     """Scaled complementary error function e^(x^2) erfc(x) for x >= 0."""
-    x = float(x)
     if x < 0.0:
         raise ValueError("erfcx implemented for x >= 0 only")
-    if x < _ERFC_SERIES_MAX:
-        return math.exp(x * x) * (1.0 - _erf_series(x))
-    return _erfcx_continued_fraction(x)
+    return float(sc.erfcx(x))
 
 
 def log_erfc(x: float) -> float:
     """Natural log of erfc(x) for x >= 0, valid far past the underflow point."""
-    x = float(x)
     if x < 0.0:
         raise ValueError("log_erfc implemented for x >= 0 only")
-    if x < _ERFC_SERIES_MAX:
-        return math.log(1.0 - _erf_series(x))
-    hi, lo = _square_exact(x)
-    return -hi - lo + math.log(_erfcx_continued_fraction(x))
-
-
-def _j0_maclaurin(x: float) -> float:
-    # sum_k (-1)^k (x^2/4)^k / (k!)^2 evaluated in 40-digit decimal
-    # arithmetic: the alternating terms reach ~1e8 times the result near
-    # x = 18, which double precision cannot absorb but 40 digits can.
-    with localcontext() as ctx:
-        ctx.prec = 40
-        q = Decimal(x) * Decimal(x) / 4
-        term = Decimal(1)
-        total = Decimal(1)
-        k = 0
-        while True:
-            k += 1
-            term = -term * q / (k * k)
-            total += term
-            if abs(term) < Decimal("1e-35"):
-                break
-        return float(total)
-
-
-def _j0_hankel(x: float) -> float:
-    # J0(x) = sqrt(2/(pi x)) [P cos(x - pi/4) - Q sin(x - pi/4)] with
-    #   P = sum_{m even} (-1)^(m/2) c_m / x^m,
-    #   Q = -sum_{m odd} (-1)^((m-1)/2) c_m / x^m,
-    #   c_m = c_{m-1} (2m-1)^2 / (8m),
-    # truncated at the smallest term (error ~ e^(-2x)).
-    chi = x - 0.25 * math.pi
-    c = 1.0
-    p_sum = 1.0
-    q_sum = 0.0
-    prev = math.inf
-    m = 0
-    while True:
-        m += 1
-        c *= (2 * m - 1) ** 2 / (8.0 * m)
-        t = c / x**m
-        if t > prev or t < 1e-18:
-            break
-        prev = t
-        if m % 2 == 1:
-            q_sum -= (-1.0) ** ((m - 1) // 2) * t
-        else:
-            p_sum += (-1.0) ** (m // 2) * t
-    return math.sqrt(2.0 / (math.pi * x)) * (p_sum * math.cos(chi) - q_sum * math.sin(chi))
+    x = float(x)
+    return math.log(sc.erfcx(x)) - x * x
 
 
 def bessel_j0(x: float) -> float:
-    """Bessel function of the first kind J0, series + asymptotic switchover."""
-    x = abs(float(x))
-    if x <= _J0_SERIES_MAX:
-        return _j0_maclaurin(x)
-    return _j0_hankel(x)
+    """Bessel function of the first kind J0."""
+    return float(sc.j0(x))
 
 
-def bessel_j0_first_zero(tol: float = 1e-14) -> float:
-    """First positive root of J0, located by bisection on the series branch."""
-    lo, hi = 2.0, 3.0
-    flo = _j0_maclaurin(lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = _j0_maclaurin(mid)
-        if (flo > 0.0) == (fmid > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def bessel_j0_first_zero() -> float:
+    """First positive root of J0."""
+    return float(sc.jn_zeros(0, 1)[0])

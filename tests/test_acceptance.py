@@ -438,9 +438,10 @@ def test_criterion_12_determinism(tmp_path):
             buffer = io.StringIO()
             with redirect_stdout(buffer):
                 status = cli.main([name, "--selftest", "--outdir", str(outdir)])
-            if status != 0:
-                failures.append(name)
             payload = (outdir / f"{name}_selftest.json").read_bytes()
+            if run == "a" and status != 0:
+                failed = [c["name"] for c in json.loads(payload)["checks"] if not c["ok"]]
+                failures.append(f"{name}: {', '.join(failed)}")
             outputs.append((buffer.getvalue(), payload))
         if outputs[0] != outputs[1]:
             identical = False

@@ -138,10 +138,16 @@ class TestRateThreshold:
         )
 
     def test_rejects(self):
-        with pytest.raises(ValueError):
-            bd.equilibrium_rate_threshold(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            bd.equilibrium_rate_threshold(1.0, -1.0, 1.0)
+        for args, name in (
+            ((0.0, 1.0, 1.0), "temperature"),
+            ((math.nan, 1.0, 1.0), "temperature"),
+            ((math.inf, 1.0, 1.0), "temperature"),
+            ((1.0, -1.0, 1.0), "cv_total"),
+            ((1.0, math.inf, 1.0), "cv_total"),
+            ((1.0, 1.0, math.nan), "cv_subsystem"),
+        ):
+            with pytest.raises(ValueError, match=name):
+                bd.equilibrium_rate_threshold(*args)
 
 
 class TestBoundReport:

@@ -7,9 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from drivenfluct import cli
 from drivenfluct import nonequil_observables as no
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def run_cli(args, outdir):
@@ -76,11 +81,19 @@ class TestSpinCommands:
         summary = read_json(tmp_path / "exact_check.json")
         assert summary["ok"] and summary["max_abs_diff"] < 1e-10
 
-    def test_exact_check_fails_when_nothing_compared(self, tmp_path):
-        assert run_cli(["exact-check", "--n-min", "2", "--n-max", "1"], tmp_path) == 1
-        summary = read_json(tmp_path / "exact_check.json")
-        assert summary["ok"] is False
-        assert read_csv(tmp_path / "exact_check.csv") == []
+    @pytest.mark.parametrize(
+        "args, stem, key",
+        [
+            (["exact-check", "--n-min", "2", "--n-max", "1"], "exact_check", "ok"),
+            (["variance-rate", "--count", "0"], "variance_rate", "ok"),
+            (["bose-dual", "--sets", "0"], "bose_dual", "all_ok"),
+        ],
+        ids=["exact-check", "variance-rate", "bose-dual"],
+    )
+    def test_gate_fails_when_nothing_compared(self, tmp_path, args, stem, key):
+        assert run_cli(args, tmp_path) == 1
+        assert read_json(tmp_path / f"{stem}.json")[key] is False
+        assert read_csv(tmp_path / f"{stem}.csv") == []
 
     def test_spin_sigma_rejects_nan_by_name(self, tmp_path, capsys):
         status = run_cli(
@@ -93,19 +106,24 @@ class TestSpinCommands:
         assert run_cli(["bose-dual", "--n", "5", "--sets", "4"], tmp_path) == 0
         assert read_json(tmp_path / "bose_dual.json")["all_ok"]
 
-    def test_moment_compare(self, tmp_path):
+    def test_moment_compare(self, tmp_path, capsys):
         assert run_cli(["moment-compare", "--sigma", "1.0", "--g-max", "3"], tmp_path) == 0
         rows = read_csv(tmp_path / "moment_compare.csv")
         assert float(rows[1]["arcsine"]) == 1.5
         assert float(rows[1]["gaussian"]) == 3.0
+        assert run_cli(["moment-compare", "--sigma", "nan"], tmp_path) == 1
+        assert "sigma must be positive and finite, got nan" in capsys.readouterr().err
 
 
 class TestPhysicsCommands:
-    def test_magnus_check(self, tmp_path):
+    def test_magnus_check(self, tmp_path, capsys):
         assert run_cli(["magnus-check", "--count", "5"], tmp_path) == 0
         summary = read_json(tmp_path / "magnus_check.json")
         assert summary["slope_ok"]
         assert summary["commuting_error"] < 1e-12
+        assert run_cli(["magnus-check", "--count", "1"], tmp_path / "one") == 1
+        assert "--count must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "one").exists()
 
     def test_variance_rate(self, tmp_path):
         assert run_cli(["variance-rate", "--count", "3"], tmp_path) == 0
@@ -292,8 +310,26 @@ class TestCliBehavior:
         assert isinstance(kernel, no.GaussianKernel)
         empirical = cli._parse_kernel("empirical:0.5:0.25,1.5:0.75")
         assert empirical.points == ((0.5, 0.25), (1.5, 0.75))
-        with pytest.raises(ValueError):
-            cli._parse_kernel("triangle:1.0")
+        for spec in ("triangle:1.0", "gauss:1.0", "delta:", "empirical:0.5", "gauss:1.0,x"):
+            with pytest.raises(ValueError, match=f"malformed kernel spec {spec!r}, expected delta:AT"):
+                cli._parse_kernel(spec)
+        for spec in ("gauss:0.0,nan", "gauss:0.0,inf"):
+            with pytest.raises(ValueError, match="finite sigma > 0"):
+                cli._parse_kernel(spec)
+
+    @given(
+        FINITE,
+        FINITE,
+        st.floats(min_value=1e-300, allow_infinity=False),
+        st.lists(st.tuples(FINITE, st.floats(min_value=0.01, max_value=1.0)), min_size=1, max_size=5),
+    )
+    def test_kernel_spec_round_trip(self, at, mean, sigma, pairs):
+        assert cli._parse_kernel(f"delta:{at!r}") == no.DeltaKernel(at)
+        assert cli._parse_kernel(f"gauss:{mean!r},{sigma!r}") == no.GaussianKernel(mean, sigma)
+        total = math.fsum(w for _, w in pairs)
+        points = tuple((v, w / total) for v, w in pairs)
+        spec = "empirical:" + ",".join(f"{v!r}:{w!r}" for v, w in points)
+        assert cli._parse_kernel(spec) == no.EmpiricalKernel(points)
 
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DRIVENFLUCT_OUTDIR", str(tmp_path / "envout"))

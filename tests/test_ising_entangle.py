@@ -35,15 +35,6 @@ class TestDomainWallCorrelator:
         )
         assert 0.0 < gap < 3.0 / 99.0  # an O(1/L) discrepancy
 
-    def test_enumeration_equals_hypergeometric_exactly(self):
-        for length in range(2, 15):
-            for walls in range(0, length):
-                ensemble = ie.DomainWallEnsemble(length, walls)
-                for distance in range(1, length):
-                    lhs = ie.correlator_fraction(ensemble, distance, "enumeration")
-                    rhs = ie.correlator_fraction(ensemble, distance, "hypergeometric")
-                    assert lhs == rhs
-
     def test_site_independence(self):
         ensemble = ie.DomainWallEnsemble(9, 3)
         values = {
@@ -184,15 +175,6 @@ class TestSpinMultiplicity:
         assert [ie.spin_multiplicity(4, s) for s in (2, 1, 0)] == [1, 3, 2]
         assert [ie.spin_multiplicity(3, s) for s in (1.5, 0.5)] == [1, 2]
         assert [ie.spin_multiplicity(2, s) for s in (1, 0)] == [1, 1]
-
-    def test_dimension_sum_rule_exact(self):
-        for n in range(1, 65):
-            doubled_values = range(n % 2, n + 1, 2)
-            total = sum(
-                ie.spin_multiplicity(n, doubled / 2.0) * (doubled + 1)
-                for doubled in doubled_values
-            )
-            assert total == 2**n
 
     def test_ballot_identity(self):
         # independent route: M(N, S) = C(N, N/2 - S) - C(N, N/2 - S - 1)

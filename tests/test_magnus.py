@@ -126,26 +126,6 @@ class TestVarianceRate:
         psi = xl.dicke_state(3, 0.5)
         assert mg.variance_rate(psi, drive, ham) == pytest.approx(0.0, abs=1e-13)
 
-    def test_matches_finite_difference(self):
-        ham = xl.build_spin_hamiltonian(LAT)
-        drive = xl.build_transverse_field(3, 1.0)
-        psi = xl.dicke_state(3, 0.5)
-        step = 1e-5
-        for theta in (0.4, 0.9, 1.7):
-            state = xl.evolve_state(
-                psi, LAT, cs.DriveSchedule("replace", ((theta, 1.0),), 1.0)
-            )[-1][1]
-            rate = mg.variance_rate(state, drive, ham)
-
-            def sigma_sq(t):
-                out = xl.evolve_state(
-                    psi, LAT, cs.DriveSchedule("replace", ((t, 1.0),), 1.0)
-                )[-1][1]
-                return xl.variance(out, ham) / 9.0
-
-            fd = (sigma_sq(theta + step) - sigma_sq(theta - step)) / (2 * step)
-            assert abs(rate - fd) <= 1e-6 * abs(fd)
-
     def test_rate_integrates_to_variance_change(self):
         ham = xl.build_spin_hamiltonian(LAT)
         drive = xl.build_transverse_field(3, 1.0)

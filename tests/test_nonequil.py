@@ -228,10 +228,6 @@ class TestSmearedGreen:
 
 
 class TestSmearedPlanck:
-    def test_delta_kernel_shares_code_path(self):
-        for nu, T in ((0.5, 2.0), (3.0, 1.0), (10.0, 0.7)):
-            assert no.smeared_planck(nu, no.DeltaKernel(T)) == no.planck_radiance(nu, T)
-
     def test_narrow_kernel_matches_planck(self):
         nu, T = 3.0, 1.0
         smeared = no.smeared_planck(nu, no.GaussianKernel(T, 1e-4 * T))

@@ -1,11 +1,13 @@
 """Command-line surface: sweeps, oracle cross-checks, dataset fits, emission.
 
-Every subcommand writes plot-ready CSV/JSON artifacts plus one run manifest
-(flags, package version, sha256 digests of ingested files, output names) and
-is deterministic: identical inputs give byte-identical outputs.  Numbers are
-emitted in full round-trip decimal form.  Each subcommand also has a
-``--selftest`` mode that runs its module's oracle suite and exits nonzero on
-any violation.
+Each subcommand handler computes its artifacts and returns them with its
+gate and the paths it ingested; ``main`` emits them once, as plot-ready
+CSV/JSON plus one run manifest (flags, package version, sha256 digests of
+ingested files, output names), and exits 1 when the gate fails.  Output is
+deterministic: identical inputs give byte-identical outputs, with numbers in
+full round-trip decimal form.  The oracle comparisons and the ``--selftest``
+suites live in ``oracles``; ``--selftest`` runs the subcommand's suite and
+exits nonzero on any violation.
 
 Exit codes: 0 success, 1 numerical failure or selftest violation, 2 usage.
 Core quantities are in natural units (hbar = k_B = 1); ``--si`` converts at
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -32,7 +35,7 @@ from . import exact_lattice as xl
 from . import ising_entangle as ie
 from . import magnus as mg
 from . import nonequil_observables as no
-from . import special as sp
+from . import oracles
 
 # SI scale constants applied only at the output boundary.
 HBAR_SI = 1.054571817e-34  # J s
@@ -100,8 +103,8 @@ def _emit(
     args: argparse.Namespace,
     subcommand: str,
     artifacts: dict[str, object],
-    input_paths: list[Path] | None = None,
-) -> int:
+    input_paths: list[Path],
+) -> None:
     """Write artifacts ({filename: (header, rows) | json payload}) + manifest."""
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -114,11 +117,10 @@ def _emit(
         else:
             _write_json(path, content)
         names.append(name)
-    manifest = _write_manifest(outdir, subcommand, args, input_paths or [], names)
+    manifest = _write_manifest(outdir, subcommand, args, input_paths, names)
     for name in names:
         print(f"wrote {name}")
     print(f"wrote {manifest.name}")
-    return 0
 
 
 _KERNEL_SYNTAX = "delta:AT | gauss:MEAN,SIGMA | empirical:V:W,..."
@@ -141,349 +143,8 @@ def _parse_kernel(spec: str) -> no.SmearKernel:
     raise ValueError(f"malformed kernel spec {spec!r}, expected {_KERNEL_SYNTAX}")
 
 
-# ---------------------------------------------------------------------------
-# per-module selftest suites (shared by several subcommands)
-# ---------------------------------------------------------------------------
-
-
-def _check(checks: list, name: str, ok: bool, detail: str = "") -> None:
-    checks.append({"name": name, "ok": bool(ok), "detail": detail})
-
-
-def _selftest_collective() -> list[dict]:
-    checks: list[dict] = []
-    sector = cs.SpinSector(4, 2, 0)
-    sched = cs.DriveSchedule("replace", ((math.pi / 2, 1.0),), 1.0)
-    sigma = cs.analytic_sigma(sector, sched, math.pi / 2)
-    _check(checks, "sigma-closed-form", abs(sigma - math.sqrt(1.5) / (2 * math.sqrt(2))) < 1e-14)
-    lat = xl.LatticeSpec.chain(4, 1.0, 1.0)
-    state = xl.evolve_state(xl.dicke_state(4, 0), lat, sched)[-1][1]
-    oracle = xl.energy_density_sigma(state, xl.build_spin_hamiltonian(lat))
-    _check(checks, "sigma-oracle", abs(sigma - oracle) < 1e-10, _fmt(abs(sigma - oracle)))
-    _check(
-        checks,
-        "sigma-identity-rotation",
-        cs.analytic_sigma(sector, cs.DriveSchedule("replace", ((1.0, 0.0),), 1.0), 1.0) == 0.0,
-    )
-    dist = cs.eigenweight_distribution(cs.SpinSector(1, 0.5, 0.5), math.pi / 2)
-    _check(
-        checks,
-        "half-spin-weights",
-        max(abs(w - 0.5) for _, w in dist.points) < 1e-14,
-    )
-    big = cs.eigenweight_distribution(cs.SpinSector(80, 40, 0), 1.0)
-    _check(
-        checks,
-        "eigenweight-mean-consistency",
-        abs(big.mean() - cs.analytic_energy_mean(cs.SpinSector(80, 40, 0), cs.DriveSchedule("replace", ((1.0, 1.0),), 1.0), 1.0)) < 1e-12,
-    )
-    _check(
-        checks,
-        "eigenweight-sigma-consistency",
-        abs(big.std() - cs.analytic_sigma(cs.SpinSector(80, 40, 0), cs.DriveSchedule("replace", ((1.0, 1.0),), 1.0), 1.0)) < 1e-10,
-    )
-    _check(checks, "odd-moment-zero", abs(big.central_moment(3)) < 1e-12)
-    _check(checks, "char-q0", cs.characteristic_value(0.0, 1.3) == 1.0)
-    root = sp.bessel_j0_first_zero()
-    _check(checks, "char-first-root", abs(cs.characteristic_value(root / math.sqrt(2.0), 1.0)) < 1e-10)
-    _check(
-        checks,
-        "arcsine-center",
-        abs(cs.arcsine_density(0.0, 0.0, 1.0) - 1.0 / (math.pi * math.sqrt(2.0))) < 1e-15,
-    )
-    _check(checks, "arcsine-outside", cs.arcsine_density(1.5, 0.0, 1.0) == 0.0)
-    g1_exact = cs.central_moment(sector, sched, math.pi / 2, 1, "exact")
-    _check(checks, "variance-moment-identity", abs(g1_exact - sigma**2) < 1e-14)
-    return checks
-
-
-def _selftest_exact() -> list[dict]:
-    checks: list[dict] = []
-    lat2 = xl.LatticeSpec(2, ((0, 1, 1.0),), 1.0)
-    eigs = np.sort(np.linalg.eigvalsh(xl.build_spin_hamiltonian(lat2).matrix))
-    _check(
-        checks,
-        "two-spin-spectrum",
-        np.allclose(eigs, [-1.25, -0.25, 0.75, 0.75], atol=1e-12),
-    )
-    free = xl.LatticeSpec(3, (), 1.0)
-    eigs_free = np.sort(np.linalg.eigvalsh(xl.build_spin_hamiltonian(free).matrix))
-    _check(
-        checks,
-        "free-spin-spectrum",
-        np.allclose(eigs_free, [-1.5, -0.5, -0.5, -0.5, 0.5, 0.5, 0.5, 1.5], atol=1e-12),
-    )
-    lat = xl.LatticeSpec.chain(5, 0.7, 1.1)
-    ham = xl.build_spin_hamiltonian(lat)
-    s_sq = xl.spin_squared_operator(5)
-    _, _, s_z = xl.total_spin_operators(5)
-    _check(checks, "s2-commutes", np.max(np.abs(ham.matrix @ s_sq - s_sq @ ham.matrix)) < 1e-12)
-    _check(checks, "sz-commutes", np.max(np.abs(ham.matrix @ s_z - s_z @ ham.matrix)) < 1e-12)
-    worst = 0.0
-    for m in (-2.5, -0.5, 1.5, 2.5):
-        sector = cs.SpinSector(5, 2.5, m)
-        for theta in (0.5, 1.7, 3.0):
-            sched = cs.DriveSchedule("replace", ((theta, 1.0),), 1.1)
-            state = xl.evolve_state(xl.dicke_state(5, m), lat, sched)[-1][1]
-            worst = max(
-                worst,
-                abs(
-                    xl.energy_density_sigma(state, ham)
-                    - cs.analytic_sigma(sector, sched, theta)
-                ),
-            )
-    _check(checks, "dicke-oracle-agreement", worst < 1e-10, _fmt(worst))
-    full = cs.DriveSchedule("replace", ((2 * math.pi, 1.0),), 1.1)
-    state = xl.evolve_state(xl.dicke_state(5, 1.5), lat, full)[-1][1]
-    back = xl.expectation(state, ham)
-    initial = xl.expectation(xl.dicke_state(5, 1.5), ham)
-    _check(checks, "two-pi-periodicity", abs(back - initial) < 1e-9, _fmt(abs(back - initial)))
-    mags = xl.site_magnetizations(state)
-    _check(checks, "site-uniform", float(np.ptp(mags)) < 1e-10)
-    return checks
-
-
-def _selftest_bose() -> list[dict]:
-    checks: list[dict] = []
-    rng = np.random.default_rng(20240)
-    worst = 0.0
-    for n in (2, 3, 4, 5):
-        bonds = tuple(
-            (i, j, float(rng.normal()))
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-        lat = xl.LatticeSpec(n, bonds, float(rng.normal()))
-        _, report = xl.bose_dual(lat)
-        worst = max(worst, report.spectrum_max_delta)
-        _check(checks, f"dual-spectrum-n{n}", report.spectra_match, _fmt(report.spectrum_max_delta))
-        _check(checks, f"dual-doping-n{n}", report.doping_matches_transverse)
-        _check(checks, f"dual-number-n{n}", report.number_maps_to_magnetization)
-    _check(checks, "dual-worst-delta", worst < 1e-10, _fmt(worst))
-    return checks
-
-
-def _magnus_schedule(t: float) -> cs.DriveSchedule:
-    # the standard non-commuting two-segment test schedule
-    return cs.DriveSchedule("augment", ((t / 3.0, 1.0), (2.0 * t / 3.0, -0.5)), 1.0)
-
-
-def _selftest_magnus() -> list[dict]:
-    checks: list[dict] = []
-    lat = xl.LatticeSpec.chain(3, 1.0, 1.0)
-    commuting = cs.DriveSchedule("replace", ((0.1, 1.0), (0.2, -0.5)), 1.0)
-    _check(checks, "commuting-error", mg.magnus_error(lat, commuting, 0.3) < 1e-12)
-    _check(checks, "zero-time-error", mg.magnus_error(lat, commuting, 0.0) == 0.0)
-    t = 0.2
-    sched = _magnus_schedule(t)
-    terms = mg.magnus_terms(lat, sched, t)
-    (dt1, h1), (dt2, h2) = mg.segment_hamiltonians(lat, sched)
-    reference = -0.5 * dt1 * dt2 * (h2 @ h1 - h1 @ h2)
-    _check(checks, "omega2-closed-form", np.max(np.abs(terms.omega2 - reference)) < 1e-12)
-    times = np.geomspace(1e-3, 1e-1, 7)
-    errors = [mg.magnus_error(lat, _magnus_schedule(tt), tt) for tt in times]
-    slope = float(np.polyfit(np.log(times), np.log(errors), 1)[0])
-    _check(checks, "error-slope-3", abs(slope - 3.0) < 0.2, _fmt(slope))
-    psi = xl.dicke_state(3, 0.5)
-    expansion = mg.variance_expansion(psi, lat, _magnus_schedule(0.05), 0.05)
-    _check(checks, "eigenstate-first-bracket", abs(expansion.first_bracket) < 1e-12)
-    theta = 0.7
-    drive = cs.DriveSchedule("replace", ((theta, 1.0),), 1.0)
-    state = xl.evolve_state(psi, lat, drive)[-1][1]
-    ham = xl.build_spin_hamiltonian(lat)
-    transverse = xl.build_transverse_field(3, 1.0)
-    rate = mg.variance_rate(state, transverse, ham)
-    h = 1e-5
-
-    def sigma_sq(tt: float) -> float:
-        out = xl.evolve_state(psi, lat, cs.DriveSchedule("replace", ((tt, 1.0),), 1.0))[-1][1]
-        return xl.variance(out, ham) / 9.0
-
-    fd = (sigma_sq(theta + h) - sigma_sq(theta - h)) / (2 * h)
-    _check(checks, "rate-finite-difference", abs(rate - fd) <= 1e-6 * abs(fd), _fmt(abs(rate - fd) / abs(fd)))
-    _check(checks, "rate-zero-at-start", abs(mg.variance_rate(psi, transverse, ham)) < 1e-12)
-    return checks
-
-
-def _selftest_bounds() -> list[dict]:
-    checks: list[dict] = []
-    lat = xl.LatticeSpec.chain(4, 1.0, 1.0)
-    sched = cs.DriveSchedule("replace", ((math.pi / 2, 1.0),), 1.0)
-    state = xl.evolve_state(xl.dicke_state(4, 1), lat, sched)[-1][1]
-    reports = bd.uncertainty_check(
-        state, xl.build_spin_hamiltonian(lat), xl.build_transverse_field(4, 1.0), 4
-    )
-    _check(checks, "worked-lhs", abs(reports[1].lhs - 0.625) < 1e-6, _fmt(reports[1].lhs))
-    _check(checks, "worked-rhs", abs(reports[1].rhs - 0.125) < 1e-6, _fmt(reports[1].rhs))
-    _check(checks, "rhs-equality", abs(reports[0].rhs - reports[1].rhs) < 1e-12)
-    _check(checks, "correlator-bound", reports[2].satisfied, _fmt(reports[2].slack))
-    rng = np.random.default_rng(77)
-    worst_slack = math.inf
-    for _ in range(100):
-        dim = int(rng.integers(2, 17))
-        h_a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h_a = (h_a + h_a.conj().T) / 2
-        h_b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h_b = (h_b + h_b.conj().T) / 2
-        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        vec /= np.linalg.norm(vec)
-        n_fake = 1
-        while (1 << n_fake) < dim:
-            n_fake += 1
-        pad = 1 << n_fake
-        amp = np.zeros(pad, dtype=complex)
-        amp[:dim] = vec
-        ha_pad = np.zeros((pad, pad), dtype=complex)
-        ha_pad[:dim, :dim] = h_a
-        hb_pad = np.zeros((pad, pad), dtype=complex)
-        hb_pad[:dim, :dim] = h_b
-        psi = xl.QuantumState(amp, n_fake)
-        op_a = xl.MatrixOperator(ha_pad, n_fake, ("all",), (ha_pad,))
-        op_b = xl.MatrixOperator(hb_pad, n_fake, ("all",), (hb_pad,))
-        report = bd.uncertainty_check(psi, op_a, op_b, 4)[0]
-        worst_slack = min(worst_slack, report.slack)
-    _check(checks, "robertson-fuzz", worst_slack >= -1e-12, _fmt(worst_slack))
-    _check(checks, "threshold-unit", bd.equilibrium_rate_threshold(1.0, 1.0, 1.0) == 2.0)
-    _check(checks, "threshold-zero-capacity", bd.equilibrium_rate_threshold(3.0, 0.0, 1.0) == 0.0)
-    ratio = bd.equilibrium_rate_threshold(2.0, 0.8, 0.3) / bd.equilibrium_rate_threshold(1.0, 0.8, 0.3)
-    _check(checks, "threshold-t-squared", abs(ratio - 4.0) < 1e-12)
-    return checks
-
-
-def _selftest_ising() -> list[dict]:
-    checks: list[dict] = []
-    e2 = ie.DomainWallEnsemble(2, 0)
-    _check(checks, "l2-aligned", ie.domain_wall_correlator(e2, 1, "enumeration") == 1.0)
-    e31 = ie.DomainWallEnsemble(3, 1)
-    _check(checks, "l3-d1", ie.domain_wall_correlator(e31, 1, "enumeration") == 0.0)
-    _check(checks, "l3-d2", ie.domain_wall_correlator(e31, 2, "enumeration") == -1.0)
-    agree = True
-    for length in range(2, 9):
-        for walls in range(length):
-            ens = ie.DomainWallEnsemble(length, walls)
-            for d in range(1, length):
-                if ie.correlator_fraction(ens, d, "enumeration") != ie.correlator_fraction(
-                    ens, d, "hypergeometric"
-                ):
-                    agree = False
-    _check(checks, "enumeration-hypergeometric", agree)
-    point = ie.temperature_energy_maps(40, 1.3, beta=0.45)
-    back = ie.temperature_energy_maps(40, 1.3, energy=point.energy)
-    _check(checks, "roundtrip", abs(back.beta - 0.45) < 1e-12)
-    ens = ie.DomainWallEnsemble(60, 14, coupling=1.3)
-    thermal = ie.domain_wall_correlator(
-        ens, 3, "thermal", beta=ie.temperature_energy_maps(60, 1.3, energy=ens.energy).beta
-    )
-    asym = ie.domain_wall_correlator(ens, 3, "asymptotic")
-    _check(checks, "thermal-correspondence", abs(thermal - asym) < 1e-12)
-    _check(
-        checks,
-        "dicke-ln2",
-        abs(ie.dicke_entanglement(ie.DickeSplit(2, 0, 1)) - math.log(2.0)) < 1e-14,
-    )
-    _check(
-        checks,
-        "dicke-n4",
-        abs(ie.dicke_entanglement(ie.DickeSplit(4, 0, 2)) - 0.8675632284814612) < 1e-12,
-    )
-    _check(checks, "mult-n4", [ie.spin_multiplicity(4, s) for s in (2, 1, 0)] == [1, 3, 2])
-    _check(checks, "mult-n3", [ie.spin_multiplicity(3, s) for s in (1.5, 0.5)] == [1, 2])
-    ok = True
-    for n in (2, 5, 12, 20):
-        total = sum(
-            ie.spin_multiplicity(n, (n % 2) / 2.0 + k) * (2 * ((n % 2) / 2.0 + k) + 1)
-            for k in range(0, (n - (n % 2)) // 2 + 1)
-        )
-        ok = ok and int(round(total)) == 2**n
-    _check(checks, "dimension-sum-rule", ok)
-    ratio = math.exp(
-        ie.spin_multiplicity_log(10000, 200, "gaussian")
-        - ie.spin_multiplicity_log(10000, 200, "exact")
-    )
-    _check(checks, "gaussian-multiplicity", abs(ratio - 1.0) < 0.05, _fmt(ratio))
-    return checks
-
-
-def _selftest_nonequil() -> list[dict]:
-    checks: list[dict] = []
-    # frozen 30-digit references (arbitrary-precision, generated once)
-    erfc_refs = {
-        0.5: "0.479500122186953462317253346108",
-        2.0: "0.00467773498104726583793074363275",
-        4.419417382415922: "4.10452685043787878549521547828e-10",
-        10.0: "2.08848758376254475700078629496e-45",
-    }
-    worst = 0.0
-    for x, ref in erfc_refs.items():
-        rel = abs(sp.erfc(x) - float(ref)) / float(ref)
-        worst = max(worst, rel)
-    _check(checks, "erfc-reference", worst < 1e-13, _fmt(worst))
-    _check(checks, "viscosity-at-melt", no.viscosity_predict(700.0, 700.0, 0.1, 2.0) == 2.0)
-    temps = np.linspace(650.0, 1100.0, 12)
-    rows = tuple(
-        (float(t), no.viscosity_predict(float(t), 1100.0, 0.085, 1.7)) for t in temps
-    )
-    fit = no.fit_collapse(
-        no.ViscosityDataset((no.ViscosityRecord("synthetic", rows, 1100.0, 1.7),))
-    )[0]
-    _check(checks, "roundtrip-abar", abs(fit.abar - 0.085) < 1e-6, _fmt(abs(fit.abar - 0.085)))
-    _check(
-        checks,
-        "kernel-delta",
-        no.kernel_average(no.DeltaKernel(2.0), lambda q: q * q) == 4.0,
-    )
-    _check(
-        checks,
-        "kernel-gauss-linear",
-        abs(no.kernel_average(no.GaussianKernel(3.0, 0.5), lambda q: 2 * q + 1) - 7.0) < 1e-10,
-    )
-    _check(
-        checks,
-        "kernel-gauss-square",
-        abs(no.kernel_average(no.GaussianKernel(0.0, 1.0), lambda q: q * q) - 1.0) < 1e-8,
-    )
-    weight = no.spectral_weight(1.0, no.GaussianKernel(0.0, 0.4), 0.7, 2.0, -1e9, 1e9)
-    _check(checks, "green-sum-rule", abs(weight - 0.7) < 1e-6, _fmt(weight))
-    _check(
-        checks,
-        "planck-delta-identity",
-        no.smeared_planck(3.0, no.DeltaKernel(1.2)) == no.planck_radiance(3.0, 1.2),
-    )
-    narrow = no.smeared_planck(3.0, no.GaussianKernel(1.0, 1e-4))
-    _check(
-        checks,
-        "planck-narrow",
-        abs(narrow - no.planck_radiance(3.0, 1.0)) < 1e-6 * no.planck_radiance(3.0, 1.0),
-    )
-    arc1, gauss1 = no.moment_compare(1, 1.7)
-    _check(checks, "moments-g1", abs(arc1 - gauss1) < 1e-15)
-    arc2, gauss2 = no.moment_compare(2, 1.0)
-    _check(checks, "moments-g2", (arc2, gauss2) == (1.5, 3.0))
-    return checks
-
-
-_SELFTESTS = {
-    "spin-sigma": _selftest_collective,
-    "spin-dist": _selftest_collective,
-    "exact-check": _selftest_exact,
-    "bose-dual": _selftest_bose,
-    "magnus-check": _selftest_magnus,
-    "variance-rate": _selftest_magnus,
-    "bounds-check": _selftest_bounds,
-    "rate-threshold": _selftest_bounds,
-    "ising-corr": _selftest_ising,
-    "dicke-entropy": _selftest_ising,
-    "multiplicity": _selftest_ising,
-    "viscosity-fit": _selftest_nonequil,
-    "collapse": _selftest_nonequil,
-    "smear-green": _selftest_nonequil,
-    "smear-planck": _selftest_nonequil,
-    "moment-compare": _selftest_nonequil,
-}
-
-
 def _run_selftest(args: argparse.Namespace, subcommand: str) -> int:
-    checks = _SELFTESTS[subcommand]()
+    checks = oracles.SUITES[subcommand]()
     ok = all(c["ok"] for c in checks)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -497,18 +158,25 @@ def _run_selftest(args: argparse.Namespace, subcommand: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (artifacts, gate, ingested paths)
 # ---------------------------------------------------------------------------
 
+Result = tuple[dict[str, object], bool, list[Path]]
 
-def _cmd_spin_sigma(args: argparse.Namespace) -> int:
+
+def _rotation(theta: float, b_z: float) -> cs.DriveSchedule:
+    """Replace-mode drive whose unit field turns the spins by theta, either sign."""
+    return cs.DriveSchedule("replace", ((max(abs(theta), 1e-12), 1.0 if theta >= 0 else -1.0),), b_z)
+
+
+def _cmd_spin_sigma(args: argparse.Namespace) -> Result:
     sector = cs.SpinSector(args.n, args.stot, args.m)
     rows = []
     if args.mode == "replace":
         if not args.theta:
             raise ValueError("replace mode needs --theta values")
         for theta in args.theta:
-            sched = cs.DriveSchedule("replace", ((max(abs(theta), 1e-12), 1.0 if theta >= 0 else -1.0),), args.bz)
+            sched = _rotation(theta, args.bz)
             t_f = abs(theta)
             rows.append(
                 (
@@ -532,13 +200,13 @@ def _cmd_spin_sigma(args: argparse.Namespace) -> int:
                 )
             )
         header = ["t", "sigma", "mean"]
-    return _emit(args, "spin-sigma", {"spin_sigma.csv": (header, rows)})
+    return {"spin_sigma.csv": (header, rows)}, True, []
 
 
-def _cmd_spin_dist(args: argparse.Namespace) -> int:
+def _cmd_spin_dist(args: argparse.Namespace) -> Result:
     sector = cs.SpinSector(args.n, args.stot, args.m)
     dist = cs.eigenweight_distribution(sector, args.theta, b_z=args.bz, e_symm=args.e_symm)
-    sched = cs.DriveSchedule("replace", ((max(abs(args.theta), 1e-12), 1.0 if args.theta >= 0 else -1.0),), args.bz)
+    sched = _rotation(args.theta, args.bz)
     t_f = abs(args.theta)
     sigma = cs.analytic_sigma(sector, sched, t_f)
     mean = cs.analytic_energy_mean(sector, sched, t_f, args.e_symm)
@@ -550,51 +218,35 @@ def _cmd_spin_dist(args: argparse.Namespace) -> int:
         "ks_to_arcsine": cs.ks_distance_to_arcsine(dist, mean, sigma) if sigma > 0 else None,
         "distribution": dist.to_json_dict(),
     }
-    return _emit(
-        args,
-        "spin-dist",
-        {
-            "spin_dist.csv": (["value", "weight"], list(dist.points)),
-            "spin_dist.json": summary,
-        },
-    )
+    artifacts = {
+        "spin_dist.csv": (["value", "weight"], list(dist.points)),
+        "spin_dist.json": summary,
+    }
+    return artifacts, True, []
 
 
-def _cmd_exact_check(args: argparse.Namespace) -> int:
-    rows = []
-    worst = 0.0
+def _cmd_exact_check(args: argparse.Namespace) -> Result:
     thetas = np.linspace(0.0, 2.0 * math.pi, args.thetas + 1)[1:]
+    sched = cs.DriveSchedule(
+        "replace", tuple((float(th), 1.0) for th in np.diff(np.concatenate([[0.0], thetas]))), args.bz
+    )
+    rows = []
     for n in range(args.n_min, args.n_max + 1):
-        lat = xl.LatticeSpec.chain(n, args.j, args.bz)
-        ham = xl.build_spin_hamiltonian(lat, with_decomposition=False)
-        s_tot = n / 2.0
-        for k in range(n + 1):
-            m = -s_tot + k
-            sector = cs.SpinSector(n, s_tot, m)
-            sched = cs.DriveSchedule(
-                "replace", tuple((float(th), 1.0) for th in np.diff(np.concatenate([[0.0], thetas]))), args.bz
-            )
-            trajectory = xl.evolve_state(xl.dicke_state(n, m), lat, sched)
-            for (t, state), theta in zip(trajectory[1:], thetas):
-                analytic = cs.analytic_sigma(sector, sched, t)
-                oracle = xl.energy_density_sigma(state, ham)
-                gap = abs(analytic - oracle)
-                worst = max(worst, gap)
-                rows.append((n, m, theta, oracle, analytic, gap))
+        sweep = oracles.sigma_sweep(xl.LatticeSpec.chain(n, args.j, args.bz), sched)
+        # each sector contributes one row per angle, in angle order
+        for (m, _, oracle, analytic), theta in zip(sweep, itertools.cycle(thetas)):
+            rows.append((n, m, theta, oracle, analytic, abs(analytic - oracle)))
+    worst = max((row[-1] for row in rows), default=0.0)
     # a sweep that compared no rows proves nothing, so it cannot pass
     summary = {"max_abs_diff": worst, "tolerance": 1e-10, "ok": bool(rows) and worst < 1e-10}
-    status = _emit(
-        args,
-        "exact-check",
-        {
-            "exact_check.csv": (["n", "m", "theta", "sigma_oracle", "sigma_analytic", "abs_diff"], rows),
-            "exact_check.json": summary,
-        },
-    )
-    return status if summary["ok"] else 1
+    artifacts = {
+        "exact_check.csv": (["n", "m", "theta", "sigma_oracle", "sigma_analytic", "abs_diff"], rows),
+        "exact_check.json": summary,
+    }
+    return artifacts, summary["ok"], []
 
 
-def _cmd_bose_dual(args: argparse.Namespace) -> int:
+def _cmd_bose_dual(args: argparse.Namespace) -> Result:
     rng = np.random.default_rng(args.seed)
     rows = []
     for index in range(args.sets):
@@ -614,26 +266,19 @@ def _cmd_bose_dual(args: argparse.Namespace) -> int:
         )
         rows.append((index, n, len(bonds), report.spectrum_max_delta, ok))
     all_ok = bool(rows) and all(row[-1] for row in rows)
-    status = _emit(
-        args,
-        "bose-dual",
-        {
-            "bose_dual.csv": (["set", "n", "bonds", "spectrum_max_delta", "ok"], rows),
-            "bose_dual.json": {"all_ok": all_ok, "sets": args.sets},
-        },
-    )
-    return status if all_ok else 1
+    artifacts = {
+        "bose_dual.csv": (["set", "n", "bonds", "spectrum_max_delta", "ok"], rows),
+        "bose_dual.json": {"all_ok": all_ok, "sets": args.sets},
+    }
+    return artifacts, all_ok, []
 
 
-def _cmd_magnus_check(args: argparse.Namespace) -> int:
+def _cmd_magnus_check(args: argparse.Namespace) -> Result:
     if args.count < 2:
         raise ValueError(f"--count must be at least 2 to fit a slope, got {args.count}")
     lat = xl.LatticeSpec.chain(args.n, args.j, args.bz)
-    times = np.geomspace(args.t_min, args.t_max, args.count)
-    rows = []
-    for t in times:
-        rows.append((float(t), mg.magnus_error(lat, _magnus_schedule(float(t)), float(t))))
-    slope = float(np.polyfit(np.log([r[0] for r in rows]), np.log([r[1] for r in rows]), 1)[0])
+    times = [float(t) for t in np.geomspace(args.t_min, args.t_max, args.count)]
+    errors, slope = oracles.magnus_slope(lat, times)
     commuting = cs.DriveSchedule("replace", ((0.1, 1.0), (0.2, -0.5)), args.bz)
     summary = {
         "slope": slope,
@@ -643,59 +288,36 @@ def _cmd_magnus_check(args: argparse.Namespace) -> int:
     psi = xl.dicke_state(args.n, 0.0 if args.n % 2 == 0 else 0.5)
     series = {}
     for t in (0.02, 0.05, 0.1):
-        expansion = mg.variance_expansion(psi, lat, _magnus_schedule(t), t)
+        expansion = mg.variance_expansion(psi, lat, oracles.magnus_schedule(t), t)
         series[_fmt(t)] = {label: value for label, value in expansion.series()}
-    status = _emit(
-        args,
-        "magnus-check",
-        {
-            "magnus_error.csv": (["t", "error"], rows),
-            "magnus_check.json": summary,
-            "magnus_variance_series.json": series,
-        },
-    )
-    return status if summary["slope_ok"] else 1
+    artifacts = {
+        "magnus_error.csv": (["t", "error"], list(zip(times, errors))),
+        "magnus_check.json": summary,
+        "magnus_variance_series.json": series,
+    }
+    return artifacts, summary["slope_ok"], []
 
 
-def _cmd_variance_rate(args: argparse.Namespace) -> int:
+def _cmd_variance_rate(args: argparse.Namespace) -> Result:
     lat = xl.LatticeSpec.chain(args.n, args.j, args.bz)
-    ham = xl.build_spin_hamiltonian(lat)
-    transverse = xl.build_transverse_field(args.n, args.by)
     m = (0.0 if args.n % 2 == 0 else 0.5) if args.m is None else args.m
-    psi0 = xl.dicke_state(args.n, m)
-    rows = []
-    worst = 0.0
-    h = 1e-5
-    for theta in np.linspace(0.25, 2.75, args.count):
-
-        def sigma_sq(tt: float) -> float:
-            state = xl.evolve_state(
-                psi0, lat, cs.DriveSchedule("replace", ((tt, args.by),), args.bz)
-            )[-1][1]
-            return xl.variance(state, ham) / args.n**2
-
-        t_f = float(theta) / args.by
-        state = xl.evolve_state(
-            psi0, lat, cs.DriveSchedule("replace", ((t_f, args.by),), args.bz)
-        )[-1][1]
-        rate = mg.variance_rate(state, transverse, ham)
-        fd = (sigma_sq(t_f + h) - sigma_sq(t_f - h)) / (2 * h)
-        rel = abs(rate - fd) / max(abs(fd), 1e-30)
-        worst = max(worst, rel)
-        rows.append((t_f, rate, fd, rel))
+    times = [float(theta) / args.by for theta in np.linspace(0.25, 2.75, args.count)]
+    rows = [
+        (t_f, rate, fd, abs(rate - fd) / max(abs(fd), 1e-30))
+        for t_f, rate, fd in oracles.rate_against_finite_difference(
+            xl.dicke_state(args.n, m), lat, args.by, times
+        )
+    ]
+    worst = max((row[-1] for row in rows), default=0.0)
     summary = {"max_rel_err": worst, "ok": bool(rows) and worst < 1e-6}
-    status = _emit(
-        args,
-        "variance-rate",
-        {
-            "variance_rate.csv": (["t", "rate", "finite_difference", "rel_err"], rows),
-            "variance_rate.json": summary,
-        },
-    )
-    return status if summary["ok"] else 1
+    artifacts = {
+        "variance_rate.csv": (["t", "rate", "finite_difference", "rel_err"], rows),
+        "variance_rate.json": summary,
+    }
+    return artifacts, summary["ok"], []
 
 
-def _cmd_bounds_check(args: argparse.Namespace) -> int:
+def _cmd_bounds_check(args: argparse.Namespace) -> Result:
     lat = xl.LatticeSpec.chain(args.n, args.j, args.bz)
     sched = cs.DriveSchedule("replace", ((max(abs(args.theta), 1e-12), args.by),), args.bz)
     state = xl.evolve_state(xl.dicke_state(args.n, args.m), lat, sched)[-1][1]
@@ -707,10 +329,10 @@ def _cmd_bounds_check(args: argparse.Namespace) -> int:
     )
     payload = {report.label: report.to_json_dict() for report in reports}
     payload["all_satisfied"] = all(r.satisfied for r in reports[:2])
-    return _emit(args, "bounds-check", {"bounds_check.json": payload})
+    return {"bounds_check.json": payload}, True, []
 
 
-def _cmd_rate_threshold(args: argparse.Namespace) -> int:
+def _cmd_rate_threshold(args: argparse.Namespace) -> Result:
     natural = bd.equilibrium_rate_threshold(args.temperature, args.cv_total, args.cv_subsystem)
     payload = {
         "temperature": args.temperature,
@@ -727,10 +349,10 @@ def _cmd_rate_threshold(args: argparse.Namespace) -> int:
             * math.sqrt(args.cv_total * args.cv_subsystem)
             / HBAR_SI
         )
-    return _emit(args, "rate-threshold", {"rate_threshold.json": payload})
+    return {"rate_threshold.json": payload}, True, []
 
 
-def _cmd_ising_corr(args: argparse.Namespace) -> int:
+def _cmd_ising_corr(args: argparse.Namespace) -> Result:
     ensemble = ie.DomainWallEnsemble(args.length, args.walls, args.j)
     beta = ie.temperature_energy_maps(args.length, args.j, energy=ensemble.energy).beta
     rows = []
@@ -750,20 +372,17 @@ def _cmd_ising_corr(args: argparse.Namespace) -> int:
                 ie.domain_wall_correlator(ensemble, d, "thermal", beta=beta),
             )
         )
-    return _emit(
-        args,
-        "ising-corr",
-        {
-            "ising_corr.csv": (
-                ["distance", "enumeration", "hypergeometric", "asymptotic", "thermal"],
-                rows,
-            ),
-            "ising_corr.json": {"beta_from_energy": beta, "energy": ensemble.energy},
-        },
-    )
+    artifacts = {
+        "ising_corr.csv": (
+            ["distance", "enumeration", "hypergeometric", "asymptotic", "thermal"],
+            rows,
+        ),
+        "ising_corr.json": {"beta_from_energy": beta, "energy": ensemble.energy},
+    }
+    return artifacts, True, []
 
 
-def _cmd_dicke_entropy(args: argparse.Namespace) -> int:
+def _cmd_dicke_entropy(args: argparse.Namespace) -> Result:
     rows = []
     for n in args.n:
         n = int(n)
@@ -782,17 +401,14 @@ def _cmd_dicke_entropy(args: argparse.Namespace) -> int:
         payload["ln_slope"] = float(
             np.polyfit(np.log([r[0] for r in rows]), [r[2] for r in rows], 1)[0]
         )
-    return _emit(
-        args,
-        "dicke-entropy",
-        {
-            "dicke_entropy.csv": (["n", "l_a", "exact", "saddle"], rows),
-            "dicke_entropy.json": payload,
-        },
-    )
+    artifacts = {
+        "dicke_entropy.csv": (["n", "l_a", "exact", "saddle"], rows),
+        "dicke_entropy.json": payload,
+    }
+    return artifacts, True, []
 
 
-def _cmd_multiplicity(args: argparse.Namespace) -> int:
+def _cmd_multiplicity(args: argparse.Namespace) -> Result:
     n = args.n
     doubled_values = list(range(n % 2, n + 1, 2))
     rows = []
@@ -807,11 +423,7 @@ def _cmd_multiplicity(args: argparse.Namespace) -> int:
             exact = ie.spin_multiplicity(n, s, "exact")
             gaussian = ie.spin_multiplicity(n, s, "gaussian") if s > 0 else ""
         rows.append((s, exact, gaussian))
-    return _emit(
-        args,
-        "multiplicity",
-        {"multiplicity.csv": (["s", "exact", "gaussian"], rows)},
-    )
+    return {"multiplicity.csv": (["s", "exact", "gaussian"], rows)}, True, []
 
 
 def ingest(data_path: str | Path, meta_path: str | Path) -> no.ViscosityDataset:
@@ -887,43 +499,35 @@ def _fit_artifacts(args: argparse.Namespace) -> tuple[list, dict, list[Path]]:
     return fits, payload, [Path(args.data), Path(args.meta)]
 
 
-def _cmd_viscosity_fit(args: argparse.Namespace) -> int:
+def _cmd_viscosity_fit(args: argparse.Namespace) -> Result:
     fits, payload, inputs = _fit_artifacts(args)
     rows = [
         (fit.liquid_id, fit.abar, fit.residual_rms, len(fit.points), fit.at_boundary)
         for fit in fits
     ]
-    return _emit(
-        args,
-        "viscosity-fit",
-        {
-            "viscosity_fit.json": payload,
-            "viscosity_fit.csv": (
-                ["liquid", "abar", "residual_rms", "n_points", "at_boundary"],
-                rows,
-            ),
-        },
-        input_paths=inputs,
-    )
+    artifacts = {
+        "viscosity_fit.json": payload,
+        "viscosity_fit.csv": (
+            ["liquid", "abar", "residual_rms", "n_points", "at_boundary"],
+            rows,
+        ),
+    }
+    return artifacts, True, inputs
 
 
-def _cmd_collapse(args: argparse.Namespace) -> int:
+def _cmd_collapse(args: argparse.Namespace) -> Result:
     fits, payload, inputs = _fit_artifacts(args)
     rows = [
         (fit.liquid_id, x, y) for fit in fits for x, y in fit.points
     ]
-    return _emit(
-        args,
-        "collapse",
-        {
-            "collapse.csv": (["liquid", "x", "y"], rows),
-            "collapse_fits.json": payload,
-        },
-        input_paths=inputs,
-    )
+    artifacts = {
+        "collapse.csv": (["liquid", "x", "y"], rows),
+        "collapse_fits.json": payload,
+    }
+    return artifacts, True, inputs
 
 
-def _cmd_smear_green(args: argparse.Namespace) -> int:
+def _cmd_smear_green(args: argparse.Namespace) -> Result:
     kernel = _parse_kernel(args.kernel)
     grid = np.linspace(args.omega_min, args.omega_max, args.count)
     result = no.smeared_green(grid, args.eps_k, kernel, args.z, args.tau)
@@ -937,17 +541,14 @@ def _cmd_smear_green(args: argparse.Namespace) -> int:
         "z": args.z,
         "sum_rule_gap": abs(weight - args.z),
     }
-    return _emit(
-        args,
-        "smear-green",
-        {
-            "smear_green.csv": (["omega", "re_g", "im_g", "spectral"], rows),
-            "smear_green.json": summary,
-        },
-    )
+    artifacts = {
+        "smear_green.csv": (["omega", "re_g", "im_g", "spectral"], rows),
+        "smear_green.json": summary,
+    }
+    return artifacts, True, []
 
 
-def _cmd_smear_planck(args: argparse.Namespace) -> int:
+def _cmd_smear_planck(args: argparse.Namespace) -> Result:
     kernel = _parse_kernel(args.kernel)
     rows = []
     for nu in args.nu:
@@ -960,28 +561,31 @@ def _cmd_smear_planck(args: argparse.Namespace) -> int:
             rows.append((nu, value, shifted * 2.0 * PLANCK_SI * nu / C_SI**3))
         else:
             rows.append((nu, value, ""))
-    return _emit(
-        args,
-        "smear-planck",
-        {"smear_planck.csv": (["nu", "radiance_natural", "radiance_si"], rows)},
-    )
+    return {"smear_planck.csv": (["nu", "radiance_natural", "radiance_si"], rows)}, True, []
 
 
-def _cmd_moment_compare(args: argparse.Namespace) -> int:
+def _cmd_moment_compare(args: argparse.Namespace) -> Result:
     rows = []
     for g in range(1, args.g_max + 1):
         arcsine, gaussian = no.moment_compare(g, args.sigma)
         rows.append((g, arcsine, gaussian, gaussian / arcsine))
-    return _emit(
-        args,
-        "moment-compare",
-        {"moment_compare.csv": (["g", "arcsine", "gaussian", "ratio"], rows)},
-    )
+    return {"moment_compare.csv": (["g", "arcsine", "gaussian", "ratio"], rows)}, True, []
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+
+def _count(text: str) -> int:
+    """argparse type of the count flags: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -1029,14 +633,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("exact-check", help="analytic vs 2^N oracle suite")
     p.add_argument("--n-min", dest="n_min", type=int, default=2)
     p.add_argument("--n-max", dest="n_max", type=int, default=6)
-    p.add_argument("--thetas", type=int, default=10)
+    p.add_argument("--thetas", type=_count, default=10)
     p.add_argument("--j", type=float, default=1.0)
     p.add_argument("--bz", type=float, default=1.0)
     p.set_defaults(func=_cmd_exact_check)
 
     p = subparsers.add_parser("bose-dual", help="hard-core boson duality check")
     p.add_argument("--n", type=int, default=6, help="max sites")
-    p.add_argument("--sets", type=int, default=10)
+    p.add_argument("--sets", type=_count, default=10)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=_cmd_bose_dual)
 
@@ -1046,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bz", type=float, default=1.0)
     p.add_argument("--t-min", dest="t_min", type=float, default=1e-3)
     p.add_argument("--t-max", dest="t_max", type=float, default=1e-1)
-    p.add_argument("--count", type=int, default=7)
+    p.add_argument("--count", type=_count, default=7)
     p.set_defaults(func=_cmd_magnus_check)
 
     p = subparsers.add_parser("variance-rate", help="variance rate vs finite differences")
@@ -1055,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=float, default=1.0)
     p.add_argument("--bz", type=float, default=1.0)
     p.add_argument("--by", type=float, default=1.0)
-    p.add_argument("--count", type=int, default=6)
+    p.add_argument("--count", type=_count, default=6)
     p.set_defaults(func=_cmd_variance_rate)
 
     p = subparsers.add_parser("bounds-check", help="two-Hamiltonian uncertainty reports")
@@ -1092,24 +696,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", action="store_true", help="emit natural logs (large N)")
     p.set_defaults(func=_cmd_multiplicity)
 
-    p = subparsers.add_parser("viscosity-fit", help="fit the width parameter per liquid")
-    p.add_argument("--data", required=True)
-    p.add_argument("--meta", required=True)
-    p.add_argument("--abar-lo", dest="abar_lo", type=float, default=0.001)
-    p.add_argument("--abar-hi", dest="abar_hi", type=float, default=1.0)
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--data", required=True)
+    fit.add_argument("--meta", required=True)
+    fit.add_argument("--abar-lo", dest="abar_lo", type=float, default=0.001)
+    fit.add_argument("--abar-hi", dest="abar_hi", type=float, default=1.0)
+
+    p = subparsers.add_parser("viscosity-fit", parents=[fit], help="fit the width parameter per liquid")
     p.set_defaults(func=_cmd_viscosity_fit)
 
-    p = subparsers.add_parser("collapse", help="emit collapse coordinates liquid,x,y")
-    p.add_argument("--data", required=True)
-    p.add_argument("--meta", required=True)
-    p.add_argument("--abar-lo", dest="abar_lo", type=float, default=0.001)
-    p.add_argument("--abar-hi", dest="abar_hi", type=float, default=1.0)
+    p = subparsers.add_parser("collapse", parents=[fit], help="emit collapse coordinates liquid,x,y")
     p.set_defaults(func=_cmd_collapse)
 
     p = subparsers.add_parser("smear-green", help="chemical-potential-smeared Green's function")
     p.add_argument("--omega-min", dest="omega_min", type=float, default=-10.0)
     p.add_argument("--omega-max", dest="omega_max", type=float, default=10.0)
-    p.add_argument("--count", type=int, default=201)
+    p.add_argument("--count", type=_count, default=201)
     p.add_argument("--eps-k", dest="eps_k", type=float, default=0.0)
     p.add_argument("--z", type=float, default=1.0)
     p.add_argument("--tau", type=float, default=10.0)
@@ -1126,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("moment-compare", help="arcsine vs Gaussian moment table")
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--g-max", dest="g_max", type=int, default=5)
+    p.add_argument("--g-max", dest="g_max", type=_count, default=5)
     p.set_defaults(func=_cmd_moment_compare)
 
     for sub in subparsers.choices.values():
@@ -1141,7 +743,7 @@ def main(argv: list[str] | None = None) -> int:
         # selftest mode ignores the subcommand's regular (possibly required)
         # flags; only the subcommand name and --outdir matter
         subcommand = argv[0] if argv and not argv[0].startswith("-") else None
-        if subcommand not in _SELFTESTS:
+        if subcommand not in oracles.SUITES:
             print(f"error: --selftest needs a known subcommand, got {subcommand!r}", file=sys.stderr)
             return 2
         mini = argparse.ArgumentParser(prog=f"drivenfluct {subcommand}")
@@ -1155,10 +757,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        artifacts, ok, input_paths = args.func(args)
+        _emit(args, args.subcommand, artifacts, input_paths)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -202,6 +202,10 @@ class EmpiricalDistribution:
         weights = np.array([w for _, w in pts])
         if weights.size == 0:
             raise ValueError("empirical distribution needs at least one point")
+        for label, column in (("values", np.array([v for v, _ in pts])), ("weights", weights)):
+            bad = column[~np.isfinite(column)]
+            if bad.size:
+                raise ValueError(f"empirical {label} must be finite, got {float(bad[0])!r}")
         if np.any(weights < -1e-12):
             raise ValueError("empirical weights must be non-negative")
         total = math.fsum(w for _, w in pts)

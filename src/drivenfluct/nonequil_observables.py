@@ -71,6 +71,10 @@ class DeltaKernel:
 
     at: float
 
+    def __post_init__(self):
+        if not -math.inf < self.at < math.inf:
+            raise ValueError(f"delta kernel needs a finite location, got {self.at!r}")
+
 
 @dataclass(frozen=True)
 class GaussianKernel:
@@ -80,6 +84,8 @@ class GaussianKernel:
     sigma: float
 
     def __post_init__(self):
+        if not -math.inf < self.mean < math.inf:
+            raise ValueError(f"gaussian kernel needs a finite mean, got {self.mean!r}")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"gaussian kernel needs finite sigma > 0, got {self.sigma!r}")
 
@@ -488,8 +494,14 @@ def moment_compare(g: int, sigma: float) -> tuple[float, float]:
         raise ValueError("g must be a positive integer")
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
-    arcsine = math.comb(2 * g, g) * (0.5 * sigma * sigma) ** g
-    gaussian = (
-        math.factorial(2 * g) / (2.0**g * math.factorial(g))
-    ) * sigma ** (2 * g)
+    try:
+        arcsine = math.comb(2 * g, g) * (0.5 * sigma * sigma) ** g
+        gaussian = (
+            math.factorial(2 * g) / (2.0**g * math.factorial(g))
+        ) * sigma ** (2 * g)
+    except OverflowError:
+        gaussian = math.inf
+    # the Gaussian moment is g! times the arcsine one, so it overflows first
+    if not gaussian < math.inf:
+        raise ArithmeticError(f"g = {g}: the Gaussian moment overflows a float")
     return arcsine, gaussian

@@ -24,6 +24,7 @@ from drivenfluct import exact_lattice as xl
 from drivenfluct import ising_entangle as ie
 from drivenfluct import magnus as mg
 from drivenfluct import nonequil_observables as no
+from drivenfluct import oracles
 from drivenfluct import special as sp
 
 DATA = Path(__file__).parent / "data"
@@ -38,29 +39,22 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_01_analytic_oracle_equivalence():
     start = time.monotonic()
-    theta_step = 2.0 * math.pi / 20.0
-    worst = 0.0
-    for n in range(2, xl.MAX_SITES + 1):
-        lattice = xl.LatticeSpec.chain(n, 1.0, 1.0)
-        hamiltonian = xl.build_spin_hamiltonian(lattice, with_decomposition=False)
-        schedule = cs.DriveSchedule("replace", ((theta_step, 1.0),) * 20, 1.0)
-        s_tot = n / 2.0
-        for k in range(n + 1):
-            m = -s_tot + k
-            sector = cs.SpinSector(n, s_tot, m)
-            trajectory = xl.evolve_state(xl.dicke_state(n, m), lattice, schedule)
-            for t, state in trajectory[1:]:
-                gap = abs(
-                    xl.energy_density_sigma(state, hamiltonian)
-                    - cs.analytic_sigma(sector, schedule, t)
-                )
-                worst = max(worst, gap)
+    sizes = range(2, xl.MAX_SITES + 1)
+    schedule = cs.DriveSchedule("replace", ((2.0 * math.pi / 20.0, 1.0),) * 20, 1.0)
+    rows = [
+        row
+        for n in sizes
+        for row in oracles.sigma_sweep(xl.LatticeSpec.chain(n, 1.0, 1.0), schedule)
+    ]
+    worst = max(abs(oracle - analytic) for _, _, oracle, analytic in rows)
     elapsed = time.monotonic() - start
+    # every sector of every size, at each of the 20 segment boundaries
+    expected_rows = sum(20 * (n + 1) for n in sizes)
     _report(
         1,
         "analytic-oracle equivalence",
-        worst < 1e-10 and elapsed < 60.0,
-        f"max |diff| = {worst:.3e}, {elapsed:.1f} s",
+        len(rows) == expected_rows and worst < 1e-10 and elapsed < 60.0,
+        f"{len(rows)} rows, max |diff| = {worst:.3e}, {elapsed:.1f} s",
     )
 
 
@@ -131,70 +125,31 @@ def test_criterion_04_boson_duality():
 
 def test_criterion_05_magnus():
     lattice = xl.LatticeSpec.chain(3, 1.0, 1.0)
-
-    def schedule(t):
-        return cs.DriveSchedule("augment", ((t / 3.0, 1.0), (2.0 * t / 3.0, -0.5)), 1.0)
-
-    times = np.geomspace(1e-3, 1e-1, 9)
-    errors = [mg.magnus_error(lattice, schedule(float(t)), float(t)) for t in times]
-    slope = float(np.polyfit(np.log(times), np.log(errors), 1)[0])
+    errors, slope = oracles.magnus_slope(lattice, np.geomspace(1e-3, 1e-1, 9))
 
     psi = xl.dicke_state(3, 0.5)
     bracket = max(
-        abs(mg.variance_expansion(psi, lattice, schedule(t), t).first_bracket)
+        abs(mg.variance_expansion(psi, lattice, oracles.magnus_schedule(t), t).first_bracket)
         for t in (0.05, 0.2)
     )
 
-    hamiltonian = xl.build_spin_hamiltonian(lattice)
-    transverse = xl.build_transverse_field(3, 1.0)
-    step = 1e-5
-    worst_rate = 0.0
-    for theta in (0.4, 0.9, 1.7):
-        state = xl.evolve_state(
-            psi, lattice, cs.DriveSchedule("replace", ((theta, 1.0),), 1.0)
-        )[-1][1]
-        rate = mg.variance_rate(state, transverse, hamiltonian)
-
-        def sigma_sq(t):
-            out = xl.evolve_state(
-                psi, lattice, cs.DriveSchedule("replace", ((t, 1.0),), 1.0)
-            )[-1][1]
-            return xl.variance(out, hamiltonian) / 9.0
-
-        fd = (sigma_sq(theta + step) - sigma_sq(theta - step)) / (2 * step)
-        worst_rate = max(worst_rate, abs(rate - fd) / abs(fd))
+    rates = oracles.rate_against_finite_difference(psi, lattice, 1.0, (0.4, 0.9, 1.7))
+    worst_rate = max(abs(rate - fd) / abs(fd) for _, rate, fd in rates)
     _report(
         5,
         "magnus truncation and variance rate",
-        abs(slope - 3.0) <= 0.2 and bracket < 1e-12 and worst_rate < 1e-6,
+        len(errors) == 9
+        and len(rates) == 3
+        and abs(slope - 3.0) <= 0.2
+        and bracket < 1e-12
+        and worst_rate < 1e-6,
         f"slope = {slope:.3f}, first bracket = {bracket:.2e}, rate rel err = {worst_rate:.2e}",
     )
 
 
 def test_criterion_06_bounds():
-    rng = np.random.default_rng(20240915)
-    worst_slack = math.inf
-    for _ in range(1000):
-        dim = int(rng.integers(2, 65))
-        n_sites = max(1, (dim - 1).bit_length())
-        pad = 1 << n_sites
-        h_a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h_b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        vec /= np.linalg.norm(vec)
-        ha_pad = np.zeros((pad, pad), dtype=complex)
-        ha_pad[:dim, :dim] = (h_a + h_a.conj().T) / 2
-        hb_pad = np.zeros((pad, pad), dtype=complex)
-        hb_pad[:dim, :dim] = (h_b + h_b.conj().T) / 2
-        amplitudes = np.zeros(pad, dtype=complex)
-        amplitudes[:dim] = vec
-        report = bd.uncertainty_check(
-            xl.QuantumState(amplitudes, n_sites),
-            xl.MatrixOperator(ha_pad, n_sites, ("all",), (ha_pad,)),
-            xl.MatrixOperator(hb_pad, n_sites, ("all",), (hb_pad,)),
-            4,
-        )[0]
-        worst_slack = min(worst_slack, report.slack)
+    slacks = oracles.robertson_fuzz(np.random.default_rng(20240915), 1000, 64)
+    worst_slack = min(slacks)
 
     lattice = xl.LatticeSpec.chain(4, 1.0, 1.0)
     state = xl.evolve_state(
@@ -207,7 +162,7 @@ def test_criterion_06_bounds():
     _report(
         6,
         "uncertainty bounds",
-        worst_slack >= -1e-12 and worked_ok,
+        len(slacks) == 1000 and worst_slack >= -1e-12 and worked_ok,
         f"min fuzz slack = {worst_slack:.2e}, worked (lhs, rhs) = ({worked.lhs:.6f}, {worked.rhs:.6f})",
     )
 
@@ -428,7 +383,7 @@ def test_criterion_11_smearing():
 
 
 def test_criterion_12_determinism(tmp_path):
-    subcommands = sorted(cli._SELFTESTS)
+    subcommands = sorted(oracles.SUITES)
     identical = True
     failures = []
     for name in subcommands:

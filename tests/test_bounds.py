@@ -8,22 +8,9 @@ import pytest
 from drivenfluct import bounds as bd
 from drivenfluct import collective_spin as cs
 from drivenfluct import exact_lattice as xl
+from drivenfluct import oracles
 
 PI = math.pi
-
-
-def _padded_operator(matrix, n_sites):
-    dim = 1 << n_sites
-    padded = np.zeros((dim, dim), dtype=complex)
-    padded[: matrix.shape[0], : matrix.shape[1]] = matrix
-    return xl.MatrixOperator(padded, n_sites, ("all",), (padded,))
-
-
-def _padded_state(vector, n_sites):
-    dim = 1 << n_sites
-    amplitudes = np.zeros(dim, dtype=complex)
-    amplitudes[: vector.size] = vector
-    return xl.QuantumState(amplitudes, n_sites)
 
 
 class TestUncertaintyCheck:
@@ -80,21 +67,9 @@ class TestUncertaintyCheck:
         assert abs(robertson.rhs - rate.rhs) < 1e-12
 
     def test_robertson_fuzz(self):
-        rng = np.random.default_rng(424242)
-        worst = math.inf
-        for _ in range(300):
-            dim = int(rng.integers(2, 65))
-            n_sites = max(1, (dim - 1).bit_length())
-            h_a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            h_b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            op_a = _padded_operator((h_a + h_a.conj().T) / 2, n_sites)
-            op_b = _padded_operator((h_b + h_b.conj().T) / 2, n_sites)
-            state = _padded_state(vec / np.linalg.norm(vec), n_sites)
-            report = bd.uncertainty_check(state, op_a, op_b, 4)[0]
-            worst = min(worst, report.slack)
-            assert report.satisfied
-        assert worst >= -1e-12
+        slacks = oracles.robertson_fuzz(np.random.default_rng(424242), 300, 64)
+        assert len(slacks) == 300
+        assert min(slacks) >= -1e-12
 
     def test_augment_generator_width_is_static(self):
         # the augment drive conserves its own moments, so sigma(H_total) must
@@ -124,9 +99,6 @@ class TestUncertaintyCheck:
 
 
 class TestRateThreshold:
-    def test_unit_case(self):
-        assert bd.equilibrium_rate_threshold(1.0, 1.0, 1.0) == 2.0
-
     def test_zero_capacity(self):
         assert bd.equilibrium_rate_threshold(5.0, 0.0, 3.0) == 0.0
         assert bd.equilibrium_rate_threshold(5.0, 3.0, 0.0) == 0.0

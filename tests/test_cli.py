@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,17 @@ from drivenfluct import nonequil_observables as no
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+GATES = ("ok", "all_ok", "slope_ok", "all_satisfied")
+
+
+def readme_examples():
+    """The ``drivenfluct ...`` lines of the README's CLI examples block, as argv lists."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Examples:\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("drivenfluct ")]
+    if not examples:
+        raise ValueError("README has no CLI examples block")
+    return examples
 
 
 def run_cli(args, outdir):
@@ -113,6 +125,9 @@ class TestSpinCommands:
         assert float(rows[1]["gaussian"]) == 3.0
         assert run_cli(["moment-compare", "--sigma", "nan"], tmp_path) == 1
         assert "sigma must be positive and finite, got nan" in capsys.readouterr().err
+        assert run_cli(["moment-compare", "--g-max", "200"], tmp_path / "big") == 1
+        assert "g = 86: the Gaussian moment overflows a float" in capsys.readouterr().err
+        assert not (tmp_path / "big").exists()
 
 
 class TestPhysicsCommands:
@@ -277,10 +292,22 @@ class TestIngest:
 
 
 class TestCliBehavior:
-    def test_usage_error_exit_2(self):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["spin-sigma", "--not-a-flag"])
-        assert err.value.code == 2
+    def test_usage_error_exit_2(self, tmp_path, capsys):
+        cases = [
+            (["spin-sigma", "--not-a-flag"], "drivenfluct spin-sigma: error:"),
+            (["variance-rate", "--count", "-1"], "argument --count: expected a non-negative integer, got '-1'"),
+            (["smear-green", "--kernel", "delta:0", "--count", "-2"], "argument --count: expected"),
+            (["exact-check", "--thetas", "-1"], "argument --thetas: expected"),
+            (["bose-dual", "--sets", "-3"], "argument --sets: expected"),
+            (["moment-compare", "--g-max", "-1"], "argument --g-max: expected"),
+            (["moment-compare", "--g-max", "two"], "argument --g-max: expected a non-negative integer, got 'two'"),
+        ]
+        for argv, message in cases:
+            with pytest.raises(SystemExit) as err:
+                run_cli(argv, tmp_path / "out")
+            assert err.value.code == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_numerical_failure_exit_1(self, tmp_path, capsys):
         status = run_cli(
@@ -313,8 +340,16 @@ class TestCliBehavior:
         for spec in ("triangle:1.0", "gauss:1.0", "delta:", "empirical:0.5", "gauss:1.0,x"):
             with pytest.raises(ValueError, match=f"malformed kernel spec {spec!r}, expected delta:AT"):
                 cli._parse_kernel(spec)
-        for spec in ("gauss:0.0,nan", "gauss:0.0,inf"):
-            with pytest.raises(ValueError, match="finite sigma > 0"):
+        for spec, message in (
+            ("gauss:0.0,nan", "finite sigma > 0"),
+            ("gauss:0.0,inf", "finite sigma > 0"),
+            ("delta:nan", "delta kernel needs a finite location, got nan"),
+            ("delta:inf", "delta kernel needs a finite location, got inf"),
+            ("gauss:nan,0.5", "gaussian kernel needs a finite mean, got nan"),
+            ("empirical:0.5:nan", "empirical weights must be finite, got nan"),
+            ("empirical:nan:1.0", "empirical values must be finite, got nan"),
+        ):
+            with pytest.raises(ValueError, match=message):
                 cli._parse_kernel(spec)
 
     @given(
@@ -330,6 +365,19 @@ class TestCliBehavior:
         points = tuple((v, w / total) for v, w in pairs)
         spec = "empirical:" + ",".join(f"{v!r}:{w!r}" for v, w in points)
         assert cli._parse_kernel(spec) == no.EmpiricalKernel(points)
+
+    @pytest.mark.parametrize("argv", readme_examples(), ids=lambda argv: argv[0])
+    def test_readme_example(self, tmp_path, monkeypatch, argv):
+        data, meta = write_fixture(
+            tmp_path, [("glassa", 0.085, 1000.0, 2.0, np.linspace(620.0, 1000.0, 14))]
+        )
+        data.rename(tmp_path / "viscosity.csv")
+        meta.rename(tmp_path / "viscosity_meta.csv")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv, tmp_path / "out") == 0
+        for path in (tmp_path / "out").glob("*.json"):
+            payload = read_json(path)
+            assert all(payload[gate] is True for gate in GATES if gate in payload), path.name
 
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DRIVENFLUCT_OUTDIR", str(tmp_path / "envout"))

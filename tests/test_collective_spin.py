@@ -100,12 +100,6 @@ class TestDriveScheduleValidation:
 
 
 class TestAnalyticSigma:
-    def test_worked_value(self):
-        # N=4, S=2, m=0, B_z=1, quarter rotation; equals sqrt(1.5)/(2 sqrt 2)
-        sector = cs.SpinSector(4, 2, 0)
-        sigma = cs.analytic_sigma(sector, replace_schedule(PI / 2), PI / 2)
-        assert sigma == pytest.approx(0.4330127018922193, abs=1e-12)
-
     def test_identity_rotation(self):
         sector = cs.SpinSector(6, 3, 1)
         assert cs.analytic_sigma(sector, replace_schedule(0.0), 0.0) == 0.0

@@ -14,6 +14,7 @@ from drivenfluct import bounds as bd
 from drivenfluct import collective_spin as cs
 from drivenfluct import exact_lattice as xl
 from drivenfluct import magnus as mg
+from drivenfluct import oracles
 
 PI = math.pi
 
@@ -99,14 +100,10 @@ class TestEvolution:
     @pytest.mark.parametrize("n,m", [(4, 0), (4, 1), (5, -1.5), (6, 2)])
     def test_dicke_sigma_matches_closed_form(self, n, m):
         lat = xl.LatticeSpec.chain(n, 1.0, 1.0)
-        ham = xl.build_spin_hamiltonian(lat, with_decomposition=False)
-        sector = cs.SpinSector(n, n / 2.0, m)
         for theta in (0.4, PI / 2, 2.2):
-            sched = replace_schedule(theta)
-            state = xl.evolve_state(xl.dicke_state(n, m), lat, sched)[-1][1]
-            assert xl.energy_density_sigma(state, ham) == pytest.approx(
-                cs.analytic_sigma(sector, sched, theta), abs=1e-10
-            )
+            [(_, t, oracle, analytic)] = oracles.sigma_sweep(lat, replace_schedule(theta), (m,))
+            assert t == theta
+            assert oracle == pytest.approx(analytic, abs=1e-10)
 
     def test_full_rotation_returns_observables(self):
         lat = xl.LatticeSpec.chain(4, 1.0, 1.0)

@@ -10,10 +10,6 @@ from drivenfluct import ising_entangle as ie
 
 
 class TestDomainWallCorrelator:
-    def test_aligned_two_site(self):
-        ensemble = ie.DomainWallEnsemble(2, 0)
-        assert ie.domain_wall_correlator(ensemble, 1, "enumeration") == 1.0
-
     def test_three_site_one_wall(self):
         # the four one-wall states give 0 at d=1 and -1 at d=2, while the
         # independent-bond limit gives 0 for both: the closed form is a
@@ -109,16 +105,6 @@ class TestTemperatureEnergyMaps:
 
 
 class TestDickeEntanglement:
-    def test_two_site_bell(self):
-        assert ie.dicke_entanglement(ie.DickeSplit(2, 0, 1)) == pytest.approx(
-            math.log(2.0), abs=1e-14
-        )
-
-    def test_four_site_value(self):
-        # Schmidt weights {1/6, 2/3, 1/6}
-        entropy = ie.dicke_entanglement(ie.DickeSplit(4, 0, 2))
-        assert entropy == pytest.approx(0.8675632284814612, abs=1e-12)
-
     def test_symmetries(self):
         for n, m, left in ((10, 2, 3), (9, 1.5, 4), (12, -3, 5)):
             forward = ie.dicke_entanglement(ie.DickeSplit(n, m, left))

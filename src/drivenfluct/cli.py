@@ -568,7 +568,16 @@ def _cmd_moment_compare(args: argparse.Namespace) -> Result:
     rows = []
     for g in range(1, args.g_max + 1):
         arcsine, gaussian = no.moment_compare(g, args.sigma)
-        rows.append((g, arcsine, gaussian, gaussian / arcsine))
+        # a subnormal arcsine moment keeps too few bits to divide by
+        if arcsine < sys.float_info.min:
+            raise ArithmeticError(
+                f"g = {g}: the arcsine moment underflows a float at --sigma {args.sigma!r};"
+                " raise --sigma or lower --g-max"
+            )
+        ratio = gaussian / arcsine
+        if ratio == math.inf:
+            raise ArithmeticError(f"g = {g}: the moment ratio g! overflows a float; lower --g-max")
+        rows.append((g, arcsine, gaussian, ratio))
     return {"moment_compare.csv": (["g", "arcsine", "gaussian", "ratio"], rows)}, True, []
 
 
@@ -577,15 +586,21 @@ def _cmd_moment_compare(args: argparse.Namespace) -> Result:
 # ---------------------------------------------------------------------------
 
 
-def _count(text: str) -> int:
-    """argparse type of the count flags: a non-negative integer."""
+def _count(text: str, minimum: int = 0) -> int:
+    """argparse type of the count flags: an integer of at least ``minimum``."""
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+        value = minimum - 1
+    if value < minimum:
+        kind = "non-negative" if minimum == 0 else "positive"
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return value
+
+
+def _positive_count(text: str) -> int:
+    """argparse type of the count flags that have no zero-row case."""
+    return _count(text, minimum=1)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -633,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("exact-check", help="analytic vs 2^N oracle suite")
     p.add_argument("--n-min", dest="n_min", type=int, default=2)
     p.add_argument("--n-max", dest="n_max", type=int, default=6)
-    p.add_argument("--thetas", type=_count, default=10)
+    p.add_argument("--thetas", type=_positive_count, default=10)
     p.add_argument("--j", type=float, default=1.0)
     p.add_argument("--bz", type=float, default=1.0)
     p.set_defaults(func=_cmd_exact_check)
@@ -711,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("smear-green", help="chemical-potential-smeared Green's function")
     p.add_argument("--omega-min", dest="omega_min", type=float, default=-10.0)
     p.add_argument("--omega-max", dest="omega_max", type=float, default=10.0)
-    p.add_argument("--count", type=_count, default=201)
+    p.add_argument("--count", type=_positive_count, default=201)
     p.add_argument("--eps-k", dest="eps_k", type=float, default=0.0)
     p.add_argument("--z", type=float, default=1.0)
     p.add_argument("--tau", type=float, default=10.0)

@@ -11,11 +11,12 @@ arithmetic long before the system sizes of interest.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "DomainWallEnsemble",
@@ -73,15 +74,13 @@ class DomainWallEnsemble:
 
 
 def _enumeration_fraction(ensemble: DomainWallEnsemble, distance: int, site: int) -> Fraction:
-    bonds = ensemble.bond_count
-    window = range(site, site + distance)
-    total = 0
-    count = 0
-    for walls in itertools.combinations(range(bonds), ensemble.wall_count):
-        inside = sum(1 for w in walls if w in window)
-        total += -1 if inside % 2 else 1
-        count += 1
-    return Fraction(total, count)
+    # bit b of a configuration marks a wall on bond b; S^z_r S^z_{r+d} is -1
+    # exactly when an odd number of walls sits on the bonds r .. r+d-1
+    configs = np.arange(1 << ensemble.bond_count, dtype=np.uint32)
+    configs = configs[np.bitwise_count(configs) == ensemble.wall_count]
+    window = ((1 << distance) - 1) << site
+    odd = int(np.count_nonzero(np.bitwise_count(configs & window) & 1))
+    return Fraction(configs.size - 2 * odd, configs.size)
 
 
 def _hypergeometric_fraction(ensemble: DomainWallEnsemble, distance: int) -> Fraction:
@@ -100,7 +99,13 @@ def correlator_fraction(
     method: Literal["enumeration", "hypergeometric"],
     site: int = 0,
 ) -> Fraction:
-    """Exact rational <S^z_r S^z_{r+d}> for the two exact methods."""
+    """Exact rational <S^z_r S^z_{r+d}> for the two exact methods.
+
+    "enumeration" lists every wall configuration as a bit mask over the
+    bonds (2^(L-1) masks, hence the cap at chain length 20) and counts those
+    with an odd number of walls between r and r+d; "hypergeometric" sums the
+    closed form over the wall count inside that window.
+    """
     if not 1 <= distance <= ensemble.bond_count - site:
         raise ValueError(f"distance {distance} out of range for site {site}")
     if method == "enumeration":
@@ -124,12 +129,12 @@ def domain_wall_correlator(
     """Two-point spin correlator at the given separation, by four routes.
 
     "enumeration" averages S^z_r S^z_{r+d} over the equal-amplitude
-    superposition of all fixed-wall-count configurations (the correlator is
-    diagonal in the product basis, so the state average is the configuration
-    average; it is independent of r, which tests may verify by varying
-    ``site``).  "hypergeometric" is the same number in closed form,
-    "asymptotic" the independent-bond limit ((B - 2k)/B)^d, and "thermal" the
-    canonical-chain value tanh(beta J)^d.
+    superposition of all fixed-wall-count configurations, enumerated as bit
+    masks (the correlator is diagonal in the product basis, so the state
+    average is the configuration average; it is independent of r, which
+    tests may verify by varying ``site``).  "hypergeometric" is the same
+    number in closed form, "asymptotic" the independent-bond limit
+    ((B - 2k)/B)^d, and "thermal" the canonical-chain value tanh(beta J)^d.
     """
     if method in ("enumeration", "hypergeometric"):
         return float(correlator_fraction(ensemble, distance, method, site=site))
@@ -318,18 +323,15 @@ def spin_multiplicity(
     """Number of total-spin-S sectors among N coupled spin-1/2 sites.
 
     "exact" evaluates the SU(2) character count N!(2S+1)/((N/2+S+1)!(N/2-S)!)
-    in exact integers.  "gaussian" is the fixed N >> S >> 1 approximation
-    2^(N+5/2) e^(-2S^2/N) S / (N^(3/2) sqrt(pi)); it overflows floats near
-    N ~ 700, where :func:`spin_multiplicity_log` stays usable.
+    in exact integers, written as C(N, N/2-S)(2S+1)/(N/2+S+1).  "gaussian" is
+    the fixed N >> S >> 1 approximation 2^(N+5/2) e^(-2S^2/N) S /
+    (N^(3/2) sqrt(pi)); it overflows floats near N ~ 700, where
+    :func:`spin_multiplicity_log` stays usable.
     """
     doubled = _check_sector(n_sites, s_tot)
     if method == "exact":
-        numerator = math.factorial(n_sites) * (doubled + 1)
-        denominator = (
-            math.factorial((n_sites + doubled) // 2 + 1)
-            * math.factorial((n_sites - doubled) // 2)
-        )
-        count, remainder = divmod(numerator, denominator)
+        lower = (n_sites - doubled) // 2  # N/2 - S
+        count, remainder = divmod(math.comb(n_sites, lower) * (doubled + 1), n_sites - lower + 1)
         if remainder:
             raise ArithmeticError("character count is not an integer")
         return count

@@ -19,6 +19,7 @@ from typing import Callable, Literal, Sequence, Union
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import wofz
 
 from .collective_spin import EmpiricalDistribution
 from .special import erfc, log_erfc
@@ -372,7 +373,10 @@ def smeared_green(
 
     G(omega) = integral d mu' P(mu') Z / (omega - eps_k + mu' + i/tau), with
     the spectral function A = -Im G / pi attached.  Z and tau are held fixed
-    across the kernel (sweep momenta externally).
+    across the kernel (sweep momenta externally).  Delta and empirical kernels
+    sum Lorentzians exactly; a Gaussian kernel gives the Voigt profile
+    G = -i Z sqrt(pi/2)/sigma w((omega - eps_k + mean + i/tau)/(sigma sqrt 2)),
+    with w the Faddeeva function, evaluated over the whole grid at once.
     """
     omega = np.asarray(omega_grid, dtype=float)
     if omega.ndim != 1 or omega.size == 0:
@@ -384,38 +388,23 @@ def smeared_green(
     if lifetime <= 0.0:
         raise ValueError("lifetime must be positive")
 
-    values = np.empty(omega.size, dtype=complex)
-    for idx, w in enumerate(omega):
-        if isinstance(kernel, DeltaKernel):
-            values[idx] = _lorentzian(w, eps_k, kernel.at, z_weight, lifetime)
-        elif isinstance(kernel, EmpiricalDistribution):
-            values[idx] = sum(
-                weight * _lorentzian(w, eps_k, mu, z_weight, lifetime)
-                for mu, weight in kernel.points
-            )
-        elif isinstance(kernel, GaussianKernel):
-            lo, hi = kernel.support
-            resonance = eps_k - w
-            points = [resonance] if lo < resonance < hi else None
-            re, _ = quad(
-                lambda mu: kernel.density(mu)
-                * _lorentzian(w, eps_k, mu, z_weight, lifetime).real,
-                lo,
-                hi,
-                points=points,
-                **_QUAD_KW,
-            )
-            im, _ = quad(
-                lambda mu: kernel.density(mu)
-                * _lorentzian(w, eps_k, mu, z_weight, lifetime).imag,
-                lo,
-                hi,
-                points=points,
-                **_QUAD_KW,
-            )
-            values[idx] = complex(re, im)
-        else:
-            raise TypeError(f"unknown kernel type {type(kernel).__name__}")
+    if isinstance(kernel, GaussianKernel):
+        scale = kernel.sigma * math.sqrt(2.0)
+        values = (-1j * z_weight * math.sqrt(math.pi) / scale) * wofz(
+            (omega - eps_k + kernel.mean + 1j / lifetime) / scale
+        )
+    else:
+        values = np.empty(omega.size, dtype=complex)
+        for idx, w in enumerate(omega):
+            if isinstance(kernel, DeltaKernel):
+                values[idx] = _lorentzian(w, eps_k, kernel.at, z_weight, lifetime)
+            elif isinstance(kernel, EmpiricalDistribution):
+                values[idx] = sum(
+                    weight * _lorentzian(w, eps_k, mu, z_weight, lifetime)
+                    for mu, weight in kernel.points
+                )
+            else:
+                raise TypeError(f"unknown kernel type {type(kernel).__name__}")
     spectral = -values.imag / math.pi
     return GreenResult(omega=omega, values=values, spectral=spectral)
 
@@ -488,20 +477,20 @@ def moment_compare(g: int, sigma: float) -> tuple[float, float]:
     """Order-2g central moments of the arcsine and Gaussian laws at equal sigma.
 
     Arcsine counting gives binom(2g, g)(sigma^2/2)^g, Gaussian pairing gives
-    (2g)!/(2^g g!) sigma^(2g); they agree only at g = 1.
+    (2g)!/(2^g g!) sigma^(2g); they agree only at g = 1.  Both are formed as
+    exact rationals and rounded once, so neither overflows or underflows
+    before its value does.
     """
     if g < 1:
         raise ValueError("g must be a positive integer")
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    # sigma^(2g) / 2^g as an exact ratio of integers; int / int rounds once
+    num, den = sigma.as_integer_ratio()
+    num, den = num ** (2 * g), 2**g * den ** (2 * g)
     try:
-        arcsine = math.comb(2 * g, g) * (0.5 * sigma * sigma) ** g
-        gaussian = (
-            math.factorial(2 * g) / (2.0**g * math.factorial(g))
-        ) * sigma ** (2 * g)
+        # the Gaussian moment is g! times the arcsine one, so it overflows first
+        gaussian = math.perm(2 * g, g) * num / den
     except OverflowError:
-        gaussian = math.inf
-    # the Gaussian moment is g! times the arcsine one, so it overflows first
-    if not gaussian < math.inf:
-        raise ArithmeticError(f"g = {g}: the Gaussian moment overflows a float")
-    return arcsine, gaussian
+        raise ArithmeticError(f"g = {g}: the Gaussian moment overflows a float") from None
+    return math.comb(2 * g, g) * num / den, gaussian

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -126,8 +127,17 @@ class TestSpinCommands:
         assert run_cli(["moment-compare", "--sigma", "nan"], tmp_path) == 1
         assert "sigma must be positive and finite, got nan" in capsys.readouterr().err
         assert run_cli(["moment-compare", "--g-max", "200"], tmp_path / "big") == 1
-        assert "g = 86: the Gaussian moment overflows a float" in capsys.readouterr().err
+        # at sigma = 1 the moment (2g - 1)!! first leaves the float range at g = 151
+        assert "g = 151: the Gaussian moment overflows a float" in capsys.readouterr().err
         assert not (tmp_path / "big").exists()
+        # a small sigma sends the arcsine moment below the float range first
+        assert run_cli(["moment-compare", "--sigma", "0.01", "--g-max", "90"], tmp_path / "small") == 1
+        err = capsys.readouterr().err
+        assert "g = 83: the arcsine moment underflows a float at --sigma 0.01" in err
+        assert not (tmp_path / "small").exists()
+        # both moments stay finite past g = 170, their ratio g! does not
+        assert run_cli(["moment-compare", "--sigma", "0.096", "--g-max", "175"], tmp_path / "ratio") == 1
+        assert "g = 171: the moment ratio g! overflows a float" in capsys.readouterr().err
 
 
 class TestPhysicsCommands:
@@ -189,6 +199,11 @@ class TestPhysicsCommands:
         ) == 0
         summary = read_json(tmp_path / "smear_green.json")
         assert summary["sum_rule_gap"] < 1e-6
+
+    def test_smear_green_narrow_gaussian_is_quadrature_free(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["smear-green", "--kernel", "gauss:0.0,0.05", "--tau", "1000"], tmp_path) == 0
 
     def test_smear_planck(self, tmp_path):
         assert run_cli(
@@ -298,6 +313,8 @@ class TestCliBehavior:
             (["variance-rate", "--count", "-1"], "argument --count: expected a non-negative integer, got '-1'"),
             (["smear-green", "--kernel", "delta:0", "--count", "-2"], "argument --count: expected"),
             (["exact-check", "--thetas", "-1"], "argument --thetas: expected"),
+            (["exact-check", "--thetas", "0"], "argument --thetas: expected a positive integer, got '0'"),
+            (["smear-green", "--kernel", "delta:0", "--count", "0"], "argument --count: expected a positive integer, got '0'"),
             (["bose-dual", "--sets", "-3"], "argument --sets: expected"),
             (["moment-compare", "--g-max", "-1"], "argument --g-max: expected"),
             (["moment-compare", "--g-max", "two"], "argument --g-max: expected a non-negative integer, got 'two'"),

@@ -38,6 +38,22 @@ class TestDomainWallCorrelator:
         }
         assert len(values) == 1
 
+    def test_enumeration_equals_closed_form(self):
+        for length in range(2, 13):
+            bonds = length - 1
+            for walls in range(bonds + 1):
+                ensemble = ie.DomainWallEnsemble(length, walls)
+                for distance in range(1, bonds + 1):
+                    closed = ie.correlator_fraction(ensemble, distance, "hypergeometric")
+                    for site in range(bonds - distance + 1):
+                        assert ie.correlator_fraction(ensemble, distance, "enumeration", site=site) == closed
+        # the enumeration cap, at the distances the benchmark asks for
+        ensemble = ie.DomainWallEnsemble(20, 6)
+        for distance in range(1, 20, 3):
+            assert ie.correlator_fraction(ensemble, distance, "enumeration") == ie.correlator_fraction(
+                ensemble, distance, "hypergeometric"
+            )
+
     def test_gap_halves_when_length_doubles(self):
         # fixed wall density 0.3 and d = 2; closed form of the gap is
         # (1 - base^2)/(B - 1), so doubling B halves it
@@ -164,7 +180,7 @@ class TestSpinMultiplicity:
 
     def test_ballot_identity(self):
         # independent route: M(N, S) = C(N, N/2 - S) - C(N, N/2 - S - 1)
-        for n in (6, 11, 40):
+        for n in (6, 11, 40, 1500):
             doubled_values = range(n % 2, n + 1, 2)
             for doubled in doubled_values:
                 j = (n - doubled) // 2

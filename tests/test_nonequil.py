@@ -1,6 +1,7 @@
 """Kernel averaging, viscosity law and collapse fits, smeared spectra, moments."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -198,6 +199,45 @@ class TestSmearedGreen:
         closed = no.spectral_weight(1.0, kernel, 0.7, 2.0, -8.0, 8.0)
         assert direct == pytest.approx(closed, abs=1e-8)
 
+    @staticmethod
+    def _line_quadrature(omega, eps_k, kernel, z_weight, lifetime):
+        # independent of the Voigt form: Gaussian times Lorentzian integrated
+        # over the whole line, split at the resonance and at the kernel mean
+        def part(component, lo, hi):
+            value, _ = quad(
+                lambda mu: kernel.density(mu)
+                * component(z_weight / complex(omega - eps_k + mu, 1.0 / lifetime)),
+                lo,
+                hi,
+                epsabs=0.0,
+                epsrel=1e-12,
+                limit=400,
+            )
+            return value
+
+        cuts = [-math.inf, *sorted({eps_k - omega, kernel.mean}), math.inf]
+        return complex(
+            sum(part(lambda g: g.real, lo, hi) for lo, hi in zip(cuts, cuts[1:])),
+            sum(part(lambda g: g.imag, lo, hi) for lo, hi in zip(cuts, cuts[1:])),
+        )
+
+    def test_voigt_matches_line_quadrature(self):
+        rng = np.random.default_rng(20240611)
+        cases = [
+            # the resonance eps_k - omega sits on the +12 sigma edge at omega = -2.9
+            (no.GaussianKernel(-0.4, 0.2), -0.9, 0.55, 2.0, [-2.9, -0.5, 0.0, 1.3]),
+            (no.GaussianKernel(0.0, 0.05), 0.0, 1.0, 1000.0, [-0.6, -0.05, 0.0, 0.3]),
+        ]
+        for _ in range(5):
+            kernel = no.GaussianKernel(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 0.8))
+            omegas = sorted(rng.uniform(-4.0, 4.0, 4))
+            cases.append((kernel, rng.uniform(-1.0, 1.0), rng.uniform(0.5, 1.0), rng.uniform(2.0, 50.0), omegas))
+        for kernel, eps_k, z, tau, omegas in cases:
+            result = no.smeared_green(omegas, eps_k, kernel, z, tau)
+            for omega, value in zip(omegas, result.values):
+                reference = self._line_quadrature(omega, eps_k, kernel, z, tau)
+                assert abs(value - reference) <= 1e-8 * abs(reference), (kernel, omega)
+
     def test_gaussian_dominated_width(self):
         # sigma >> 1/tau: spectral peak FWHM ~ 2.355 sigma
         sigma, tau = 2.0, 50.0
@@ -249,6 +289,20 @@ class TestMomentCompare:
             arcsine, gaussian = no.moment_compare(1, sigma)
             assert arcsine == pytest.approx(sigma**2, rel=1e-15)
             assert gaussian == pytest.approx(sigma**2, rel=1e-15)
+
+    def test_large_order_small_sigma(self):
+        # (2g)! alone overflows a float from g = 86, the moment itself does not
+        arcsine, gaussian = no.moment_compare(86, 0.1)
+        log_gaussian = math.lgamma(173) - math.lgamma(87) + 86 * math.log(0.5 * 0.1**2)
+        assert gaussian == pytest.approx(math.exp(log_gaussian), rel=1e-12)
+        assert 1.1e-17 < gaussian < 1.2e-17
+        assert gaussian / arcsine == pytest.approx(math.factorial(86), rel=1e-14)
+        # at sigma = 1 the moment is (2g - 1)!!: below the float maximum at g = 150, above it at 151
+        assert math.lgamma(301) - math.lgamma(151) - 150 * math.log(2.0) < math.log(sys.float_info.max)
+        assert math.lgamma(303) - math.lgamma(152) - 151 * math.log(2.0) > math.log(sys.float_info.max)
+        assert math.isfinite(no.moment_compare(150, 1.0)[1])
+        with pytest.raises(ArithmeticError, match="g = 151: the Gaussian moment overflows"):
+            no.moment_compare(151, 1.0)
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
     def test_quadrature_oracle(self, g):

@@ -63,6 +63,8 @@ class DegenerateDistributionError(ValueError):
 
 
 def _check_half_integer(value: float, name: str) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
     doubled = 2.0 * value
     if abs(doubled - round(doubled)) > 1e-9:
         raise ValueError(f"{name} must be a half-integer, got {value}")

@@ -9,10 +9,13 @@ the spin Hamiltonian's.
 
 Matrix-free routes (memory O(N 2^N) for a chain): operators and their
 local-term decompositions are written from bit operations straight into
-scipy CSR arrays and applied as such; replace-mode evolution applies the
-same single-site y-rotation to every site of the state; ``expectation``,
-``variance``, ``connected_pair_correlators``, ``bounds.uncertainty_check``
-and ``magnus.variance_rate`` use matrix-vector products only.  Augment-mode
+scipy CSR arrays and applied as such; that CSR is correct by construction
+and tested against Kronecker-product references, so it is stored unchecked,
+while operators given from outside are dense and checked to 1e-12.
+Replace-mode evolution applies the same single-site y-rotation to every
+site of the state; ``expectation``, ``variance``,
+``connected_pair_correlators``, ``bounds.uncertainty_check`` and
+``magnus.variance_rate`` use matrix-vector products only.  Augment-mode
 evolution is exact without a dense operator: the exchange E = -sum J S_i.S_j
 commutes with S_tot, so a segment is the same single-site field rotation on
 every site followed by exp(-i E t), taken from one cached real eigensystem
@@ -165,45 +168,19 @@ def _require_dense_memory(n_sites: int) -> None:
     _require_memory(16 * 4**n_sites, f"a dense {n_sites}-site operator")
 
 
-def _entries(array: sparse.csr_array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, values) of a CSR array's stored entries."""
-    indptr = array.indptr
-    return np.repeat(np.arange(array.shape[0]), indptr[1:] - indptr[:-1]), array.indices, array.data
-
-
-def _max_abs_of_sum(dim: int, pieces) -> float:
-    """Largest |entry| of the sum of (rows, cols, values) pieces, O(nnz log nnz).
-
-    Written in numpy because scipy's own duplicate summing costs about 4x
-    more per call on the few-site operators that the CLI builds by the dozen.
-    """
-    rows, cols, values = (np.concatenate(part) for part in zip(*pieces))
-    if not values.size:
-        return 0.0
-    keys = rows.astype(np.int64) * dim + cols
-    order = keys.argsort()
-    keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return float(np.abs(np.add.reduceat(values[order], starts)).max())
-
-
-def _as_csr(matrix) -> sparse.csr_array:
-    matrix = matrix.tocsr() if sparse.issparse(matrix) else sparse.csr_array(matrix)
-    return matrix.astype(complex, copy=False)
-
-
 class MatrixOperator:
     """Hermitian operator, optionally with a local-term decomposition.
 
     ``array`` holds the operator and ``term_stack`` its terms, term k in rows
-    k*2^N .. (k+1)*2^N - 1, so one product gives every term's.  ``terms``
-    may be given one matrix per label or already stacked.  Both are scipy
-    CSR arrays when either is given sparse (the builders here) and dense
-    arrays otherwise, so neither form is ever copied into the other.
-    ``matrix`` is the dense form, a new 16 * 4^N-byte array on each read of
-    a sparse operator.  When present the terms must sum back to the full
-    operator (bond terms are split half-half between their two sites, one
-    fixed choice among the many admissible splits).
+    k*2^N .. (k+1)*2^N - 1, so one product gives every term's.  The lattice
+    builders store scipy CSR arrays, Hermitian and resumming by construction,
+    without re-checking them.  Any other operator (JSON, ``bose_dual``, user
+    arrays) comes through this constructor as dense arrays, ``terms`` one
+    2^N x 2^N matrix per label, and must be Hermitian, with terms that sum
+    back to it, each within 1e-12.  ``matrix`` is the dense form, a new
+    16 * 4^N-byte array on each read of a sparse operator.  Bond terms are
+    split half-half between their two sites, one fixed choice among the many
+    admissible splits.
     """
 
     def __init__(
@@ -213,42 +190,47 @@ class MatrixOperator:
         labels: tuple[str, ...] = (),
         terms=None,
     ):
+        parts = [] if terms is None else list(terms)
+        if sparse.issparse(matrix) or any(map(sparse.issparse, parts)):
+            raise TypeError("MatrixOperator takes dense arrays; sparse operators come only from the lattice builders")
         dim = 1 << n_sites
-        if not (terms is None or sparse.issparse(terms) or getattr(terms, "ndim", 0) == 2):
-            terms = list(terms)
-            if any(sparse.issparse(term) for term in terms):
-                terms = sparse.vstack([_as_csr(term) for term in terms], format="csr")
-            else:
-                terms = np.concatenate([np.asarray(term) for term in terms])
-        if sparse.issparse(matrix) or sparse.issparse(terms):
-            array = _as_csr(matrix)
-            term_stack = None if terms is None else _as_csr(terms)
-        else:
-            array = np.asarray(matrix, dtype=complex)
-            term_stack = None if terms is None else np.asarray(terms, dtype=complex)
-        if array.shape != (dim, dim) or (term_stack is not None and term_stack.shape[1] != dim):
+        array = np.asarray(matrix, dtype=complex)
+        if array.shape != (dim, dim):
             raise ValueError("matrix shape must be 2^n x 2^n")
-        if sparse.issparse(array):
-            rows, cols, values = _entries(array)
-            herm = _max_abs_of_sum(dim, [(rows, cols, values), (cols, rows, -values.conj())])
-        else:
-            herm = float(np.abs(array - array.conj().T).max())
+        herm = float(np.abs(array - array.conj().T).max())
         if herm > 1e-12:
             raise ValueError(f"operator not Hermitian within 1e-12 (max dev {herm:.3e})")
-        if term_stack is not None:
-            if term_stack.shape[0] != len(labels) * dim:
+        term_stack = None
+        if terms is not None:
+            stacked = np.asarray(parts, dtype=complex)
+            if stacked.shape[1:] != (dim, dim):
+                raise ValueError("terms must be one 2^n x 2^n matrix per label")
+            if stacked.shape[0] != len(labels):
                 raise ValueError("one label per decomposition term required")
-            if sparse.issparse(array):
-                term_rows, term_cols, term_values = _entries(term_stack)
-                gap = _max_abs_of_sum(dim, [(term_rows % dim, term_cols, term_values), (rows, cols, -values)])
-            else:
-                gap = float(np.abs(term_stack.reshape(-1, dim, dim).sum(axis=0) - array).max())
+            gap = float(np.abs(stacked.sum(axis=0) - array).max())
             if gap > 1e-12:
                 raise ValueError(f"decomposition does not resum to operator ({gap:.3e})")
+            term_stack = stacked.reshape(-1, dim)
         self.array = array
         self.term_stack = term_stack
         self.n_sites = n_sites
         self.labels = tuple(labels)
+
+    @classmethod
+    def _from_builder(
+        cls,
+        array: sparse.csr_array,
+        n_sites: int,
+        labels: tuple[str, ...] = (),
+        term_stack: sparse.csr_array | None = None,
+    ) -> "MatrixOperator":
+        """A lattice builder's CSR operator and term stack, stored as given."""
+        operator = cls.__new__(cls)
+        operator.array = array
+        operator.term_stack = term_stack
+        operator.n_sites = n_sites
+        operator.labels = labels
+        return operator
 
     @property
     def terms(self) -> tuple | None:
@@ -376,7 +358,7 @@ def build_spin_hamiltonian(lattice: LatticeSpec, with_decomposition: bool = True
     masks = np.array([0] + [mask for mask, _ in flips])
     total = _csr(idx[:, None] ^ masks, np.column_stack([diagonal, *(v for _, v in flips)]), lattice.dim)
     if not with_decomposition:
-        return MatrixOperator(total, n)
+        return MatrixOperator._from_builder(total, n)
     # row block s holds site s's term; rows of sites with fewer bonds are
     # padded with zero diagonal slots, which _csr drops
     width = 1 + max(map(len, site_flips))
@@ -389,7 +371,7 @@ def build_spin_hamiltonian(lattice: LatticeSpec, with_decomposition: bool = True
             values[s, :, k] = flip_values
     terms = _csr(cols.reshape(-1, width), values.reshape(-1, width), lattice.dim)
     labels = tuple(f"site-{s}" for s in range(n))
-    return MatrixOperator(total, n, labels, terms)
+    return MatrixOperator._from_builder(total, n, labels, terms)
 
 
 def build_transverse_field(n_sites: int, b_y: float) -> MatrixOperator:
@@ -406,11 +388,13 @@ def build_transverse_field(n_sites: int, b_y: float) -> MatrixOperator:
     # site s alone is one entry per row, in row block s of the stack
     terms = _csr(cols.T.reshape(-1, 1), values.T.reshape(-1, 1), idx.size)
     labels = tuple(f"site-{s}" for s in range(n_sites))
-    return MatrixOperator(total, n_sites, labels, terms)
+    return MatrixOperator._from_builder(total, n_sites, labels, terms)
 
 
 def dicke_state(n_sites: int, m: float) -> QuantumState:
     """Equal-amplitude superposition of all product states with S_z^tot = m."""
+    if not math.isfinite(m):
+        raise ValueError(f"m must be finite, got {m}")
     n_up = m + n_sites / 2
     if abs(n_up - round(n_up)) > 1e-9 or not (0 <= round(n_up) <= n_sites):
         raise ValueError(f"m = {m} is not a magnetization of {n_sites} spin-1/2 sites")

@@ -200,6 +200,8 @@ class DickeSplit:
     def __post_init__(self):
         if not 1 <= self.left_size <= self.n_sites - 1:
             raise ValueError("left_size must leave both parts non-empty")
+        if not math.isfinite(self.m):
+            raise ValueError(f"m must be finite, got {self.m}")
         n_up = self.m + self.n_sites / 2
         if abs(n_up - round(n_up)) > 1e-9 or not (0 <= round(n_up) <= self.n_sites):
             raise ValueError(f"m = {self.m} is not a magnetization of {self.n_sites} sites")
@@ -304,6 +306,8 @@ def dicke_entanglement(
 
 
 def _check_sector(n_sites: int, s_tot: float) -> int:
+    if not math.isfinite(s_tot):
+        raise InvalidSectorError(f"s_tot must be finite, got {s_tot}")
     doubled = 2 * s_tot
     if abs(doubled - round(doubled)) > 1e-9:
         raise InvalidSectorError(f"s_tot = {s_tot} is not a half-integer")

@@ -109,11 +109,16 @@ class TestSpinCommands:
         assert read_csv(tmp_path / f"{stem}.csv") == []
 
     def test_spin_sigma_rejects_nan_by_name(self, tmp_path, capsys):
-        status = run_cli(
-            ["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--theta", "nan"], tmp_path
-        )
-        assert status == 1
-        assert "duration must be finite, got nan" in capsys.readouterr().err
+        for k, (args, message) in enumerate((
+            (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--theta", "nan"], "duration must be finite, got nan"),
+            (["spin-sigma", "--n", "4", "--stot", "nan", "--m", "0"], "s_tot must be finite, got nan"),
+            (["spin-dist", "--n", "4", "--stot", "2", "--m", "inf", "--theta", "1"], "m must be finite, got inf"),
+            (["dicke-entropy", "--n", "4", "--m", "nan"], "m must be finite, got nan"),
+            (["bounds-check", "--m", "nan"], "m must be finite, got nan"),
+            (["variance-rate", "--m", "inf"], "m must be finite, got inf"),
+        )):
+            assert run_cli(args, tmp_path / str(k)) == 1
+            assert message in capsys.readouterr().err
 
     def test_bose_dual(self, tmp_path):
         assert run_cli(["bose-dual", "--n", "5", "--sets", "4"], tmp_path) == 0

@@ -1,6 +1,7 @@
 """Closed-form spin statistics: worked values, ladder oracle, distribution law."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,84 @@ PI = math.pi
 def replace_schedule(theta, b_z=1.0):
     sign = 1.0 if theta >= 0 else -1.0
     return cs.DriveSchedule("replace", ((max(abs(theta), 1e-300), sign),), b_z)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+# (N, S) of a valid sector: S = N/2 - k for k = 0 .. N/2
+SECTORS = st.integers(1, 60).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n // 2).map(lambda k: n / 2 - k))
+)
+
+
+def _m_in(data, s):
+    """A valid magnetization of total spin s."""
+    return data.draw(st.integers(0, int(2 * s))) - s
+
+
+def _off_half_integer(data, value):
+    return value + data.draw(st.floats(0.01, 0.49))
+
+
+def _s_above_half_n(data):
+    n = data.draw(st.integers(1, 60))
+    s = n / 2 + data.draw(st.integers(1, 5))
+    return n, s, _m_in(data, s), "s_tot cannot exceed n_sites/2"
+
+
+def _m_above_s(data):
+    n, s = data.draw(SECTORS)
+    m = data.draw(st.sampled_from([-1, 1])) * (s + data.draw(st.integers(1, 5)))
+    return n, s, m, "|m| cannot exceed s_tot"
+
+
+def _cogap_not_integer(data):
+    n = data.draw(st.integers(1, 60))
+    s = n / 2 - 0.5 - data.draw(st.integers(0, (n - 1) // 2))
+    return n, s, _m_in(data, s), "n_sites/2 - s_tot must be an integer"
+
+
+def _gap_not_integer(data):
+    n, s = data.draw(SECTORS.filter(lambda sector: sector[1] > 0))
+    m = data.draw(st.integers(0, int(2 * s) - 1)) + 0.5 - s
+    return n, s, m, "s_tot - |m| must be an integer"
+
+
+def _s_not_half_integer(data):
+    n, s = data.draw(SECTORS)
+    bad = _off_half_integer(data, s)
+    return n, bad, _m_in(data, s), f"s_tot must be a half-integer, got {bad}"
+
+
+def _m_not_half_integer(data):
+    n, s = data.draw(SECTORS)
+    bad = _off_half_integer(data, _m_in(data, s))
+    return n, s, bad, f"m must be a half-integer, got {bad}"
+
+
+def _s_non_finite(data):
+    n, s = data.draw(SECTORS)
+    bad = data.draw(NON_FINITE)
+    return n, bad, _m_in(data, s), f"s_tot must be finite, got {bad}"
+
+
+def _m_non_finite(data):
+    n, s = data.draw(SECTORS)
+    bad = data.draw(NON_FINITE)
+    return n, s, bad, f"m must be finite, got {bad}"
+
+
+# each draws an (N, S, m) with exactly one fault, and the message naming it
+SECTOR_FAULTS = {
+    "s above n/2": _s_above_half_n,
+    "|m| above s": _m_above_s,
+    "n/2 - s not integer": _cogap_not_integer,
+    "s - |m| not integer": _gap_not_integer,
+    "s not half-integer": _s_not_half_integer,
+    "m not half-integer": _m_not_half_integer,
+    "s non-finite": _s_non_finite,
+    "m non-finite": _m_non_finite,
+}
 
 
 class TestSpinSector:
@@ -48,6 +127,20 @@ class TestSpinSector:
         with pytest.raises(cs.UndefinedSpinError):
             _ = cs.SpinSector(2, 0, 0).w
 
+    @given(st.data())
+    def test_every_valid_sector_constructs(self, data):
+        n, s = data.draw(SECTORS)
+        m = _m_in(data, s)
+        sector = cs.SpinSector(n, s, m)
+        assert (sector.n_sites, sector.s_tot, sector.m) == (n, s, m)
+        assert sector.dim == int(2 * s) + 1
+
+    @given(st.data(), st.sampled_from(sorted(SECTOR_FAULTS)))
+    def test_invalid_sector_names_its_fault(self, data, fault):
+        n, s, m, message = SECTOR_FAULTS[fault](data)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cs.SpinSector(n, s, m)
+
 
 class TestDriveSchedule:
     def test_theta_accumulation(self):
@@ -71,7 +164,6 @@ class TestDriveSchedule:
 FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 DURATIONS = st.floats(min_value=1e-6, max_value=1e3)
 SEGMENTS = st.lists(st.tuples(DURATIONS, FINITE), min_size=1, max_size=6)
-NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 class TestDriveScheduleValidation:

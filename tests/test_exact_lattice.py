@@ -6,6 +6,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import eigh, expm
 from scipy.sparse.linalg import expm_multiply
@@ -69,9 +71,21 @@ class TestSpinHamiltonian:
         assert np.max(np.abs(sum(ham.terms) - ham.matrix)) < 1e-13
 
     def test_hermiticity_enforced(self):
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(ValueError):
-            xl.MatrixOperator(matrix=bad, n_sites=1)
+        # an entry whose transposed partner is missing, and a wrong partner
+        for bad in ([[0.0, 1.0], [0.0, 0.0]], [[0.0, 1e-9], [0.0, 0.0]], [[0.0, 1.0], [1.0 + 1e-9, 0.0]]):
+            with pytest.raises(ValueError, match="Hermitian"):
+                xl.MatrixOperator(matrix=np.array(bad, dtype=complex), n_sites=1)
+
+    def test_resum_enforced(self):
+        ham = xl.build_spin_hamiltonian(xl.LatticeSpec.chain(4, 0.9, 0.4))
+        matrix, terms = ham.matrix, [term.toarray() for term in ham.terms]
+        dense = xl.MatrixOperator(matrix, 4, ham.labels, terms)
+        assert all(np.array_equal(a, b) for a, b in zip(dense.terms, terms))
+        terms[2] = terms[2] * (1.0 + 1e-9)
+        with pytest.raises(ValueError, match="resum"):
+            xl.MatrixOperator(matrix, 4, ham.labels, terms)
+        with pytest.raises(ValueError, match="one label per"):
+            xl.MatrixOperator(matrix, 4, ham.labels[:3], terms)
 
 
 class TestDickeState:
@@ -342,6 +356,15 @@ def random_lattice(kind, n_sites, rng):
     return xl.LatticeSpec(n_sites, bonds, float(rng.uniform(-1.5, 1.5)))
 
 
+@st.composite
+def bond_lattices(draw):
+    """Up to 6 sites, any subset of the bonds, couplings of either sign, B_z = 0 allowed."""
+    n_sites = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n_sites) for j in range(i + 1, n_sites)]
+    bonds = tuple((i, j, draw(st.floats(-2.0, 2.0))) for i, j in pairs if draw(st.booleans()))
+    return xl.LatticeSpec(n_sites, bonds, draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0))))
+
+
 def random_state(n_sites, rng):
     vector = rng.normal(size=1 << n_sites) + 1j * rng.normal(size=1 << n_sites)
     return xl.QuantumState(vector / np.linalg.norm(vector), n_sites)
@@ -508,31 +531,31 @@ class TestSparseOperatorChecks:
         held = [*vars(ham).values(), *ham.terms]
         assert not any(isinstance(value, np.ndarray) for value in held)
 
-    def test_sparse_hermiticity_enforced(self):
-        # an entry whose transposed partner is missing, and a wrong partner
-        one_sided = sparse.csr_array(np.array([[0.0, 1e-9], [0.0, 0.0]], dtype=complex))
-        with pytest.raises(ValueError, match="Hermitian"):
-            xl.MatrixOperator(one_sided, 1)
-        skewed = sparse.csr_array(np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]], dtype=complex))
-        with pytest.raises(ValueError, match="Hermitian"):
-            xl.MatrixOperator(skewed, 1)
-        ham = xl.build_spin_hamiltonian(xl.LatticeSpec.complete(4, 0.8, 1.3))
-        assert xl.MatrixOperator(ham.array, 4).dim == 16
-
-    def test_sparse_resum_enforced(self):
+    def test_sparse_input_refused(self):
         ham = xl.build_spin_hamiltonian(xl.LatticeSpec.chain(4, 0.9, 0.4))
-        terms = list(ham.terms)
-        assert xl.MatrixOperator(ham.array, 4, ham.labels, terms).terms is not None
-        # the terms may also come stacked, as the builders hand them over
-        stacked = xl.MatrixOperator(ham.array, 4, ham.labels, ham.term_stack)
-        assert all((a != b).nnz == 0 for a, b in zip(stacked.terms, terms))
-        with pytest.raises(ValueError, match="resum"):
-            xl.MatrixOperator(ham.array, 4, ham.labels, ham.term_stack * (1.0 + 1e-9))
-        terms[2] = terms[2] * (1.0 + 1e-9)
-        with pytest.raises(ValueError, match="resum"):
-            xl.MatrixOperator(ham.array, 4, ham.labels, terms)
-        with pytest.raises(ValueError, match="one label per"):
-            xl.MatrixOperator(ham.array, 4, ham.labels[:3], ham.terms)
+        for matrix, terms in (
+            (ham.array, None),
+            (ham.matrix, ham.terms),
+            (ham.matrix, ham.term_stack),
+        ):
+            with pytest.raises(TypeError, match="dense arrays"):
+                xl.MatrixOperator(matrix, 4, ham.labels, terms)
+
+    @given(bond_lattices(), st.floats(-2.0, 2.0))
+    def test_builders_hermitian_and_resumming(self, lattice, b_y):
+        # the builders' CSR is stored unchecked: each term is Hermitian and
+        # the terms sum to the operator by construction
+        for operator in (
+            xl.build_spin_hamiltonian(lattice),
+            xl.build_spin_hamiltonian(lattice, with_decomposition=False),
+            xl.build_transverse_field(lattice.n_sites, b_y),
+        ):
+            terms = operator.terms or ()
+            for array in (operator.array, *terms):
+                assert abs(array - array.conj().T).max() <= 1e-12
+            if terms:
+                assert len(terms) == lattice.n_sites
+                assert abs(sum(terms) - operator.array).max() <= 1e-12
 
 
 class TestDenseMemoryGuard:

@@ -71,10 +71,9 @@ class TestSpinHamiltonian:
         assert np.max(np.abs(sum(ham.terms) - ham.matrix)) < 1e-13
 
     def test_hermiticity_enforced(self):
-        # an entry whose transposed partner is missing, and a wrong partner
-        for bad in ([[0.0, 1.0], [0.0, 0.0]], [[0.0, 1e-9], [0.0, 0.0]], [[0.0, 1.0], [1.0 + 1e-9, 0.0]]):
-            with pytest.raises(ValueError, match="Hermitian"):
-                xl.MatrixOperator(matrix=np.array(bad, dtype=complex), n_sites=1)
+        bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError):
+            xl.MatrixOperator(matrix=bad, n_sites=1)
 
     def test_resum_enforced(self):
         ham = xl.build_spin_hamiltonian(xl.LatticeSpec.chain(4, 0.9, 0.4))
@@ -530,6 +529,18 @@ class TestSparseOperatorChecks:
         assert sparse.issparse(ham.array) and all(sparse.issparse(term) for term in ham.terms)
         held = [*vars(ham).values(), *ham.terms]
         assert not any(isinstance(value, np.ndarray) for value in held)
+
+    def test_sparse_hermiticity_enforced(self):
+        # an entry whose transposed partner is missing, and a wrong partner:
+        # refused as non-Hermitian given densely, and as sparse given as CSR
+        for bad in ([[0.0, 1e-9], [0.0, 0.0]], [[0.0, 1.0], [1.0 + 1e-9, 0.0]]):
+            dense = np.array(bad, dtype=complex)
+            with pytest.raises(ValueError, match="Hermitian"):
+                xl.MatrixOperator(dense, 1)
+            with pytest.raises(TypeError, match="dense arrays"):
+                xl.MatrixOperator(sparse.csr_array(dense), 1)
+        ham = xl.build_spin_hamiltonian(xl.LatticeSpec.complete(4, 0.8, 1.3))
+        assert xl.MatrixOperator(ham.matrix, 4).dim == 16
 
     def test_sparse_input_refused(self):
         ham = xl.build_spin_hamiltonian(xl.LatticeSpec.chain(4, 0.9, 0.4))

@@ -426,49 +426,45 @@ def _cmd_multiplicity(args: argparse.Namespace) -> Result:
     return {"multiplicity.csv": (["s", "exact", "gaussian"], rows)}, True, []
 
 
+def _read_viscosity_rows(path: Path, header: list[str]) -> list[tuple[str, float, float]]:
+    """(liquid, value, value) rows of one viscosity CSV, blank rows skipped; a
+    value that does not parse or is not positive and finite fails at file:line."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        found = next(reader, None)
+        if found != header:
+            raise ValueError(f"{path.name}: unexpected header {found}")
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path.name}:{reader.line_num}"
+            try:
+                liquid, first, second = row[0], float(row[1]), float(row[2])
+            except (IndexError, ValueError) as exc:
+                raise ValueError(f"{where}: malformed row {row}") from exc
+            # the chained form fails nan as well as non-positive and infinite values
+            if not (0.0 < first < math.inf and 0.0 < second < math.inf):
+                raise ValueError(f"{where}: {header[1]} and {header[2]} must be positive and finite (got {first}, {second})")
+            rows.append((liquid, first, second))
+    return rows
+
+
 def ingest(data_path: str | Path, meta_path: str | Path) -> no.ViscosityDataset:
     """Parse and validate the documented viscosity CSV pair.
 
     Data header: liquid,T_K,eta_Pa_s.  Metadata header:
-    liquid,T_liquidus_K,eta_liquidus_Pa_s.  Malformed rows are reported with
-    their line number; liquids missing metadata are a hard error.  Rows above
-    the liquidus are retained but flagged (excluded from fits downstream).
+    liquid,T_liquidus_K,eta_liquidus_Pa_s.  A malformed, non-positive or
+    non-finite value in either is reported with its file:line; liquids missing
+    metadata are a hard error.  Rows above the liquidus are retained but
+    flagged (excluded from fits downstream).
     """
     data_path, meta_path = Path(data_path), Path(meta_path)
-    meta: dict[str, tuple[float, float]] = {}
-    with open(meta_path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["liquid", "T_liquidus_K", "eta_liquidus_Pa_s"]:
-            raise ValueError(f"{meta_path.name}: unexpected header {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                liquid, t_l, eta_l = row[0], float(row[1]), float(row[2])
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"{meta_path.name}:{line_no}: malformed row {row}") from exc
-            if t_l <= 0 or eta_l <= 0:
-                raise ValueError(f"{meta_path.name}:{line_no}: non-positive liquidus values")
-            meta[liquid] = (t_l, eta_l)
+    meta_rows = _read_viscosity_rows(meta_path, ["liquid", "T_liquidus_K", "eta_liquidus_Pa_s"])
+    meta = {liquid: (t_l, eta_l) for liquid, t_l, eta_l in meta_rows}
     rows_by_liquid: dict[str, list[tuple[float, float]]] = {}
-    with open(data_path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["liquid", "T_K", "eta_Pa_s"]:
-            raise ValueError(f"{data_path.name}: unexpected header {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                liquid, temp, eta = row[0], float(row[1]), float(row[2])
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"{data_path.name}:{line_no}: malformed row {row}") from exc
-            if temp <= 0 or eta <= 0:
-                raise ValueError(
-                    f"{data_path.name}:{line_no}: T and eta must be positive (got {temp}, {eta})"
-                )
-            rows_by_liquid.setdefault(liquid, []).append((temp, eta))
+    for liquid, temp, eta in _read_viscosity_rows(data_path, ["liquid", "T_K", "eta_Pa_s"]):
+        rows_by_liquid.setdefault(liquid, []).append((temp, eta))
     missing = sorted(set(rows_by_liquid) - set(meta))
     if missing:
         raise ValueError(f"liquids missing metadata: {', '.join(missing)}")

@@ -33,6 +33,7 @@ __all__ = [
     "UnsupportedScheduleError",
     "ScheduleRangeError",
     "DegenerateDistributionError",
+    "up_count",
     "analytic_sigma",
     "analytic_energy_mean",
     "central_moment",
@@ -68,6 +69,17 @@ def _check_half_integer(value: float, name: str) -> None:
     doubled = 2.0 * value
     if abs(doubled - round(doubled)) > 1e-9:
         raise ValueError(f"{name} must be a half-integer, got {value}")
+
+
+def up_count(n_sites: int, m: float) -> int:
+    """Up spins of the S_z^tot = m sector of n_sites spin-1/2 sites; the one
+    check that m is finite and m + n_sites/2 an integer (within 1e-9) in [0, N]."""
+    if not math.isfinite(m):
+        raise ValueError(f"m must be finite, got {m}")
+    n_up = m + n_sites / 2
+    if abs(n_up - round(n_up)) > 1e-9 or not (0 <= round(n_up) <= n_sites):
+        raise ValueError(f"m = {m} is not a magnetization of {n_sites} spin-1/2 sites")
+    return int(round(n_up))
 
 
 @dataclass(frozen=True)
@@ -145,18 +157,27 @@ class DriveSchedule:
     def total_duration(self) -> float:
         return math.fsum(d for d, _ in self.segments)
 
-    def theta_at(self, t: float) -> float:
-        """Accumulated rotation angle integral of b_y up to time t (exact sum)."""
+    def pieces(self, t: float) -> list[tuple[float, float]]:
+        """(step, b_y) of each segment entered by time t, the last cut at t: the
+        one rule by which every module reads a drive up to t.  t outside
+        [-1e-12, T + 1e-9] raises :class:`ScheduleRangeError`."""
         if t < -1e-12 or t > self.total_duration + 1e-9:
             raise ScheduleRangeError(f"t = {t} outside schedule span [0, {self.total_duration}]")
-        theta = 0.0
+        out = []
         remaining = t
         for duration, b_y in self.segments:
             step = min(duration, remaining)
             if step <= 0.0:
                 break
-            theta += b_y * step
+            out.append((step, b_y))
             remaining -= step
+        return out
+
+    def theta_at(self, t: float) -> float:
+        """Accumulated rotation angle integral of b_y up to time t (exact sum)."""
+        theta = 0.0
+        for step, b_y in self.pieces(t):
+            theta += b_y * step
         return theta
 
     def boundary_times(self) -> list[float]:
@@ -266,6 +287,14 @@ def _fluctuation_factor(sector: SpinSector) -> float:
     return math.sqrt(max(1.0 + 1.0 / sector.s_tot - sector.w**2, 0.0))
 
 
+def _single_augment_field(schedule: DriveSchedule, t_f: float) -> float:
+    """b_y of a one-segment augment drive, once t_f is checked to lie in it."""
+    if len(schedule.segments) != 1:
+        raise UnsupportedScheduleError("augment-mode closed form requires a single constant-b_y segment")
+    schedule.pieces(t_f)
+    return schedule.segments[0][1]
+
+
 def analytic_sigma(sector: SpinSector, schedule: DriveSchedule, t_f: float) -> float:
     """Standard deviation of the energy density after driving to time t_f.
 
@@ -285,13 +314,7 @@ def analytic_sigma(sector: SpinSector, schedule: DriveSchedule, t_f: float) -> f
     if schedule.mode == "replace":
         theta = schedule.theta_at(t_f)
         return prefactor * abs(math.sin(theta))
-    if len(schedule.segments) != 1:
-        raise UnsupportedScheduleError(
-            "augment-mode closed form requires a single constant-b_y segment"
-        )
-    duration, b_y = schedule.segments[0]
-    if t_f < -1e-12 or t_f > duration + 1e-9:
-        raise ScheduleRangeError(f"t_f = {t_f} outside the augment segment [0, {duration}]")
+    b_y = _single_augment_field(schedule, t_f)
     b_total = math.hypot(b_y, schedule.b_z)
     if b_total == 0.0:
         return 0.0
@@ -308,13 +331,7 @@ def _axis_projection(schedule: DriveSchedule, t_f: float) -> float:
     # rotation about the tilted field axis under augment.
     if schedule.mode == "replace":
         return math.cos(schedule.theta_at(t_f))
-    if len(schedule.segments) != 1:
-        raise UnsupportedScheduleError(
-            "augment-mode closed form requires a single constant-b_y segment"
-        )
-    duration, b_y = schedule.segments[0]
-    if t_f < -1e-12 or t_f > duration + 1e-9:
-        raise ScheduleRangeError(f"t_f = {t_f} outside the augment segment [0, {duration}]")
+    b_y = _single_augment_field(schedule, t_f)
     b_total = math.hypot(b_y, schedule.b_z)
     if b_total == 0.0:
         return 1.0

@@ -39,7 +39,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
 
-from .collective_spin import DriveSchedule, EmpiricalDistribution, ScheduleRangeError
+from .collective_spin import DriveSchedule, EmpiricalDistribution, up_count
 
 __all__ = [
     "MAX_SITES",
@@ -91,6 +91,8 @@ class LatticeSpec:
             raise ValueError("n_sites must be positive")
         if self.n_sites > MAX_SITES:
             raise SizeLimitError(f"lattice oracle capped at {MAX_SITES} sites")
+        if not math.isfinite(self.b_z):
+            raise ValueError(f"b_z must be finite, got {self.b_z}")
         seen = set()
         normalized = []
         for i, j, j_ij in self.couplings:
@@ -100,7 +102,10 @@ class LatticeSpec:
             if (i, j) in seen:
                 raise ValueError(f"duplicate bond ({i}, {j})")
             seen.add((i, j))
-            normalized.append((i, j, float(j_ij)))
+            j_ij = float(j_ij)
+            if not math.isfinite(j_ij):
+                raise ValueError(f"coupling of bond ({i}, {j}) must be finite, got {j_ij}")
+            normalized.append((i, j, j_ij))
         object.__setattr__(self, "couplings", tuple(normalized))
 
     @property
@@ -307,17 +312,12 @@ def _csr(cols: np.ndarray, values: np.ndarray, dim: int) -> sparse.csr_array:
 
 
 def _site_bits(n_sites: int) -> np.ndarray:
-    idx = np.arange(1 << n_sites)
-    return np.array([(idx >> i) & 1 for i in range(n_sites)])
+    """Bit s of every basis index, row s per site: 1 = up.  S^z of site s
+    is row s minus 0.5."""
+    return (np.arange(1 << n_sites) >> np.arange(n_sites)[:, None]) & 1
 
 
-def _spin_z(n_sites: int) -> list[np.ndarray]:
-    """S^z of each site on every basis index."""
-    idx = np.arange(1 << n_sites)
-    return [((idx >> s) & 1) - 0.5 for s in range(n_sites)]
-
-
-def _exchange_bonds(spin_z: list[np.ndarray], couplings):
+def _exchange_bonds(spin_z: np.ndarray, couplings):
     """Per bond, (i, j, Ising diagonal, flip mask, flip values) of -J S_i.S_j.
 
     The flip-flop part swaps two antiparallel spins: row r holds it at
@@ -339,7 +339,7 @@ def build_spin_hamiltonian(lattice: LatticeSpec, with_decomposition: bool = True
     """
     n = lattice.n_sites
     idx = np.arange(lattice.dim)
-    spin_z = _spin_z(n)
+    spin_z = _site_bits(n) - 0.5
     diagonal = np.zeros(lattice.dim)
     site_diagonals = []
     for s in range(n):
@@ -392,14 +392,10 @@ def build_transverse_field(n_sites: int, b_y: float) -> MatrixOperator:
 
 
 def dicke_state(n_sites: int, m: float) -> QuantumState:
-    """Equal-amplitude superposition of all product states with S_z^tot = m."""
-    if not math.isfinite(m):
-        raise ValueError(f"m must be finite, got {m}")
-    n_up = m + n_sites / 2
-    if abs(n_up - round(n_up)) > 1e-9 or not (0 <= round(n_up) <= n_sites):
-        raise ValueError(f"m = {m} is not a magnetization of {n_sites} spin-1/2 sites")
-    n_up = int(round(n_up))
-    hits = _site_bits(n_sites).sum(axis=0) == n_up
+    """Equal-amplitude superposition of all product states with S_z^tot = m,
+    the basis indices with ``collective_spin.up_count(n_sites, m)`` set bits."""
+    n_up = up_count(n_sites, m)
+    hits = np.bitwise_count(np.arange(1 << n_sites)) == n_up
     amps = np.zeros(1 << n_sites, dtype=complex)
     amps[hits] = 1.0 / math.sqrt(int(hits.sum()))
     return QuantumState(amplitudes=amps, n_sites=n_sites)
@@ -444,8 +440,8 @@ def _segment_eigensystem(n_sites: int, couplings: tuple) -> tuple:
     )
     full = (1 << n_sites) - 1
     idx = np.arange(full + 1)
-    spin_z = _spin_z(n_sites)
-    ups = sum((idx >> s) & 1 for s in range(n_sites))
+    spin_z = _site_bits(n_sites) - 0.5
+    ups = np.bitwise_count(idx)
     diagonal = np.zeros(idx.size)
     rows, cols, values = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], [np.empty(0)]
     for _, _, ising, mask, flip_values in _exchange_bonds(spin_z, couplings):
@@ -591,24 +587,15 @@ def evolve_state(
 
 
 def propagator(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> np.ndarray:
-    """Exact unitary U(t) for the schedule (partial final segment included).
+    """Exact unitary U(t) for the schedule's ``pieces(t)`` (segments cut at t).
 
     Dense, 16 * 4^N bytes.  Every segment turns each site by the same 2x2
     rotation, so the product of the turns is the N-fold Kronecker power of
     one accumulated rotation: about y in replace mode, and in augment mode
     followed by exp(-i E t) of the exchange, which commutes with them all.
     """
-    if t < -1e-12 or t > schedule.total_duration + 1e-9:
-        raise ScheduleRangeError(f"t = {t} outside schedule span")
+    steps = schedule.pieces(t)
     _require_dense_memory(lattice.n_sites)
-    steps = []
-    remaining = t
-    for duration, b_y in schedule.segments:
-        step = min(duration, remaining)
-        if step <= 0.0:
-            break
-        steps.append((step, b_y))
-        remaining -= step
     if schedule.mode == "replace":
         # y-rotations commute: the product is the rotation by the summed angle
         rotation = _y_rotation([math.fsum(b_y * step for step, b_y in steps)])[0]
@@ -669,7 +656,7 @@ def total_spin_operators(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     cols = idx[:, None] ^ (1 << sites)
     sx = _csr(cols, np.full(cols.shape, 0.5), idx.size)
     sy = _csr(cols, 1j * (((cols >> sites) & 1) - 0.5), idx.size)
-    sz = _csr(idx[:, None], (((idx[:, None] >> sites) & 1) - 0.5).sum(axis=1, keepdims=True), idx.size)
+    sz = _csr(idx[:, None], (np.bitwise_count(idx) - 0.5 * n_sites)[:, None], idx.size)
     return sx.toarray(), sy.toarray(), sz.toarray()
 
 

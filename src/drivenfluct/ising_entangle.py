@@ -18,6 +18,8 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
+from .collective_spin import up_count
+
 __all__ = [
     "DomainWallEnsemble",
     "DickeSplit",
@@ -200,11 +202,7 @@ class DickeSplit:
     def __post_init__(self):
         if not 1 <= self.left_size <= self.n_sites - 1:
             raise ValueError("left_size must leave both parts non-empty")
-        if not math.isfinite(self.m):
-            raise ValueError(f"m must be finite, got {self.m}")
-        n_up = self.m + self.n_sites / 2
-        if abs(n_up - round(n_up)) > 1e-9 or not (0 <= round(n_up) <= self.n_sites):
-            raise ValueError(f"m = {self.m} is not a magnetization of {self.n_sites} sites")
+        up_count(self.n_sites, self.m)
 
     @property
     def right_size(self) -> int:
@@ -212,7 +210,7 @@ class DickeSplit:
 
     @property
     def n_up(self) -> int:
-        return int(round(self.m + self.n_sites / 2))
+        return up_count(self.n_sites, self.m)
 
 
 def _schmidt_fractions(split: DickeSplit) -> list[Fraction]:

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .collective_spin import DriveSchedule, ScheduleRangeError
+from .collective_spin import DriveSchedule
 from .exact_lattice import (
     LatticeSpec,
     MatrixOperator,
@@ -44,11 +44,8 @@ class MagnusTerms:
 
     omega1: np.ndarray
     omega2: np.ndarray
-    order: int
 
     def __post_init__(self):
-        if self.order not in (1, 2):
-            raise ValueError("truncation order must be 1 or 2")
         for name, term in (("omega1", self.omega1), ("omega2", self.omega2)):
             dev = np.max(np.abs(term + term.conj().T))
             if dev > 1e-12:
@@ -84,44 +81,29 @@ def segment_hamiltonians(
     return out
 
 
-def _active_pieces(
-    lattice: LatticeSpec, schedule: DriveSchedule, t: float
-) -> list[tuple[float, np.ndarray]]:
-    if t < -1e-12 or t > schedule.total_duration + 1e-9:
-        raise ScheduleRangeError(f"t = {t} outside schedule span")
-    pieces = []
-    remaining = t
-    for duration, matrix in segment_hamiltonians(lattice, schedule):
-        step = min(duration, remaining)
-        if step <= 0.0:
-            break
-        pieces.append((step, matrix))
-        remaining -= step
-    return pieces
-
-
-def magnus_terms(
-    lattice: LatticeSpec, schedule: DriveSchedule, t: float, order: int = 2
-) -> MagnusTerms:
+def magnus_terms(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> MagnusTerms:
     """First and second exp-log generators at time t (hbar = 1).
 
     Omega_1 = -i sum_k H_k dt_k; Omega_2 = -(1/2) sum_{k>l} dt_k dt_l [H_k, H_l],
     the closed form of the time-ordered double integral for piecewise-constant
-    schedules (no quadrature involved).
+    schedules (no quadrature involved).  The steps dt_k are the schedule's
+    ``pieces(t)``, the segments cut at t.
     """
-    pieces = _active_pieces(lattice, schedule, t)
+    pieces = [
+        (step, matrix)
+        for (step, _), (_, matrix) in zip(schedule.pieces(t), segment_hamiltonians(lattice, schedule))
+    ]
     dim = lattice.dim
     omega1 = np.zeros((dim, dim), dtype=complex)
     omega2 = np.zeros((dim, dim), dtype=complex)
     for step, matrix in pieces:
         omega1 += -1j * step * matrix
-    if order >= 2:
-        for k in range(len(pieces)):
-            dt_k, h_k = pieces[k]
-            for l in range(k):
-                dt_l, h_l = pieces[l]
-                omega2 += -0.5 * dt_k * dt_l * (h_k @ h_l - h_l @ h_k)
-    return MagnusTerms(omega1=omega1, omega2=omega2, order=order)
+    for k in range(len(pieces)):
+        dt_k, h_k = pieces[k]
+        for l in range(k):
+            dt_l, h_l = pieces[l]
+            omega2 += -0.5 * dt_k * dt_l * (h_k @ h_l - h_l @ h_k)
+    return MagnusTerms(omega1=omega1, omega2=omega2)
 
 
 def magnus_error(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> float:

@@ -246,12 +246,13 @@ class ViscosityRecord:
     eta_liquidus: float
 
     def __post_init__(self):
-        if self.t_liquidus <= 0.0 or self.eta_liquidus <= 0.0:
-            raise ValueError(f"{self.liquid_id}: liquidus metadata must be positive")
+        # the chained form fails nan as well as non-positive and infinite values
+        if not (0.0 < self.t_liquidus < math.inf and 0.0 < self.eta_liquidus < math.inf):
+            raise ValueError(f"{self.liquid_id}: liquidus metadata must be positive and finite")
         rows = tuple((float(t), float(eta)) for t, eta in self.rows)
         for t, eta in rows:
-            if t <= 0.0 or eta <= 0.0:
-                raise ValueError(f"{self.liquid_id}: rows need positive T and eta")
+            if not (0.0 < t < math.inf and 0.0 < eta < math.inf):
+                raise ValueError(f"{self.liquid_id}: rows need positive, finite T and eta")
         object.__setattr__(self, "rows", rows)
 
     @property

@@ -3,7 +3,9 @@
 import csv
 import json
 import math
+import re
 import shlex
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -109,6 +111,7 @@ class TestSpinCommands:
         assert read_csv(tmp_path / f"{stem}.csv") == []
 
     def test_spin_sigma_rejects_nan_by_name(self, tmp_path, capsys):
+        bond = "coupling of bond (0, 1) must be finite, got nan"
         for k, (args, message) in enumerate((
             (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--theta", "nan"], "duration must be finite, got nan"),
             (["spin-sigma", "--n", "4", "--stot", "nan", "--m", "0"], "s_tot must be finite, got nan"),
@@ -116,9 +119,18 @@ class TestSpinCommands:
             (["dicke-entropy", "--n", "4", "--m", "nan"], "m must be finite, got nan"),
             (["bounds-check", "--m", "nan"], "m must be finite, got nan"),
             (["variance-rate", "--m", "inf"], "m must be finite, got inf"),
+            (["bounds-check", "--j", "nan"], bond),
+            (["magnus-check", "--j", "nan"], bond),
+            (["variance-rate", "--bz", "inf"], "b_z must be finite, got inf"),
+            (["exact-check", "--j", "nan"], bond),
         )):
-            assert run_cli(args, tmp_path / str(k)) == 1
-            assert message in capsys.readouterr().err
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run_cli(args, tmp_path / str(k)) == 1
+            err = capsys.readouterr().err
+            assert message in err
+            assert "RuntimeWarning" not in err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_bose_dual(self, tmp_path):
         assert run_cli(["bose-dual", "--n", "5", "--sets", "4"], tmp_path) == 0
@@ -250,7 +262,68 @@ class TestViscosityPipeline:
             )
 
 
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+DATA_HEADER = ["liquid", "T_K", "eta_Pa_s"]
+META_HEADER = ["liquid", "T_liquidus_K", "eta_liquidus_Pa_s"]
+
+
+@st.composite
+def viscosity_tables(draw):
+    """(data rows, metadata rows) of a valid CSV pair, as (liquid, float, float)."""
+    liquids = draw(st.lists(st.text("abxyz_-", min_size=1, max_size=5), min_size=1, max_size=3, unique=True))
+    meta = [(liquid, draw(POSITIVE), draw(POSITIVE)) for liquid in liquids]
+    data = draw(st.lists(st.tuples(st.sampled_from(liquids), POSITIVE, POSITIVE), min_size=1, max_size=12))
+    return data, meta
+
+
+def write_table(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def as_text(rows):
+    return [[liquid, repr(first), repr(second)] for liquid, first, second in rows]
+
+
 class TestIngest:
+    @given(viscosity_tables())
+    def test_valid_tables_ingest_to_the_records_written(self, tables):
+        data_rows, meta_rows = tables
+        with tempfile.TemporaryDirectory() as tmp:
+            dataset = cli.ingest(
+                write_table(Path(tmp) / "data.csv", DATA_HEADER, as_text(data_rows)),
+                write_table(Path(tmp) / "meta.csv", META_HEADER, as_text(meta_rows)),
+            )
+        limits = {liquid: (t_l, eta_l) for liquid, t_l, eta_l in meta_rows}
+        written: dict[str, list] = {}
+        for liquid, temp, eta in data_rows:
+            written.setdefault(liquid, []).append((temp, eta))
+        assert [(r.liquid_id, r.rows, r.t_liquidus, r.eta_liquidus) for r in dataset.records] == [
+            (liquid, tuple(rows), *limits[liquid]) for liquid, rows in sorted(written.items())
+        ]
+
+    @given(
+        viscosity_tables(),
+        st.booleans(),
+        st.integers(1, 2),
+        st.sampled_from(["nan", "inf", "-inf", "0.0", "-0.0", "-1.5", "oops", ""]),
+        st.data(),
+    )
+    def test_spoiled_field_names_file_and_line(self, tables, in_meta, column, bad, data):
+        data_rows, meta_rows = (as_text(rows) for rows in tables)
+        spoiled = meta_rows if in_meta else data_rows
+        index = data.draw(st.integers(0, len(spoiled) - 1))
+        spoiled[index][column] = bad
+        where = f"{'meta' if in_meta else 'data'}.csv:{index + 2}: "
+        with tempfile.TemporaryDirectory() as tmp:
+            data_path = write_table(Path(tmp) / "data.csv", DATA_HEADER, data_rows)
+            meta_path = write_table(Path(tmp) / "meta.csv", META_HEADER, meta_rows)
+            with pytest.raises(ValueError, match=re.escape(where)):
+                cli.ingest(data_path, meta_path)
+
     def test_two_liquid_fixture(self, tmp_path):
         data, meta = write_fixture(
             tmp_path,

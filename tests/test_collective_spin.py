@@ -191,6 +191,23 @@ class TestDriveScheduleValidation:
             cs.DriveSchedule("replace", tuple(segments), 1.0)
 
 
+class TestDrivePieces:
+    @given(st.sampled_from(["replace", "augment"]), SEGMENTS, st.floats(0.0, 1.0))
+    def test_pieces_cut_the_schedule_at_t(self, mode, segments, fraction):
+        sched = cs.DriveSchedule(mode, tuple(segments), 1.0)
+        t = fraction * sched.total_duration
+        pieces = sched.pieces(t)
+        steps = [step for step, _ in pieces]
+        assert all(step > 0.0 for step in steps)
+        assert [b_y for _, b_y in pieces] == [b_y for _, b_y in sched.segments[: len(pieces)]]
+        assert all(step == duration for step, (duration, _) in zip(steps[:-1], sched.segments))
+        assert math.fsum(steps) == pytest.approx(t, rel=1e-12, abs=0.0)
+        theta = 0.0
+        for step, b_y in pieces:
+            theta += b_y * step
+        assert sched.theta_at(t) == theta
+
+
 class TestAnalyticSigma:
     def test_identity_rotation(self):
         sector = cs.SpinSector(6, 3, 1)

@@ -94,6 +94,12 @@ class TestDickeState:
         populated = weights[weights > 0]
         assert len(populated) == 4  # C(4,3)
         assert populated == pytest.approx([0.25] * 4)
+        # the up-spin count read bit by bit is the reference for bitwise_count
+        for n in range(1, 9):
+            ups = sum((np.arange(1 << n) >> s) & 1 for s in range(n))
+            for k in range(n + 1):
+                support = np.abs(xl.dicke_state(n, k - n / 2).amplitudes) > 0
+                assert np.array_equal(support, ups == k)
 
     def test_rejects_bad_magnetization(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
@@ -52,9 +54,24 @@ class TestMagnusTerms:
         with pytest.raises(cs.ScheduleRangeError):
             mg.magnus_terms(LAT, two_segment(0.1), 0.2)
 
+    @given(
+        st.sampled_from(["replace", "augment"]),
+        st.lists(st.tuples(st.floats(1e-6, 1e3), st.floats(-10.0, 10.0)), min_size=1, max_size=6),
+        st.booleans(),
+    )
+    def test_range_error_is_the_schedules(self, mode, segments, late):
+        # t just outside [-1e-12, T + 1e-9]: the closed form, the 2^N
+        # propagator and the Magnus series refuse it with one message
+        sched = cs.DriveSchedule(mode, tuple(segments), 1.0)
+        t = sched.total_duration * (1.0 + 1e-12) + 2e-9 if late else -2e-12
+        for call in (sched.theta_at, lambda t: xl.propagator(LAT, sched, t), lambda t: mg.magnus_terms(LAT, sched, t)):
+            with pytest.raises(cs.ScheduleRangeError) as info:
+                call(t)
+            assert str(info.value) == f"t = {t} outside schedule span [0, {sched.total_duration}]"
+
     def test_anti_hermiticity_validated(self):
         with pytest.raises(ValueError):
-            mg.MagnusTerms(omega1=np.eye(2, dtype=complex), omega2=np.zeros((2, 2), dtype=complex), order=2)
+            mg.MagnusTerms(omega1=np.eye(2, dtype=complex), omega2=np.zeros((2, 2), dtype=complex))
 
 
 class TestMagnusError:

@@ -214,12 +214,13 @@ class DickeSplit:
 
 
 def _schmidt_fractions(split: DickeSplit) -> list[Fraction]:
-    total = math.comb(split.n_sites, split.n_up)
-    lo = max(0, split.n_up - split.right_size)
-    hi = min(split.left_size, split.n_up)
+    n_up = split.n_up
+    total = math.comb(split.n_sites, n_up)
+    lo = max(0, n_up - split.right_size)
+    hi = min(split.left_size, n_up)
     return [
         Fraction(
-            math.comb(split.left_size, k) * math.comb(split.right_size, split.n_up - k),
+            math.comb(split.left_size, k) * math.comb(split.right_size, n_up - k),
             total,
         )
         for k in range(lo, hi + 1)

@@ -426,9 +426,9 @@ def _cmd_multiplicity(args: argparse.Namespace) -> Result:
     return {"multiplicity.csv": (["s", "exact", "gaussian"], rows)}, True, []
 
 
-def _read_viscosity_rows(path: Path, header: list[str]) -> list[tuple[str, float, float]]:
-    """(liquid, value, value) rows of one viscosity CSV, blank rows skipped; a
-    value that does not parse or is not positive and finite fails at file:line."""
+def _read_viscosity_rows(path: Path, header: list[str]) -> list[tuple[int, str, float, float]]:
+    """(line, liquid, value, value) rows of one viscosity CSV, blank rows skipped; a row of other
+    than three fields, or a value that does not parse or is not positive and finite, fails at file:line."""
     rows = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -440,13 +440,13 @@ def _read_viscosity_rows(path: Path, header: list[str]) -> list[tuple[str, float
                 continue
             where = f"{path.name}:{reader.line_num}"
             try:
-                liquid, first, second = row[0], float(row[1]), float(row[2])
-            except (IndexError, ValueError) as exc:
+                liquid, first, second = row[0], *map(float, row[1:])
+            except ValueError as exc:
                 raise ValueError(f"{where}: malformed row {row}") from exc
             # the chained form fails nan as well as non-positive and infinite values
             if not (0.0 < first < math.inf and 0.0 < second < math.inf):
                 raise ValueError(f"{where}: {header[1]} and {header[2]} must be positive and finite (got {first}, {second})")
-            rows.append((liquid, first, second))
+            rows.append((reader.line_num, liquid, first, second))
     return rows
 
 
@@ -456,14 +456,17 @@ def ingest(data_path: str | Path, meta_path: str | Path) -> no.ViscosityDataset:
     Data header: liquid,T_K,eta_Pa_s.  Metadata header:
     liquid,T_liquidus_K,eta_liquidus_Pa_s.  A malformed, non-positive or
     non-finite value in either is reported with its file:line; liquids missing
-    metadata are a hard error.  Rows above the liquidus are retained but
-    flagged (excluded from fits downstream).
+    metadata, or listed twice in it, are a hard error.  Rows above the liquidus
+    are retained but flagged (excluded from fits downstream).
     """
     data_path, meta_path = Path(data_path), Path(meta_path)
-    meta_rows = _read_viscosity_rows(meta_path, ["liquid", "T_liquidus_K", "eta_liquidus_Pa_s"])
-    meta = {liquid: (t_l, eta_l) for liquid, t_l, eta_l in meta_rows}
+    meta: dict[str, tuple[int, float, float]] = {}
+    for line, liquid, t_l, eta_l in _read_viscosity_rows(meta_path, ["liquid", "T_liquidus_K", "eta_liquidus_Pa_s"]):
+        if liquid in meta:
+            raise ValueError(f"{meta_path.name}:{line}: liquid {liquid!r} repeats its metadata row at line {meta[liquid][0]}")
+        meta[liquid] = (line, t_l, eta_l)
     rows_by_liquid: dict[str, list[tuple[float, float]]] = {}
-    for liquid, temp, eta in _read_viscosity_rows(data_path, ["liquid", "T_K", "eta_Pa_s"]):
+    for _, liquid, temp, eta in _read_viscosity_rows(data_path, ["liquid", "T_K", "eta_Pa_s"]):
         rows_by_liquid.setdefault(liquid, []).append((temp, eta))
     missing = sorted(set(rows_by_liquid) - set(meta))
     if missing:
@@ -472,8 +475,8 @@ def ingest(data_path: str | Path, meta_path: str | Path) -> no.ViscosityDataset:
         no.ViscosityRecord(
             liquid_id=liquid,
             rows=tuple(rows),
-            t_liquidus=meta[liquid][0],
-            eta_liquidus=meta[liquid][1],
+            t_liquidus=meta[liquid][1],
+            eta_liquidus=meta[liquid][2],
         )
         for liquid, rows in sorted(rows_by_liquid.items())
     )

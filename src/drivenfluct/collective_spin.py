@@ -33,6 +33,9 @@ __all__ = [
     "UnsupportedScheduleError",
     "ScheduleRangeError",
     "DegenerateDistributionError",
+    "InvalidSectorError",
+    "doubled_spin",
+    "ladder_index",
     "up_count",
     "analytic_sigma",
     "analytic_energy_mean",
@@ -45,6 +48,10 @@ __all__ = [
     "wigner_d_column",
     "distribution_from_json_dict",
 ]
+
+
+class InvalidSectorError(ValueError):
+    """Raised for quantum numbers (N, S, m) that name no state of N spin-1/2 sites."""
 
 
 class UndefinedSpinError(ValueError):
@@ -63,23 +70,48 @@ class DegenerateDistributionError(ValueError):
     """Raised when a zero-width distribution is used where a density is needed."""
 
 
-def _check_half_integer(value: float, name: str) -> None:
+def _doubled(value: float, name: str) -> int:
+    # the one rounding of a half-integer quantum number: 2 * value, within 1e-9
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    doubled = 2.0 * value
-    if abs(doubled - round(doubled)) > 1e-9:
-        raise ValueError(f"{name} must be a half-integer, got {value}")
+        raise InvalidSectorError(f"{name} must be finite, got {value}")
+    doubled = round(2 * value)
+    if abs(2 * value - doubled) > 1e-9:
+        raise InvalidSectorError(f"{name} must be a half-integer, got {value}")
+    return doubled
+
+
+def doubled_spin(n_sites: int, s_tot: float) -> int:
+    """2S, once S is checked to be a total spin of n_sites spin-1/2 sites."""
+    doubled = _doubled(s_tot, "s_tot")
+    if doubled < 0:
+        raise InvalidSectorError("s_tot must be non-negative")
+    if doubled > n_sites:
+        raise InvalidSectorError("s_tot cannot exceed n_sites/2 for spin-1/2 constituents")
+    if (n_sites - doubled) % 2:
+        raise InvalidSectorError("n_sites/2 - s_tot must be an integer")
+    return doubled
+
+
+def ladder_index(s_tot: float, m: float) -> int:
+    """m + S, the index of |S, m> in the ascending ladder, once (S, m) is checked to name one."""
+    doubled_s = _doubled(s_tot, "s_tot")
+    doubled_m = _doubled(m, "m")
+    if doubled_s < 0:
+        raise InvalidSectorError("s_tot must be non-negative")
+    if abs(doubled_m) > doubled_s:
+        raise InvalidSectorError("|m| cannot exceed s_tot")
+    if (doubled_s - doubled_m) % 2:
+        raise InvalidSectorError("s_tot - |m| must be an integer")
+    return (doubled_s + doubled_m) // 2
 
 
 def up_count(n_sites: int, m: float) -> int:
     """Up spins of the S_z^tot = m sector of n_sites spin-1/2 sites; the one
-    check that m is finite and m + n_sites/2 an integer (within 1e-9) in [0, N]."""
-    if not math.isfinite(m):
-        raise ValueError(f"m must be finite, got {m}")
-    n_up = m + n_sites / 2
-    if abs(n_up - round(n_up)) > 1e-9 or not (0 <= round(n_up) <= n_sites):
-        raise ValueError(f"m = {m} is not a magnetization of {n_sites} spin-1/2 sites")
-    return int(round(n_up))
+    check that m is a finite half-integer with m + n_sites/2 an integer in [0, N]."""
+    doubled = _doubled(m, "m")
+    if (n_sites + doubled) % 2 or abs(doubled) > n_sites:
+        raise InvalidSectorError(f"m = {m} is not a magnetization of {n_sites} spin-1/2 sites")
+    return (n_sites + doubled) // 2
 
 
 @dataclass(frozen=True)
@@ -93,20 +125,8 @@ class SpinSector:
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError("n_sites must be a positive integer")
-        _check_half_integer(self.s_tot, "s_tot")
-        _check_half_integer(self.m, "m")
-        if self.s_tot < 0:
-            raise ValueError("s_tot must be non-negative")
-        if self.s_tot > self.n_sites / 2 + 1e-9:
-            raise ValueError("s_tot cannot exceed n_sites/2 for spin-1/2 constituents")
-        if abs(self.m) > self.s_tot + 1e-9:
-            raise ValueError("|m| cannot exceed s_tot")
-        gap = self.s_tot - abs(self.m)
-        if abs(gap - round(gap)) > 1e-9:
-            raise ValueError("s_tot - |m| must be an integer")
-        cogap = self.n_sites / 2 - self.s_tot
-        if abs(cogap - round(cogap)) > 1e-9:
-            raise ValueError("n_sites/2 - s_tot must be an integer")
+        doubled_spin(self.n_sites, self.s_tot)
+        ladder_index(self.s_tot, self.m)
 
     @property
     def w(self) -> float:
@@ -117,7 +137,7 @@ class SpinSector:
 
     @property
     def dim(self) -> int:
-        return int(round(2 * self.s_tot)) + 1
+        return doubled_spin(self.n_sites, self.s_tot) + 1
 
 
 @dataclass(frozen=True)
@@ -350,9 +370,9 @@ def analytic_energy_mean(
     return (e_symm - schedule.b_z * sector.m * _axis_projection(schedule, t_f)) / sector.n_sites
 
 
-def _ladder_arrays(s_tot: float) -> tuple[np.ndarray, np.ndarray]:
-    # m values ascending and raising-operator amplitudes c_k = |S+|S,m_k>|
-    dim = int(round(2 * s_tot)) + 1
+def _ladder_arrays(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    # m values ascending and raising amplitudes c_k = |S+|S,m_k>| of spin S = (dim - 1)/2
+    s_tot = (dim - 1) / 2
     m_values = np.arange(dim, dtype=float) - s_tot
     below = m_values[:-1]
     couplings = np.sqrt(s_tot * (s_tot + 1.0) - below * (below + 1.0))
@@ -386,12 +406,12 @@ def central_moment(
     if sector.s_tot == 0:
         raise UndefinedSpinError("exact moments need w; s_tot = 0 sector rejected")
     theta = schedule.theta_at(t_f)
-    m_values, couplings = _ladder_arrays(sector.s_tot)
+    m_values, couplings = _ladder_arrays(sector.dim)
     # X = B_z (cos(theta) S_z + sin(theta) S_x) about its mean B_z cos(theta) m
     diag = schedule.b_z * math.cos(theta) * (m_values - sector.m)
     off = schedule.b_z * math.sin(theta) * couplings / 2.0
     vec = np.zeros(len(m_values))
-    vec[int(round(sector.m + sector.s_tot))] = 1.0
+    vec[ladder_index(sector.s_tot, sector.m)] = 1.0
     for _ in range(g):
         nxt = diag * vec
         nxt[:-1] += off * vec[1:]
@@ -446,14 +466,12 @@ def wigner_d_column(s_tot: float, m: float, theta: float) -> np.ndarray:
     transform of the S_y generator (stable for any S, unlike factorial
     formulas); the returned column is renormalized to unit norm.
     """
-    _check_half_integer(s_tot, "s_tot")
-    _check_half_integer(m, "m")
-    dim = int(round(2 * s_tot)) + 1
+    col_index = ladder_index(s_tot, m)
+    dim = _doubled(s_tot, "s_tot") + 1
     if dim == 1:
         return np.ones(1)
-    _, couplings = _ladder_arrays(s_tot)
+    _, couplings = _ladder_arrays(dim)
     eigvals, eigvecs = eigh_tridiagonal(np.zeros(dim), couplings / 2.0)
-    col_index = int(round(m + s_tot))
     phase = (1j) ** np.arange(dim)
     rotated = eigvecs @ (np.exp(-1j * theta * eigvals) * eigvecs[col_index, :])
     column = np.real(np.conj(phase) * rotated * phase[col_index])

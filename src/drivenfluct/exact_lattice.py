@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 MAX_SITES = 14
+_MERGE_TOL = 1e-9
 
 
 class SizeLimitError(ValueError):
@@ -689,20 +690,18 @@ def connected_pair_correlators(
     return CorrelatorReport(g_matrix=g_matrix, gbar=gbar, sigma_sq=sigma_sq)
 
 
-def eigenbasis_distribution(
-    state: QuantumState, operator: MatrixOperator, merge_tol: float = 1e-9
-) -> EmpiricalDistribution:
+def eigenbasis_distribution(state: QuantumState, operator: MatrixOperator) -> EmpiricalDistribution:
     """Weights of the state on the operator's eigenbasis, per-site eigenvalues.
 
-    Eigenvalues closer than ``merge_tol`` (consecutive gaps) are merged into
-    one weight at their unweighted mean.
+    Eigenvalues closer than 1e-9 (consecutive gaps) are merged into one
+    weight at their unweighted mean.
     """
     eigvals, eigvecs = eigh(operator.matrix)
     weights = np.abs(eigvecs.conj().T @ state.amplitudes) ** 2
     points: list[tuple[float, float]] = []
     cluster = [0]
     for k in range(1, len(eigvals)):
-        if eigvals[k] - eigvals[cluster[-1]] <= merge_tol:
+        if eigvals[k] - eigvals[cluster[-1]] <= _MERGE_TOL:
             cluster.append(k)
         else:
             points.append(

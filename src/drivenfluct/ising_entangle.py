@@ -3,10 +3,9 @@
 Fixed-wall-count eigenstates of the open Ising chain reproduce thermal
 correlators; permutation-symmetric (Dicke) states carry an entanglement
 entropy that grows logarithmically with subsystem size; and SU(2) character
-counting gives the exact multiplicity of each total-spin sector.  All
-combinatorics run in exact integer/rational arithmetic and are reduced
-before any float conversion, since the binomials overflow fixed-width
-arithmetic long before the system sizes of interest.
+counting gives the exact multiplicity of each total-spin sector.  All combinatorics
+run in exact integers and rationals, since the binomials overflow fixed-width arithmetic
+long before the system sizes of interest; each ratio is rounded to float once.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .collective_spin import up_count
+from .collective_spin import InvalidSectorError, doubled_spin, up_count
 
 __all__ = [
     "DomainWallEnsemble",
@@ -39,10 +38,6 @@ __all__ = [
 ]
 
 _ENUMERATION_MAX_LENGTH = 20
-
-
-class InvalidSectorError(ValueError):
-    """Raised for (N, S) pairs violating angular-momentum parity."""
 
 
 class UnphysicalEnergyError(ValueError):
@@ -213,16 +208,13 @@ class DickeSplit:
         return up_count(self.n_sites, self.m)
 
 
-def _schmidt_fractions(split: DickeSplit) -> list[Fraction]:
+def _schmidt_weights(split: DickeSplit) -> list[float]:
     n_up = split.n_up
     total = math.comb(split.n_sites, n_up)
     lo = max(0, n_up - split.right_size)
     hi = min(split.left_size, n_up)
     return [
-        Fraction(
-            math.comb(split.left_size, k) * math.comb(split.right_size, n_up - k),
-            total,
-        )
+        math.comb(split.left_size, k) * math.comb(split.right_size, n_up - k) / total
         for k in range(lo, hi + 1)
     ]
 
@@ -288,34 +280,19 @@ def dicke_entanglement(
     """Bipartite entanglement entropy (nats) of a Dicke magnetization state.
 
     "exact" reduces the state analytically: the Schmidt weights are the
-    hypergeometric fractions C(L_A, k) C(L_B, n-k) / C(N, n), evaluated as
-    exact rationals and reduced before the float log.  "saddle" applies
+    hypergeometric fractions C(L_A, k) C(L_B, n-k) / C(N, n), each an exact
+    integer ratio rounded once to float before the log.  "saddle" applies
     :func:`saddle_entropy` to the free-spin Gaussian width.
     """
     if method == "exact":
         entropy = 0.0
-        for weight in _schmidt_fractions(split):
-            w = float(weight)
+        for w in _schmidt_weights(split):
             if w > 0.0:  # a weight that underflows to 0.0 adds w ln w -> 0
                 entropy -= w * math.log(w)
         return entropy
     if method == "saddle":
         return saddle_entropy(dicke_split_sigma_sq(split).sigma_sq)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _check_sector(n_sites: int, s_tot: float) -> int:
-    if not math.isfinite(s_tot):
-        raise InvalidSectorError(f"s_tot must be finite, got {s_tot}")
-    doubled = 2 * s_tot
-    if abs(doubled - round(doubled)) > 1e-9:
-        raise InvalidSectorError(f"s_tot = {s_tot} is not a half-integer")
-    doubled = int(round(doubled))
-    if doubled < 0 or doubled > n_sites or (n_sites - doubled) % 2 != 0:
-        raise InvalidSectorError(
-            f"(N, S) = ({n_sites}, {s_tot}) violates N - 2S even and 0 <= S <= N/2"
-        )
-    return doubled
 
 
 def spin_multiplicity(
@@ -331,7 +308,7 @@ def spin_multiplicity(
     (N^(3/2) sqrt(pi)); it overflows floats near N ~ 700, where
     :func:`spin_multiplicity_log` stays usable.
     """
-    doubled = _check_sector(n_sites, s_tot)
+    doubled = doubled_spin(n_sites, s_tot)
     if method == "exact":
         lower = (n_sites - doubled) // 2  # N/2 - S
         count, remainder = divmod(math.comb(n_sites, lower) * (doubled + 1), n_sites - lower + 1)
@@ -357,14 +334,12 @@ def spin_multiplicity_log(
     if method == "exact":
         return math.log(spin_multiplicity(n_sites, s_tot, method="exact"))
     if method == "gaussian":
-        _check_sector(n_sites, s_tot)
-        s = float(s_tot)
-        if s <= 0.0:
+        if doubled_spin(n_sites, s_tot) == 0:
             raise ValueError("gaussian form needs S > 0")
         return (
             (n_sites + 2.5) * math.log(2.0)
-            - 2.0 * s * s / n_sites
-            + math.log(s)
+            - 2.0 * s_tot * s_tot / n_sites
+            + math.log(s_tot)
             - 1.5 * math.log(n_sites)
             - 0.5 * math.log(math.pi)
         )

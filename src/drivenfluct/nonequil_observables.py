@@ -56,6 +56,7 @@ _LN10 = math.log(10.0)
 # below 1e-32, far under the 1e-8 quadrature contract.
 _GAUSS_SPAN = 12.0
 _QUAD_KW = {"epsabs": 1e-14, "epsrel": 1e-9, "limit": 200}
+_GOLDEN_TOL = 1e-10
 
 
 class InsufficientDataError(ValueError):
@@ -189,16 +190,13 @@ def master_curve(x: float) -> float:
 
 
 def golden_section_minimize(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
+    fn: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, float]:
     """Golden-section scan refined by one parabolic step; returns (x, f(x)).
 
-    ``tol`` is the bracket width at which the scan stops.  Absolute accuracy
-    of the argmin is additionally limited by the usual sqrt(eps) plateau of
-    the objective around its minimum.
+    The scan stops at a bracket width of 1e-10.  Absolute accuracy of the
+    argmin is additionally limited by the usual sqrt(eps) plateau of the
+    objective around its minimum.
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
@@ -207,7 +205,7 @@ def golden_section_minimize(
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    while b - a > tol:
+    while b - a > _GOLDEN_TOL:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
@@ -318,7 +316,7 @@ def _fit_single(
             for (t, _), lobs in zip(retained, log_obs)
         )
 
-    abar, best = golden_section_minimize(objective, lo, hi, tol=1e-10)
+    abar, best = golden_section_minimize(objective, lo, hi)
     at_boundary = abar - lo < 1e-6 * (hi - lo) or hi - abar < 1e-6 * (hi - lo)
     points = tuple(
         (collapse_abscissa(t, record.t_liquidus, abar), eta / record.eta_liquidus)

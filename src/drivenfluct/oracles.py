@@ -11,7 +11,7 @@ call them, so each comparison loop exists only here:
 - ``rate_against_finite_difference``: the exact variance rate against a
   centred finite difference of the evolved variance
 - ``robertson_fuzz``: the Robertson slack on random Hermitian pairs in random
-  states
+  states, each pair padded and checked by ``robertson_report``
 
 The per-module suites follow.  Each returns its checks as ``{"name", "ok",
 "detail"}`` records in a fixed order, and ``SUITES`` maps every CLI
@@ -37,6 +37,7 @@ __all__ = [
     "magnus_schedule",
     "magnus_slope",
     "rate_against_finite_difference",
+    "robertson_report",
     "robertson_fuzz",
     "sigma_sweep",
 ]
@@ -119,31 +120,35 @@ def rate_against_finite_difference(
     return rows
 
 
+def robertson_report(h_a: np.ndarray, h_b: np.ndarray, vec: np.ndarray) -> bd.BoundReport:
+    """Robertson report of the Hermitian parts of two square complex matrices in
+    the normalised state vec, all padded with zeros to the next power of two."""
+    dim = len(vec)
+    n_sites = max(1, (dim - 1).bit_length())
+    pad = 1 << n_sites
+    amplitudes = np.zeros(pad, dtype=complex)
+    amplitudes[:dim] = vec / np.linalg.norm(vec)
+    operators = []
+    for h in (h_a, h_b):
+        padded = np.zeros((pad, pad), dtype=complex)
+        padded[:dim, :dim] = (h + h.conj().T) / 2
+        operators.append(xl.MatrixOperator(padded, n_sites, ("all",), (padded,)))
+    return bd.uncertainty_check(xl.QuantumState(amplitudes, n_sites), *operators, 4)[0]
+
+
 def robertson_fuzz(rng: np.random.Generator, trials: int, max_dim: int) -> list[float]:
     """Robertson slack on random Hermitian pairs in random states.
 
-    Each trial draws a dimension in [2, max_dim], two complex Gaussian
-    matrices (Hermitian parts taken) and a normalised complex state, pads
-    them with zeros to the next power of two and returns the slack of the
-    Robertson report.  The draw order is fixed, so a seed fixes every trial.
+    Each trial draws a dimension in [2, max_dim], two complex Gaussian matrices and a complex
+    state for :func:`robertson_report`.  The draw order is fixed, so a seed fixes every trial.
     """
     slacks = []
     for _ in range(trials):
         dim = int(rng.integers(2, max_dim + 1))
-        n_sites = max(1, (dim - 1).bit_length())
-        pad = 1 << n_sites
         h_a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h_b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        amplitudes = np.zeros(pad, dtype=complex)
-        amplitudes[:dim] = vec / np.linalg.norm(vec)
-        operators = []
-        for h in (h_a, h_b):
-            padded = np.zeros((pad, pad), dtype=complex)
-            padded[:dim, :dim] = (h + h.conj().T) / 2
-            operators.append(xl.MatrixOperator(padded, n_sites, ("all",), (padded,)))
-        report = bd.uncertainty_check(xl.QuantumState(amplitudes, n_sites), *operators, 4)[0]
-        slacks.append(report.slack)
+        slacks.append(robertson_report(h_a, h_b, vec).slack)
     return slacks
 
 

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from drivenfluct import bounds as bd
 from drivenfluct import collective_spin as cs
@@ -11,6 +14,20 @@ from drivenfluct import exact_lattice as xl
 from drivenfluct import oracles
 
 PI = math.pi
+
+
+@st.composite
+def robertson_inputs(draw):
+    """Two complex square matrices and a normalisable complex state, dimension 2..16."""
+    dim = draw(st.integers(2, 16))
+
+    def complex_array(shape):
+        real, imag = (draw(hnp.arrays(float, shape, elements=st.floats(-1.0, 1.0))) for _ in range(2))
+        return real + 1j * imag
+
+    h_a, h_b, vec = complex_array((dim, dim)), complex_array((dim, dim)), complex_array(dim)
+    assume(np.linalg.norm(vec) > 1e-3)
+    return h_a, h_b, vec
 
 
 class TestUncertaintyCheck:
@@ -70,6 +87,11 @@ class TestUncertaintyCheck:
         slacks = oracles.robertson_fuzz(np.random.default_rng(424242), 300, 64)
         assert len(slacks) == 300
         assert min(slacks) >= -1e-12
+
+    @given(robertson_inputs())
+    def test_robertson_bound_holds(self, inputs):
+        report = oracles.robertson_report(*inputs)
+        assert report.satisfied, report.slack
 
     def test_augment_generator_width_is_static(self):
         # the augment drive conserves its own moments, so sigma(H_total) must

@@ -308,7 +308,7 @@ class TestIngest:
     @given(
         viscosity_tables(),
         st.booleans(),
-        st.integers(1, 2),
+        st.integers(1, 3),
         st.sampled_from(["nan", "inf", "-inf", "0.0", "-0.0", "-1.5", "oops", ""]),
         st.data(),
     )
@@ -316,12 +316,25 @@ class TestIngest:
         data_rows, meta_rows = (as_text(rows) for rows in tables)
         spoiled = meta_rows if in_meta else data_rows
         index = data.draw(st.integers(0, len(spoiled) - 1))
-        spoiled[index][column] = bad
+        spoiled[index][column : column + 1] = [bad]  # column 3 adds a fourth field
         where = f"{'meta' if in_meta else 'data'}.csv:{index + 2}: "
         with tempfile.TemporaryDirectory() as tmp:
             data_path = write_table(Path(tmp) / "data.csv", DATA_HEADER, data_rows)
             meta_path = write_table(Path(tmp) / "meta.csv", META_HEADER, meta_rows)
             with pytest.raises(ValueError, match=re.escape(where)):
+                cli.ingest(data_path, meta_path)
+
+    @given(viscosity_tables(), st.data())
+    def test_repeated_metadata_liquid_names_both_lines(self, tables, data):
+        data_rows, meta_rows = (as_text(rows) for rows in tables)
+        first = data.draw(st.integers(0, len(meta_rows) - 1))
+        repeat = data.draw(st.integers(first + 1, len(meta_rows)))
+        meta_rows.insert(repeat, [meta_rows[first][0], "900.0", "5.0"])
+        message = f"meta.csv:{repeat + 2}: liquid {meta_rows[first][0]!r} repeats its metadata row at line {first + 2}"
+        with tempfile.TemporaryDirectory() as tmp:
+            data_path = write_table(Path(tmp) / "data.csv", DATA_HEADER, data_rows)
+            meta_path = write_table(Path(tmp) / "meta.csv", META_HEADER, meta_rows)
+            with pytest.raises(ValueError, match=re.escape(message)):
                 cli.ingest(data_path, meta_path)
 
     def test_two_liquid_fixture(self, tmp_path):

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from drivenfluct import collective_spin as cs
+from drivenfluct import ising_entangle as ie
 
 PI = math.pi
 
@@ -96,6 +97,9 @@ SECTOR_FAULTS = {
     "s non-finite": _s_non_finite,
     "m non-finite": _m_non_finite,
 }
+# the faults that involve N, and those that involve m
+N_FAULTS = {"s above n/2", "n/2 - s not integer"}
+M_FAULTS = {"|m| above s", "s - |m| not integer", "m not half-integer", "m non-finite"}
 
 
 class TestSpinSector:
@@ -140,6 +144,13 @@ class TestSpinSector:
         n, s, m, message = SECTOR_FAULTS[fault](data)
         with pytest.raises(ValueError, match=re.escape(message)):
             cs.SpinSector(n, s, m)
+        # a route that takes (S, m) or (N, S) alone fails with the same message
+        if fault not in N_FAULTS:
+            with pytest.raises(cs.InvalidSectorError, match=re.escape(message)):
+                cs.wigner_d_column(s, m, 0.3)
+        if fault not in M_FAULTS:
+            with pytest.raises(cs.InvalidSectorError, match=re.escape(message)):
+                ie.spin_multiplicity(n, s)
 
 
 class TestDriveSchedule:
@@ -396,10 +407,24 @@ class TestWignerColumn:
                 generator[k + 1, k] = -c[k] / 2
             for theta in (0.4, 1.6, 3.0):
                 dense = expm(theta * generator)
-                for m in (-s, 0.5 - s if dim % 2 == 0 else 0.0, s):
+                for m in (-s, 0.5 if dim % 2 == 0 else 0.0, s):
                     column = cs.wigner_d_column(s, m, theta)
                     reference = dense[:, int(m + s)]
                     assert np.max(np.abs(column - reference)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "s, m, message",
+        [
+            (1.0, -3.0, "|m| cannot exceed s_tot"),
+            (1.0, 2.0, "|m| cannot exceed s_tot"),
+            (1.0, 0.5, "s_tot - |m| must be an integer"),
+            (1.5, 1.0, "s_tot - |m| must be an integer"),
+        ],
+    )
+    def test_invalid_column_names_its_fault(self, s, m, message):
+        # a wrapped or rounded index would return some other column instead
+        with pytest.raises(cs.InvalidSectorError, match=re.escape(message)):
+            cs.wigner_d_column(s, m, 0.3)
 
 
 class TestEigenweights:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from drivenfluct import collective_spin as cs
 from drivenfluct import ising_entangle as ie
 
 
@@ -121,6 +122,23 @@ class TestTemperatureEnergyMaps:
 
 
 class TestDickeEntanglement:
+    def test_schmidt_weights_are_the_rounded_fractions(self):
+        # one int/int division rounds as float(Fraction) does, for every split
+        # up to 40 sites and the half split of 1200
+        splits = [
+            ie.DickeSplit(n, k - n / 2, left)
+            for n in range(2, 41)
+            for k in range(n + 1)
+            for left in range(1, n)
+        ]
+        for split in splits + [ie.DickeSplit(1200, 0, 600)]:
+            n_up, left, right = split.n_up, split.left_size, split.right_size
+            expected = [
+                float(Fraction(math.comb(left, k) * math.comb(right, n_up - k), math.comb(split.n_sites, n_up)))
+                for k in range(max(0, n_up - right), min(left, n_up) + 1)
+            ]
+            assert ie._schmidt_weights(split) == expected
+
     def test_symmetries(self):
         for n, m, left in ((10, 2, 3), (9, 1.5, 4), (12, -3, 5)):
             forward = ie.dicke_entanglement(ie.DickeSplit(n, m, left))
@@ -188,6 +206,7 @@ class TestSpinMultiplicity:
                 assert ie.spin_multiplicity(n, doubled / 2.0) == expected
 
     def test_parity_rejected(self):
+        assert ie.InvalidSectorError is cs.InvalidSectorError
         with pytest.raises(ie.InvalidSectorError):
             ie.spin_multiplicity(4, 1.5)
         with pytest.raises(ie.InvalidSectorError):

@@ -53,6 +53,7 @@ from .ising_entangle import (
     dicke_entanglement,
     domain_wall_correlator,
     saddle_entropy,
+    spin_multiplicities,
     spin_multiplicity,
     spin_multiplicity_log,
     temperature_energy_maps,

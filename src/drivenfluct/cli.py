@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -99,6 +100,13 @@ def _write_manifest(
     return path
 
 
+def _outdir(args: argparse.Namespace) -> Path:
+    """The created output directory: --outdir, else $DRIVENFLUCT_OUTDIR as set at this call, else '.'."""
+    outdir = Path(os.environ.get("DRIVENFLUCT_OUTDIR", ".") if args.outdir is None else args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
 def _emit(
     args: argparse.Namespace,
     subcommand: str,
@@ -106,8 +114,7 @@ def _emit(
     input_paths: list[Path],
 ) -> None:
     """Write artifacts ({filename: (header, rows) | json payload}) + manifest."""
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args)
     names = []
     for name, content in sorted(artifacts.items()):
         path = outdir / name
@@ -146,8 +153,7 @@ def _parse_kernel(spec: str) -> no.SmearKernel:
 def _run_selftest(args: argparse.Namespace, subcommand: str) -> int:
     checks = oracles.SUITES[subcommand]()
     ok = all(c["ok"] for c in checks)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args)
     name = f"{subcommand}_selftest.json"
     _write_json(outdir / name, {"subcommand": subcommand, "ok": ok, "checks": checks})
     for check in checks:
@@ -410,17 +416,15 @@ def _cmd_dicke_entropy(args: argparse.Namespace) -> Result:
 
 def _cmd_multiplicity(args: argparse.Namespace) -> Result:
     n = args.n
-    doubled_values = list(range(n % 2, n + 1, 2))
+    counts = ie.spin_multiplicities(n)  # every sector from one sweep, 2S = N mod 2 + 2k at k
     rows = []
-    for doubled in reversed(doubled_values):
+    for doubled in range(n, -1, -2):
         s = doubled / 2.0
+        exact = counts[doubled // 2]
         if args.log:
-            exact = ie.spin_multiplicity_log(n, s, "exact")
-            gaussian = (
-                ie.spin_multiplicity_log(n, s, "gaussian") if s > 0 else ""
-            )
+            exact = math.log(exact)
+            gaussian = ie.spin_multiplicity_log(n, s, "gaussian") if s > 0 else ""
         else:
-            exact = ie.spin_multiplicity(n, s, "exact")
             gaussian = ie.spin_multiplicity(n, s, "gaussian") if s > 0 else ""
         rows.append((s, exact, gaussian))
     return {"multiplicity.csv": (["s", "exact", "gaussian"], rows)}, True, []
@@ -605,7 +609,7 @@ def _positive_count(text: str) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--outdir",
-        default=os.environ.get("DRIVENFLUCT_OUTDIR", "."),
+        default=None,
         help="output directory (default: $DRIVENFLUCT_OUTDIR or '.')",
     )
     sub.add_argument(
@@ -706,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dicke_entropy)
 
     p = subparsers.add_parser("multiplicity", help="total-spin sector multiplicities")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--log", action="store_true", help="emit natural logs (large N)")
     p.set_defaults(func=_cmd_multiplicity)
 
@@ -750,6 +754,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each parser is built on first use and kept for the process (the full tree
+# costs milliseconds); none is built at import.
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
+@functools.cache
+def _selftest_parser(subcommand: str) -> argparse.ArgumentParser:
+    mini = argparse.ArgumentParser(prog=f"drivenfluct {subcommand}")
+    _add_common(mini)
+    return mini
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -760,16 +778,13 @@ def main(argv: list[str] | None = None) -> int:
         if subcommand not in oracles.SUITES:
             print(f"error: --selftest needs a known subcommand, got {subcommand!r}", file=sys.stderr)
             return 2
-        mini = argparse.ArgumentParser(prog=f"drivenfluct {subcommand}")
-        _add_common(mini)
-        args, _ = mini.parse_known_args(argv[1:])
+        args, _ = _selftest_parser(subcommand).parse_known_args(argv[1:])
         try:
             return _run_selftest(args, subcommand)
         except (ValueError, ArithmeticError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         artifacts, ok, input_paths = args.func(args)
         _emit(args, args.subcommand, artifacts, input_paths)

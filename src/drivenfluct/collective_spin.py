@@ -82,6 +82,8 @@ def _doubled(value: float, name: str) -> int:
 
 def doubled_spin(n_sites: int, s_tot: float) -> int:
     """2S, once S is checked to be a total spin of n_sites spin-1/2 sites."""
+    if n_sites < 0:
+        raise InvalidSectorError(f"n_sites must be non-negative, got {n_sites}")
     doubled = _doubled(s_tot, "s_tot")
     if doubled < 0:
         raise InvalidSectorError("s_tot must be non-negative")
@@ -125,8 +127,11 @@ class SpinSector:
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError("n_sites must be a positive integer")
-        doubled_spin(self.n_sites, self.s_tot)
-        ladder_index(self.s_tot, self.m)
+        doubled = doubled_spin(self.n_sites, self.s_tot)
+        index = ladder_index(self.s_tot, self.m)
+        # keep the exact half-integers, so a tolerance-zero S meets the S = 0 checks
+        object.__setattr__(self, "s_tot", doubled / 2)
+        object.__setattr__(self, "m", index - doubled / 2)
 
     @property
     def w(self) -> float:

@@ -34,6 +34,7 @@ __all__ = [
     "ising_split_sigma_sq",
     "saddle_entropy",
     "spin_multiplicity",
+    "spin_multiplicities",
     "spin_multiplicity_log",
 ]
 
@@ -306,7 +307,8 @@ def spin_multiplicity(
     in exact integers, written as C(N, N/2-S)(2S+1)/(N/2+S+1).  "gaussian" is
     the fixed N >> S >> 1 approximation 2^(N+5/2) e^(-2S^2/N) S /
     (N^(3/2) sqrt(pi)); it overflows floats near N ~ 700, where
-    :func:`spin_multiplicity_log` stays usable.
+    :func:`spin_multiplicity_log` stays usable.  :func:`spin_multiplicities`
+    gives every exact sector of one N in a single pass.
     """
     doubled = doubled_spin(n_sites, s_tot)
     if method == "exact":
@@ -323,6 +325,25 @@ def spin_multiplicity(
         except OverflowError:
             return math.inf
     raise ValueError(f"unknown method {method!r}")
+
+
+def spin_multiplicities(n_sites: int) -> list[int]:
+    """Exact multiplicity of every total spin of N spin-1/2 sites, for 2S = N mod 2, ..., N.
+
+    One pass of the recurrence C(N, j+1) = C(N, j)(N - j)/(j + 1) over j = N/2 - S
+    gives every binomial; each sector is then the character count of
+    :func:`spin_multiplicity`, its exact division checked.
+    """
+    doubled_spin(n_sites, n_sites / 2)  # the top sector exists for every N >= 0
+    counts = []
+    binomial = 1  # C(N, 0)
+    for lower in range(n_sites // 2 + 1):
+        count, remainder = divmod(binomial * (n_sites - 2 * lower + 1), n_sites - lower + 1)
+        if remainder:
+            raise ArithmeticError("character count is not an integer")
+        counts.append(count)
+        binomial = binomial * (n_sites - lower) // (lower + 1)
+    return counts[::-1]
 
 
 def spin_multiplicity_log(

@@ -3,8 +3,11 @@
 import csv
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -200,7 +203,7 @@ class TestPhysicsCommands:
             )
 
     def test_dicke_entropy(self, tmp_path):
-        assert run_cli(["dicke-entropy", "--n", "16", "32", "64", "--m", "0"], tmp_path) == 0
+        assert run_cli(["dicke-entropy", "--n", "16", "32", "64", "1200", "--m", "0"], tmp_path) == 0
         payload = read_json(tmp_path / "dicke_entropy.json")
         assert payload["ln_slope"] == pytest.approx(0.5, abs=0.15)
 
@@ -409,6 +412,7 @@ class TestCliBehavior:
             (["bose-dual", "--sets", "-3"], "argument --sets: expected"),
             (["moment-compare", "--g-max", "-1"], "argument --g-max: expected"),
             (["moment-compare", "--g-max", "two"], "argument --g-max: expected a non-negative integer, got 'two'"),
+            (["multiplicity", "--n", "-3"], "argument --n: expected a non-negative integer, got '-3'"),
         ]
         for argv, message in cases:
             with pytest.raises(SystemExit) as err:
@@ -488,6 +492,45 @@ class TestCliBehavior:
             assert all(payload[gate] is True for gate in GATES if gate in payload), path.name
 
     def test_outdir_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DRIVENFLUCT_OUTDIR", str(tmp_path / "envout"))
-        assert cli.main(["moment-compare", "--g-max", "2"]) == 0
-        assert (tmp_path / "envout" / "moment_compare.csv").exists()
+        # read on each call, not when the (kept) parser was built
+        for name in ("envout", "envout2"):
+            monkeypatch.setenv("DRIVENFLUCT_OUTDIR", str(tmp_path / name))
+            assert cli.main(["moment-compare", "--g-max", "2"]) == 0
+            assert cli.main(["moment-compare", "--selftest"]) == 0
+            assert sorted(p.name for p in (tmp_path / name).iterdir()) == [
+                "moment-compare_manifest.json", "moment-compare_selftest.json", "moment_compare.csv"
+            ]
+
+    def test_kept_parser_carries_no_flags_over(self, tmp_path, capsys):
+        base = ["spin-sigma", "--n", "4", "--stot", "2", "--m", "0"]
+        assert run_cli([*base, "--theta", "1.0"], tmp_path / "a") == 0
+        assert run_cli(base, tmp_path / "b") == 1
+        assert "replace mode needs --theta values" in capsys.readouterr().err
+
+    def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
+        # a fresh interpreter: importing the CLI constructs no parser at all
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import drivenfluct.cli\n"
+            "print(len(built))\n"
+        )
+        src = Path(cli.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == "0"
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        cli._main_parser.cache_clear()
+        argv = ["rate-threshold", "--temperature", "2", "--cv-total", "1", "--cv-subsystem", "1"]
+        for k in range(5):
+            assert run_cli(argv, tmp_path / str(k)) == 0
+        assert len(calls) == 1

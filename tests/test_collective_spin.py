@@ -238,8 +238,15 @@ class TestAnalyticSigma:
             assert cs.analytic_sigma(sector, sched, k * PI / b_y) < 1e-13
 
     def test_singlet_rejected(self):
-        with pytest.raises(cs.UndefinedSpinError):
-            cs.analytic_sigma(cs.SpinSector(2, 0, 0), replace_schedule(1.0), 1.0)
+        for s in (0, 1e-10, -1e-10):  # S = 0, also within the half-integer tolerance
+            with pytest.raises(cs.UndefinedSpinError):
+                cs.analytic_sigma(cs.SpinSector(2, s, 0), replace_schedule(1.0), 1.0)
+
+    def test_tolerance_accepted_sector_is_exact(self):
+        sched = replace_schedule(1.0)
+        assert cs.analytic_sigma(cs.SpinSector(4, 2.0000000001, 1e-10), sched, 1.0) == cs.analytic_sigma(
+            cs.SpinSector(4, 2, 0), sched, 1.0
+        )
 
     def test_augment_multi_segment_rejected(self):
         sched = cs.DriveSchedule("augment", ((1.0, 1.0), (1.0, 0.5)), 1.0)

@@ -195,15 +195,18 @@ class TestSpinMultiplicity:
         assert [ie.spin_multiplicity(4, s) for s in (2, 1, 0)] == [1, 3, 2]
         assert [ie.spin_multiplicity(3, s) for s in (1.5, 0.5)] == [1, 2]
         assert [ie.spin_multiplicity(2, s) for s in (1, 0)] == [1, 1]
+        assert ie.spin_multiplicity(0, 0) == 1
 
     def test_ballot_identity(self):
-        # independent route: M(N, S) = C(N, N/2 - S) - C(N, N/2 - S - 1)
-        for n in (6, 11, 40, 1500):
-            doubled_values = range(n % 2, n + 1, 2)
-            for doubled in doubled_values:
+        # independent route: M(N, S) = C(N, N/2 - S) - C(N, N/2 - S - 1),
+        # against both the one-sector count and the all-sector sweep
+        for n in (*range(65), 1500, 1501):
+            expected = []
+            for doubled in range(n % 2, n + 1, 2):
                 j = (n - doubled) // 2
-                expected = math.comb(n, j) - (math.comb(n, j - 1) if j >= 1 else 0)
-                assert ie.spin_multiplicity(n, doubled / 2.0) == expected
+                expected.append(math.comb(n, j) - (math.comb(n, j - 1) if j >= 1 else 0))
+            assert ie.spin_multiplicities(n) == expected
+            assert [ie.spin_multiplicity(n, d / 2.0) for d in range(n % 2, n + 1, 2)] == expected
 
     def test_parity_rejected(self):
         assert ie.InvalidSectorError is cs.InvalidSectorError
@@ -211,6 +214,11 @@ class TestSpinMultiplicity:
             ie.spin_multiplicity(4, 1.5)
         with pytest.raises(ie.InvalidSectorError):
             ie.spin_multiplicity(4, 3)
+
+    def test_negative_site_count_rejected_by_name(self):
+        for count in (lambda: ie.spin_multiplicity(-4, 0), lambda: ie.spin_multiplicities(-3)):
+            with pytest.raises(ie.InvalidSectorError, match="n_sites must be non-negative"):
+                count()
 
     def test_gaussian_ratio_at_large_n(self):
         n = 10**4

@@ -16,10 +16,8 @@ __version__ = "0.1.0"
 
 from .bounds import BoundReport, equilibrium_rate_threshold, uncertainty_check
 from .collective_spin import (
-    AnalyticDistribution,
     DriveSchedule,
     EmpiricalDistribution,
-    EnergyDistribution,
     SpinSector,
     analytic_energy_mean,
     analytic_sigma,
@@ -27,7 +25,6 @@ from .collective_spin import (
     arcsine_density,
     central_moment,
     characteristic_value,
-    distribution_from_json_dict,
     eigenweight_distribution,
     ks_distance_to_arcsine,
     wigner_d_column,

@@ -366,7 +366,7 @@ def _cmd_ising_corr(args: argparse.Namespace) -> Result:
         d = int(d)
         enum_value = (
             ie.domain_wall_correlator(ensemble, d, "enumeration")
-            if args.length <= 20
+            if args.length <= ie.ENUMERATION_MAX_LENGTH
             else ""
         )
         rows.append(

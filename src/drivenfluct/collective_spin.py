@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Union
+from typing import Literal
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -26,9 +26,7 @@ from .special import bessel_j0
 __all__ = [
     "SpinSector",
     "DriveSchedule",
-    "AnalyticDistribution",
     "EmpiricalDistribution",
-    "EnergyDistribution",
     "UndefinedSpinError",
     "UnsupportedScheduleError",
     "ScheduleRangeError",
@@ -46,7 +44,6 @@ __all__ = [
     "eigenweight_distribution",
     "ks_distance_to_arcsine",
     "wigner_d_column",
-    "distribution_from_json_dict",
 ]
 
 
@@ -213,32 +210,6 @@ class DriveSchedule:
 
 
 @dataclass(frozen=True)
-class AnalyticDistribution:
-    """Arcsine-shaped energy-density law with given center and width."""
-
-    center: float
-    width: float
-
-    def __post_init__(self):
-        if self.width < 0.0:
-            raise ValueError("width must be non-negative")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        half = self.width * math.sqrt(2.0)
-        return (self.center - half, self.center + half)
-
-    def density(self, value: float) -> float:
-        return arcsine_density(value, self.center, self.width)
-
-    def cdf(self, value: float) -> float:
-        return arcsine_cdf(value, self.center, self.width)
-
-    def to_json_dict(self) -> dict:
-        return {"type": "analytic", "center": self.center, "width": self.width}
-
-
-@dataclass(frozen=True)
 class EmpiricalDistribution:
     """Discrete energy-density law: (value, weight) pairs sorted by value."""
 
@@ -291,20 +262,6 @@ class EmpiricalDistribution:
             "type": "empirical",
             "points": [{"value": v, "weight": w} for v, w in self.points],
         }
-
-
-EnergyDistribution = Union[AnalyticDistribution, EmpiricalDistribution]
-
-
-def distribution_from_json_dict(record: dict) -> EnergyDistribution:
-    kind = record.get("type")
-    if kind == "analytic":
-        return AnalyticDistribution(center=record["center"], width=record["width"])
-    if kind == "empirical":
-        return EmpiricalDistribution(
-            points=tuple((p["value"], p["weight"]) for p in record["points"])
-        )
-    raise ValueError(f"unknown distribution type {kind!r}")
 
 
 def _fluctuation_factor(sector: SpinSector) -> float:

@@ -143,18 +143,6 @@ class QuantumState:
         if not drift <= self.norm_tol:  # NaN fails too
             raise ValueError(f"state norm off unity by {drift:.3e}")
 
-    def to_json_dict(self) -> dict:
-        """Binary-free JSON form: amplitudes as [re, im] pairs in basis order."""
-        return {
-            "n_sites": self.n_sites,
-            "amplitudes": [[z.real, z.imag] for z in self.amplitudes.tolist()],
-        }
-
-    @classmethod
-    def from_json_dict(cls, record: dict) -> "QuantumState":
-        amps = np.array([complex(re, im) for re, im in record["amplitudes"]])
-        return cls(amplitudes=amps, n_sites=record["n_sites"])
-
 
 def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -180,22 +168,16 @@ class MatrixOperator:
     ``array`` holds the operator and ``term_stack`` its terms, term k in rows
     k*2^N .. (k+1)*2^N - 1, so one product gives every term's.  The lattice
     builders store scipy CSR arrays, Hermitian and resumming by construction,
-    without re-checking them.  Any other operator (JSON, ``bose_dual``, user
-    arrays) comes through this constructor as dense arrays, ``terms`` one
-    2^N x 2^N matrix per label, and must be Hermitian, with terms that sum
-    back to it, each within 1e-12.  ``matrix`` is the dense form, a new
+    without re-checking them.  Any other operator (``bose_dual``, user
+    arrays) comes through this constructor as dense arrays, ``terms`` a
+    sequence of 2^N x 2^N matrices, and must be Hermitian, with terms that
+    sum back to it, each within 1e-12.  ``matrix`` is the dense form, a new
     16 * 4^N-byte array on each read of a sparse operator.  Bond terms are
     split half-half between their two sites, one fixed choice among the many
     admissible splits.
     """
 
-    def __init__(
-        self,
-        matrix,
-        n_sites: int,
-        labels: tuple[str, ...] = (),
-        terms=None,
-    ):
+    def __init__(self, matrix, n_sites: int, terms=None):
         parts = [] if terms is None else list(terms)
         if sparse.issparse(matrix) or any(map(sparse.issparse, parts)):
             raise TypeError("MatrixOperator takes dense arrays; sparse operators come only from the lattice builders")
@@ -210,9 +192,7 @@ class MatrixOperator:
         if terms is not None:
             stacked = np.asarray(parts, dtype=complex)
             if stacked.shape[1:] != (dim, dim):
-                raise ValueError("terms must be one 2^n x 2^n matrix per label")
-            if stacked.shape[0] != len(labels):
-                raise ValueError("one label per decomposition term required")
+                raise ValueError("terms must be 2^n x 2^n matrices")
             gap = float(np.abs(stacked.sum(axis=0) - array).max())
             if gap > 1e-12:
                 raise ValueError(f"decomposition does not resum to operator ({gap:.3e})")
@@ -220,14 +200,12 @@ class MatrixOperator:
         self.array = array
         self.term_stack = term_stack
         self.n_sites = n_sites
-        self.labels = tuple(labels)
 
     @classmethod
     def _from_builder(
         cls,
         array: sparse.csr_array,
         n_sites: int,
-        labels: tuple[str, ...] = (),
         term_stack: sparse.csr_array | None = None,
     ) -> "MatrixOperator":
         """A lattice builder's CSR operator and term stack, stored as given."""
@@ -235,16 +213,15 @@ class MatrixOperator:
         operator.array = array
         operator.term_stack = term_stack
         operator.n_sites = n_sites
-        operator.labels = labels
         return operator
 
     @property
     def terms(self) -> tuple | None:
-        """The local terms, one 2^N x 2^N block of ``term_stack`` per label."""
+        """The local terms, each a 2^N x 2^N block of ``term_stack``."""
         if self.term_stack is None:
             return None
         dim = self.dim
-        return tuple(self.term_stack[k * dim:(k + 1) * dim] for k in range(len(self.labels)))
+        return tuple(self.term_stack[k:k + dim] for k in range(0, self.term_stack.shape[0], dim))
 
     @property
     def dim(self) -> int:
@@ -256,21 +233,6 @@ class MatrixOperator:
             return self.array
         _require_dense_memory(self.n_sites)
         return self.array.toarray()
-
-    def to_json_dict(self) -> dict:
-        """Binary-free JSON form: row-major [re, im] pairs (decomposition omitted)."""
-        return {
-            "n_sites": self.n_sites,
-            "labels": list(self.labels),
-            "matrix": [[[z.real, z.imag] for z in row] for row in self.matrix.tolist()],
-        }
-
-    @classmethod
-    def from_json_dict(cls, record: dict) -> "MatrixOperator":
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in record["matrix"]]
-        )
-        return cls(matrix=mat, n_sites=record["n_sites"], labels=tuple(record["labels"]))
 
 
 @dataclass(frozen=True)
@@ -371,8 +333,7 @@ def build_spin_hamiltonian(lattice: LatticeSpec, with_decomposition: bool = True
             cols[s, :, k] ^= mask
             values[s, :, k] = flip_values
     terms = _csr(cols.reshape(-1, width), values.reshape(-1, width), lattice.dim)
-    labels = tuple(f"site-{s}" for s in range(n))
-    return MatrixOperator._from_builder(total, n, labels, terms)
+    return MatrixOperator._from_builder(total, n, terms)
 
 
 def build_transverse_field(n_sites: int, b_y: float) -> MatrixOperator:
@@ -388,8 +349,7 @@ def build_transverse_field(n_sites: int, b_y: float) -> MatrixOperator:
     total = _csr(cols, values, idx.size)
     # site s alone is one entry per row, in row block s of the stack
     terms = _csr(cols.T.reshape(-1, 1), values.T.reshape(-1, 1), idx.size)
-    labels = tuple(f"site-{s}" for s in range(n_sites))
-    return MatrixOperator._from_builder(total, n_sites, labels, terms)
+    return MatrixOperator._from_builder(total, n_sites, terms)
 
 
 def dicke_state(n_sites: int, m: float) -> QuantumState:
@@ -679,8 +639,8 @@ def connected_pair_correlators(
     if operator.term_stack is None:
         raise ValueError("operator carries no local-term decomposition")
     psi = state.amplitudes
-    n_terms = len(operator.labels)
-    terms_psi = (operator.term_stack @ psi).reshape(n_terms, -1)
+    terms_psi = (operator.term_stack @ psi).reshape(-1, psi.size)
+    n_terms = terms_psi.shape[0]
     means = (terms_psi @ psi.conj()).real
     overlap = terms_psi.conj() @ terms_psi.T
     g_matrix = overlap.real - means[:, None] * means
@@ -764,15 +724,6 @@ class BoseDualReport:
     doping_matches_transverse: bool
     number_maps_to_magnetization: bool
     constant_shift: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "spectrum_max_delta": self.spectrum_max_delta,
-            "spectra_match": self.spectra_match,
-            "doping_matches_transverse": self.doping_matches_transverse,
-            "number_maps_to_magnetization": self.number_maps_to_magnetization,
-            "constant_shift": self.constant_shift,
-        }
 
 
 def bose_dual(lattice: LatticeSpec) -> tuple[MatrixOperator, BoseDualReport]:

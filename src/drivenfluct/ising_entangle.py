@@ -20,10 +20,10 @@ import numpy as np
 from .collective_spin import InvalidSectorError, doubled_spin, up_count
 
 __all__ = [
+    "ENUMERATION_MAX_LENGTH",
     "DomainWallEnsemble",
     "DickeSplit",
     "ThermalPoint",
-    "SaddlePoint",
     "InvalidSectorError",
     "UnphysicalEnergyError",
     "domain_wall_correlator",
@@ -38,7 +38,7 @@ __all__ = [
     "spin_multiplicity_log",
 ]
 
-_ENUMERATION_MAX_LENGTH = 20
+ENUMERATION_MAX_LENGTH = 20
 
 
 class UnphysicalEnergyError(ValueError):
@@ -107,9 +107,9 @@ def correlator_fraction(
     if not 1 <= distance <= ensemble.bond_count - site:
         raise ValueError(f"distance {distance} out of range for site {site}")
     if method == "enumeration":
-        if ensemble.chain_length > _ENUMERATION_MAX_LENGTH:
+        if ensemble.chain_length > ENUMERATION_MAX_LENGTH:
             raise ValueError(
-                f"enumeration capped at chain length {_ENUMERATION_MAX_LENGTH}"
+                f"enumeration capped at chain length {ENUMERATION_MAX_LENGTH}"
             )
         return _enumeration_fraction(ensemble, distance, site)
     if method == "hypergeometric":
@@ -227,12 +227,7 @@ def saddle_entropy(sigma_sq: float) -> float:
     return 0.5 * math.log(2.0 * math.pi * sigma_sq + 1.0)
 
 
-class SaddlePoint(NamedTuple):
-    sigma_sq: float
-    detail: dict
-
-
-def dicke_split_sigma_sq(split: DickeSplit) -> SaddlePoint:
+def dicke_split_sigma_sq(split: DickeSplit) -> float:
     """Gaussian width of the Schmidt profile from free-spin capacities.
 
     Non-interacting spins in a field with up fraction p have per-site number
@@ -240,16 +235,12 @@ def dicke_split_sigma_sq(split: DickeSplit) -> SaddlePoint:
     harmonically, giving sigma^2 = p(1-p) L_A L_B / N in up-count units.
     """
     p = split.n_up / split.n_sites
-    sigma_sq = p * (1.0 - p) * split.left_size * split.right_size / split.n_sites
-    return SaddlePoint(
-        sigma_sq=sigma_sq,
-        detail={"construction": "free-spin-in-field", "up_fraction": p},
-    )
+    return p * (1.0 - p) * split.left_size * split.right_size / split.n_sites
 
 
 def ising_split_sigma_sq(
     chain_length: int, left_size: int, beta: float, coupling: float = 1.0
-) -> SaddlePoint:
+) -> float:
     """Gaussian width of an Ising-chain bipartition from chain heat capacities.
 
     sigma^2 = T^2 C_A C_B / (C_A + C_B) with each part's capacity from the
@@ -264,15 +255,7 @@ def ising_split_sigma_sq(
         * right.heat_capacity
         / (left.heat_capacity + right.heat_capacity)
     )
-    sigma_sq = c_eff / beta**2
-    return SaddlePoint(
-        sigma_sq=sigma_sq,
-        detail={
-            "construction": "ising-chain",
-            "c_v_left": left.heat_capacity,
-            "c_v_right": right.heat_capacity,
-        },
-    )
+    return c_eff / beta**2
 
 
 def dicke_entanglement(
@@ -292,7 +275,7 @@ def dicke_entanglement(
                 entropy -= w * math.log(w)
         return entropy
     if method == "saddle":
-        return saddle_entropy(dicke_split_sigma_sq(split).sigma_sq)
+        return saddle_entropy(dicke_split_sigma_sq(split))
     raise ValueError(f"unknown method {method!r}")
 
 

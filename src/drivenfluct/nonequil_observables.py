@@ -317,7 +317,8 @@ def _fit_single(
         )
 
     abar, best = golden_section_minimize(objective, lo, hi)
-    at_boundary = abar - lo < 1e-6 * (hi - lo) or hi - abar < 1e-6 * (hi - lo)
+    # measured against abar, so the flag does not depend on the bracket width
+    at_boundary = min(abar - lo, hi - abar) <= 1e-6 * abar
     points = tuple(
         (collapse_abscissa(t, record.t_liquidus, abar), eta / record.eta_liquidus)
         for t, eta in retained
@@ -343,8 +344,10 @@ def fit_collapse(
     meaningless; the log10 target weights every decade equally.  The liquidus
     viscosity comes from the dataset metadata and is not fitted.
     """
-    if not 0.0 < abar_bounds[0] < abar_bounds[1]:
-        raise ValueError("abar bounds must satisfy 0 < lo < hi")
+    lo, hi = abar_bounds
+    # the chained form fails nan as well as an infinite upper bound
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"abar bounds must satisfy 0 < lo < hi < inf, got lo = {lo!r}, hi = {hi!r}")
     return [_fit_single(record, abar_bounds) for record in dataset.records]
 
 

@@ -132,7 +132,7 @@ def robertson_report(h_a: np.ndarray, h_b: np.ndarray, vec: np.ndarray) -> bd.Bo
     for h in (h_a, h_b):
         padded = np.zeros((pad, pad), dtype=complex)
         padded[:dim, :dim] = (h + h.conj().T) / 2
-        operators.append(xl.MatrixOperator(padded, n_sites, ("all",), (padded,)))
+        operators.append(xl.MatrixOperator(padded, n_sites, (padded,)))
     return bd.uncertainty_check(xl.QuantumState(amplitudes, n_sites), *operators, 4)[0]
 
 

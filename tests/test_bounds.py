@@ -34,7 +34,7 @@ class TestUncertaintyCheck:
     def test_commuting_pair_trivially_satisfied(self):
         lat = xl.LatticeSpec.chain(3, 1.0, 1.0)
         ham = xl.build_spin_hamiltonian(lat)
-        scaled = xl.MatrixOperator(2.0 * ham.matrix, 3, ham.labels, tuple(2.0 * t.toarray() for t in ham.terms))
+        scaled = xl.MatrixOperator(2.0 * ham.matrix, 3, tuple(2.0 * t.toarray() for t in ham.terms))
         state = xl.evolve_state(
             xl.dicke_state(3, 0.5), lat, cs.DriveSchedule("replace", ((0.7, 1.0),), 1.0)
         )[-1][1]

@@ -115,6 +115,8 @@ class TestSpinCommands:
 
     def test_spin_sigma_rejects_nan_by_name(self, tmp_path, capsys):
         bond = "coupling of bond (0, 1) must be finite, got nan"
+        data, meta = write_fixture(tmp_path, [("glassa", 0.085, 1000.0, 2.0, np.linspace(620.0, 1000.0, 14))])
+        fit = ["viscosity-fit", "--data", str(data), "--meta", str(meta)]
         for k, (args, message) in enumerate((
             (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--theta", "nan"], "duration must be finite, got nan"),
             (["spin-sigma", "--n", "4", "--stot", "nan", "--m", "0"], "s_tot must be finite, got nan"),
@@ -126,6 +128,7 @@ class TestSpinCommands:
             (["magnus-check", "--j", "nan"], bond),
             (["variance-rate", "--bz", "inf"], "b_z must be finite, got inf"),
             (["exact-check", "--j", "nan"], bond),
+            (fit + ["--abar-hi", "inf"], "abar bounds must satisfy 0 < lo < hi < inf, got lo = 0.001, hi = inf"),
         )):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")

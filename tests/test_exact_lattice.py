@@ -1,6 +1,5 @@
 """Dense-oracle construction, evolution, correlators, and the boson dual."""
 
-import json
 import math
 from functools import reduce
 
@@ -78,13 +77,11 @@ class TestSpinHamiltonian:
     def test_resum_enforced(self):
         ham = xl.build_spin_hamiltonian(xl.LatticeSpec.chain(4, 0.9, 0.4))
         matrix, terms = ham.matrix, [term.toarray() for term in ham.terms]
-        dense = xl.MatrixOperator(matrix, 4, ham.labels, terms)
+        dense = xl.MatrixOperator(matrix, 4, terms)
         assert all(np.array_equal(a, b) for a, b in zip(dense.terms, terms))
         terms[2] = terms[2] * (1.0 + 1e-9)
         with pytest.raises(ValueError, match="resum"):
-            xl.MatrixOperator(matrix, 4, ham.labels, terms)
-        with pytest.raises(ValueError, match="one label per"):
-            xl.MatrixOperator(matrix, 4, ham.labels[:3], terms)
+            xl.MatrixOperator(matrix, 4, terms)
 
 
 class TestDickeState:
@@ -305,21 +302,6 @@ class TestBoseDual:
             w = m / (n / 2.0)
             expected = abs(math.sin(theta)) / (2 * math.sqrt(2)) * math.sqrt(1 + 2 / n - w**2)
             assert xl.energy_density_sigma(state, bose_op) == pytest.approx(expected, abs=1e-10)
-
-
-class TestSerialization:
-    def test_state_round_trip(self):
-        state = xl.dicke_state(3, 0.5)
-        record = state.to_json_dict()
-        text = json.dumps(record)
-        back = xl.QuantumState.from_json_dict(json.loads(text))
-        assert np.allclose(back.amplitudes, state.amplitudes)
-
-    def test_operator_round_trip(self):
-        ham = xl.build_spin_hamiltonian(xl.LatticeSpec.chain(2, 1.0, 0.5))
-        back = xl.MatrixOperator.from_json_dict(ham.to_json_dict())
-        assert np.allclose(back.matrix, ham.matrix)
-        assert back.labels == ham.labels
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +538,7 @@ class TestSparseOperatorChecks:
             (ham.matrix, ham.term_stack),
         ):
             with pytest.raises(TypeError, match="dense arrays"):
-                xl.MatrixOperator(matrix, 4, ham.labels, terms)
+                xl.MatrixOperator(matrix, 4, terms)
 
     @given(bond_lattices(), st.floats(-2.0, 2.0))
     def test_builders_hermitian_and_resumming(self, lattice, b_y):

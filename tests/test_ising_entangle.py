@@ -166,20 +166,19 @@ class TestDickeEntanglement:
     def test_saddle_formula_and_agreement(self):
         split = ie.DickeSplit(64, 0, 32)
         width = ie.dicke_split_sigma_sq(split)
-        assert width.sigma_sq == pytest.approx(0.25 * 32 * 32 / 64)
+        assert width == pytest.approx(0.25 * 32 * 32 / 64)
         saddle = ie.dicke_entanglement(split, "saddle")
-        assert saddle == pytest.approx(ie.saddle_entropy(width.sigma_sq))
+        assert saddle == pytest.approx(ie.saddle_entropy(width))
         exact = ie.dicke_entanglement(split, "exact")
         # reported agreement: the saddle tracks the exact value at large N
         assert abs(saddle - exact) < 0.5
 
     def test_ising_split_width(self):
-        point = ie.ising_split_sigma_sq(80, 30, beta=0.6, coupling=1.0)
-        assert point.sigma_sq > 0.0
-        assert point.detail["construction"] == "ising-chain"
-        left = point.detail["c_v_left"]
-        right = point.detail["c_v_right"]
-        assert point.sigma_sq == pytest.approx(
+        sigma_sq = ie.ising_split_sigma_sq(80, 30, beta=0.6, coupling=1.0)
+        assert sigma_sq > 0.0
+        left = ie.temperature_energy_maps(30, 1.0, beta=0.6).heat_capacity
+        right = ie.temperature_energy_maps(50, 1.0, beta=0.6).heat_capacity
+        assert sigma_sq == pytest.approx(
             (left * right / (left + right)) / 0.6**2, rel=1e-12
         )
 

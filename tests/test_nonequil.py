@@ -159,6 +159,30 @@ class TestCollapseFit:
         fit = no.fit_collapse(no.ViscosityDataset((record,)), abar_bounds=(0.001, 0.1))[0]
         assert fit.at_boundary
 
+    def test_boundary_flag_lower_edge(self):
+        # data narrower than the lower bound pins the fit at that edge
+        record = synthetic_record("low", 0.0005, 1000.0, 1.0, np.linspace(990.0, 1000.0, 10))
+        fit = no.fit_collapse(no.ViscosityDataset((record,)), abar_bounds=(0.001, 0.1))[0]
+        assert fit.at_boundary
+
+    @pytest.mark.parametrize("hi", [1e5, 1e100], ids=["1e5", "1e100"])
+    def test_wide_bracket(self, hi):
+        # the flag measures the distance to the nearer bound against abar, so
+        # an interior fit on a wide bracket is not pinned; the objective is
+        # flat for abar above ~1e16, and the minimiser must still find 0.085
+        record = synthetic_record("a", 0.085, 1100.0, 2.4, np.linspace(660.0, 1100.0, 14))
+        fit = no.fit_collapse(no.ViscosityDataset((record,)), abar_bounds=(0.001, hi))[0]
+        assert fit.abar == pytest.approx(0.085, abs=1e-6)
+        assert not fit.at_boundary
+
+    def test_bounds_validated(self):
+        record = synthetic_record("a", 0.085, 1100.0, 2.4, np.linspace(660.0, 1100.0, 14))
+        dataset = no.ViscosityDataset((record,))
+        for bounds, name in (((0.001, math.inf), "hi = inf"), ((0.0, 1.0), "lo = 0.0"),
+                             ((math.nan, 1.0), "lo = nan"), ((0.5, 0.1), "hi = 0.1")):
+            with pytest.raises(ValueError, match=f"0 < lo < hi < inf, got .*{name}"):
+                no.fit_collapse(dataset, bounds)
+
     def test_golden_section_quadratic(self):
         # with an O(1) offset the objective plateaus to rounding within
         # sqrt(eps) of the minimum; localization is limited accordingly

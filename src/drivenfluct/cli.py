@@ -532,6 +532,10 @@ def _cmd_collapse(args: argparse.Namespace) -> Result:
 
 def _cmd_smear_green(args: argparse.Namespace) -> Result:
     kernel = _parse_kernel(args.kernel)
+    # checked before the grid is built: np.linspace warns on an infinite end
+    for flag, value in (("--omega-min", args.omega_min), ("--omega-max", args.omega_max)):
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{flag} must be finite, got {value!r}")
     grid = np.linspace(args.omega_min, args.omega_max, args.count)
     result = no.smeared_green(grid, args.eps_k, kernel, args.z, args.tau)
     rows = [

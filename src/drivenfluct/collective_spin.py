@@ -67,6 +67,11 @@ class DegenerateDistributionError(ValueError):
     """Raised when a zero-width distribution is used where a density is needed."""
 
 
+def _require_finite(value: float, name: str) -> None:
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _doubled(value: float, name: str) -> int:
     # the one rounding of a half-integer quantum number: 2 * value, within 1e-9
     if not math.isfinite(value):
@@ -165,15 +170,12 @@ class DriveSchedule:
         )
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
-        if not math.isfinite(self.b_z):
-            raise ValueError(f"b_z must be finite, got {self.b_z!r}")
+        _require_finite(self.b_z, "b_z")
         for index, (duration, b_y) in enumerate(self.segments):
-            if not math.isfinite(duration):
-                raise ValueError(f"segment {index} duration must be finite, got {duration!r}")
+            _require_finite(duration, f"segment {index} duration")
             if not duration > 0.0:
                 raise ValueError("segment durations must be strictly positive")
-            if not math.isfinite(b_y):
-                raise ValueError(f"segment {index} b_y must be finite, got {b_y!r}")
+            _require_finite(b_y, f"segment {index} b_y")
 
     @property
     def total_duration(self) -> float:
@@ -329,6 +331,7 @@ def analytic_energy_mean(
     e_symm is the rotationally invariant part of the global energy in the
     initial eigenstate; the width formulas are independent of it.
     """
+    _require_finite(e_symm, "e_symm")
     return (e_symm - schedule.b_z * sector.m * _axis_projection(schedule, t_f)) / sector.n_sites
 
 
@@ -447,6 +450,8 @@ def eigenweight_distribution(
     e_symm: float = 0.0,
 ) -> EmpiricalDistribution:
     """Exact weights |d^S_{m',m}(theta)|^2 on energies (e_symm - B_z m')/N."""
+    for value, name in ((theta, "theta"), (b_z, "b_z"), (e_symm, "e_symm")):
+        _require_finite(value, name)
     column = wigner_d_column(sector.s_tot, sector.m, theta)
     weights = column**2
     weights = weights / weights.sum()

@@ -5,7 +5,8 @@ site i, bit value 1 = spin up): the point is an exact reference for the
 closed forms in :mod:`collective_spin`, not a production simulator, hence the
 cap at 14 sites.  Includes the hard-core-boson dual obtained from the spin
 algebra (boson number = up-spin indicator), whose spectrum must coincide with
-the spin Hamiltonian's.
+the spin Hamiltonian's; it is written into one dense array straight from the
+occupation bits of the basis index, with no per-site or per-bond matrices.
 
 Matrix-free routes (memory O(N 2^N) for a chain): operators and their
 local-term decompositions are written from bit operations straight into
@@ -571,16 +572,12 @@ def propagator(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> np.nd
     return _exchange_evolution(_kron_power(rotation, lattice.n_sites), exchange, math.fsum(step for step, _ in steps))
 
 
-def _apply(operator: MatrixOperator | np.ndarray, psi: np.ndarray) -> np.ndarray:
-    return (operator.array if isinstance(operator, MatrixOperator) else operator) @ psi
-
-
-def expectation(state: QuantumState, operator: MatrixOperator | np.ndarray) -> float:
-    value = np.vdot(state.amplitudes, _apply(operator, state.amplitudes))
+def expectation(state: QuantumState, operator: MatrixOperator) -> float:
+    value = np.vdot(state.amplitudes, operator.array @ state.amplitudes)
     return float(value.real)
 
 
-def variance(state: QuantumState, operator: MatrixOperator | np.ndarray) -> float:
+def variance(state: QuantumState, operator: MatrixOperator) -> float:
     """Two-pass form ||(A - <A>) psi||^2 / <psi|psi>.
 
     Immune to the <A^2> - <A>^2 cancellation that floors sigma at ~1e-8 near
@@ -589,7 +586,7 @@ def variance(state: QuantumState, operator: MatrixOperator | np.ndarray) -> floa
     the result.
     """
     psi = state.amplitudes
-    applied = _apply(operator, psi)
+    applied = operator.array @ psi
     norm_sq = np.vdot(psi, psi).real
     residual = applied - (np.vdot(psi, applied).real / norm_sq) * psi
     return float(np.vdot(residual, residual).real / norm_sq)
@@ -676,25 +673,6 @@ def eigenbasis_distribution(state: QuantumState, operator: MatrixOperator) -> Em
     return EmpiricalDistribution(points=tuple(points))
 
 
-def _boson_hop(n_sites: int, i: int, j: int) -> np.ndarray:
-    """Dense b_i^dag b_j + b_j^dag b_i on the hard-core occupation basis."""
-    dim = 1 << n_sites
-    idx = np.arange(dim)
-    occupied_j_empty_i = ((idx >> j) & 1).astype(bool) & ~((idx >> i) & 1).astype(bool)
-    out = np.zeros((dim, dim), dtype=complex)
-    src = idx[occupied_j_empty_i]
-    out[src ^ ((1 << i) | (1 << j)), src] = 1.0
-    return out + out.conj().T
-
-
-def _boson_number(n_sites: int, i: int) -> np.ndarray:
-    dim = 1 << n_sites
-    idx = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    out[idx, idx] = (idx >> i) & 1
-    return out
-
-
 def bose_doping_operator(n_sites: int, b_y: float) -> np.ndarray:
     """(i b_y/2) sum_i (b_i^dag - b_i): the boson image of the transverse drive.
 
@@ -723,7 +701,6 @@ class BoseDualReport:
     spectra_match: bool
     doping_matches_transverse: bool
     number_maps_to_magnetization: bool
-    constant_shift: float
 
 
 def bose_dual(lattice: LatticeSpec) -> tuple[MatrixOperator, BoseDualReport]:
@@ -733,21 +710,26 @@ def bose_dual(lattice: LatticeSpec) -> tuple[MatrixOperator, BoseDualReport]:
         -(J/2)(b_i^dag b_j + h.c.) - J n_i n_j + (J/2)(n_i + n_j) - J/4
     plus -B_z sum n_i + B_z N/2.  The c-number pieces keep the full spectrum
     identical to the spin Hamiltonian's, not merely equal up to a shift.
+    Written into one dense array from the occupation bits n_i of the basis
+    index: the number terms collect on the diagonal, and each bond hops the
+    boson across wherever exactly one of its two sites is occupied.
     """
     _require_dense_memory(lattice.n_sites)
-    dim = lattice.dim
     n = lattice.n_sites
-    total = np.zeros((dim, dim), dtype=complex)
-    numbers = [_boson_number(n, i) for i in range(n)]
+    idx = np.arange(lattice.dim)
+    occupied = _site_bits(n)
+    total = np.zeros((lattice.dim, lattice.dim), dtype=complex)
+    diagonal = np.zeros(lattice.dim)
     constant = lattice.b_z * n / 2.0
     for i, j, j_ij in lattice.couplings:
-        total -= 0.5 * j_ij * _boson_hop(n, i, j)
-        total -= j_ij * (numbers[i] @ numbers[j])
-        total += 0.5 * j_ij * (numbers[i] + numbers[j])
+        src = idx[occupied[i] != occupied[j]]
+        total[src ^ ((1 << i) | (1 << j)), src] = -0.5 * j_ij
+        diagonal -= j_ij * (occupied[i] * occupied[j])
+        diagonal += 0.5 * j_ij * (occupied[i] + occupied[j])
         constant -= 0.25 * j_ij
     for i in range(n):
-        total -= lattice.b_z * numbers[i]
-    total += constant * np.eye(dim)
+        diagonal -= lattice.b_z * occupied[i]
+    total[idx, idx] = diagonal + constant
     bose_op = MatrixOperator(matrix=total, n_sites=n)
 
     spin_op = build_spin_hamiltonian(lattice, with_decomposition=False)
@@ -757,16 +739,12 @@ def bose_dual(lattice: LatticeSpec) -> tuple[MatrixOperator, BoseDualReport]:
     doping = bose_doping_operator(n, 1.0)
     transverse = build_transverse_field(n, 1.0).matrix
     doping_ok = bool(np.max(np.abs(doping - transverse)) <= 1e-12)
-    number_total = sum(numbers)
-    _, _, sz = total_spin_operators(n)
-    number_ok = bool(
-        np.max(np.abs(number_total - (sz + 0.5 * n * np.eye(dim)))) <= 1e-12
-    )
+    # sum_i n_i = S^z_tot + N/2, the up-spin count, on every basis state
+    number_ok = bool(np.array_equal(occupied.sum(axis=0), np.bitwise_count(idx)))
     report = BoseDualReport(
         spectrum_max_delta=spec_gap,
         spectra_match=spec_gap <= 1e-10,
         doping_matches_transverse=doping_ok,
         number_maps_to_magnetization=number_ok,
-        constant_shift=constant,
     )
     return bose_op, report

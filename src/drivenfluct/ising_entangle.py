@@ -58,8 +58,8 @@ class DomainWallEnsemble:
             raise ValueError("chain_length must be at least 2")
         if not 0 <= self.wall_count <= self.bond_count:
             raise ValueError("wall_count must lie in [0, chain_length - 1]")
-        if self.coupling <= 0.0:
-            raise ValueError("coupling must be positive")
+        if not 0.0 < self.coupling < math.inf:
+            raise ValueError(f"coupling must be positive and finite, got {self.coupling!r}")
 
     @property
     def bond_count(self) -> int:
@@ -169,8 +169,8 @@ def temperature_energy_maps(
     if (energy is None) == (beta is None):
         raise ValueError("provide exactly one of energy or beta")
     j = float(coupling)
-    if j <= 0.0:
-        raise ValueError("coupling must be positive")
+    if not 0.0 < j < math.inf:
+        raise ValueError(f"coupling must be positive and finite, got {j!r}")
     scale = j * (chain_length - 1)
     if beta is None:
         if abs(energy) > scale + 1e-12:

@@ -10,7 +10,6 @@ instantaneous variance rate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 

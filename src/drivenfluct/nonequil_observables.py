@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -360,6 +360,16 @@ class GreenResult:
     spectral: np.ndarray
 
 
+def _check_line_shape(eps_k: float, z_weight: float, lifetime: float) -> None:
+    """The one check of a quasiparticle line: finite eps_k, Z in (0, 1], 0 < tau < inf."""
+    if not -math.inf < eps_k < math.inf:
+        raise ValueError(f"eps_k must be finite, got {eps_k!r}")
+    if not 0.0 < z_weight <= 1.0:
+        raise ValueError(f"z_weight must lie in (0, 1], got {z_weight!r}")
+    if not 0.0 < lifetime < math.inf:
+        raise ValueError(f"lifetime must be positive and finite, got {lifetime!r}")
+
+
 def _lorentzian(omega: float, eps_k: float, mu: float, z_weight: float, lifetime: float) -> complex:
     return z_weight / complex(omega - eps_k + mu, 1.0 / lifetime)
 
@@ -383,12 +393,11 @@ def smeared_green(
     omega = np.asarray(omega_grid, dtype=float)
     if omega.ndim != 1 or omega.size == 0:
         raise ValueError("omega_grid must be a non-empty 1-d sequence")
+    if not np.isfinite(omega).all():
+        raise ValueError("omega_grid values must all be finite")
     if np.any(np.diff(omega) < 0):
         raise ValueError("omega_grid must be sorted ascending")
-    if not 0.0 < z_weight <= 1.0:
-        raise ValueError("z_weight must lie in (0, 1]")
-    if lifetime <= 0.0:
-        raise ValueError("lifetime must be positive")
+    _check_line_shape(eps_k, z_weight, lifetime)
 
     if isinstance(kernel, GaussianKernel):
         scale = kernel.sigma * math.sqrt(2.0)
@@ -425,6 +434,7 @@ def spectral_weight(
     limits; the kernel average of that primitive is exact up to quadrature,
     making this the independent check of the sum rule (total weight -> Z).
     """
+    _check_line_shape(eps_k, z_weight, lifetime)
 
     def primitive(mu: float) -> float:
         return (z_weight / math.pi) * (
@@ -437,10 +447,10 @@ def spectral_weight(
 
 def planck_radiance(nu: float, temperature: float) -> float:
     """Thermal occupancy 1/(e^(nu/T) - 1); the 2 h nu / c^3 prefactor is unity here."""
-    if nu <= 0.0:
-        raise ValueError("frequency must be positive")
-    if temperature <= 0.0:
-        raise KernelDomainError("temperature must be positive")
+    if not 0.0 < nu < math.inf:
+        raise ValueError(f"frequency must be positive and finite, got {nu!r}")
+    if not 0.0 < temperature < math.inf:
+        raise KernelDomainError(f"temperature must be positive and finite, got {temperature!r}")
     return 1.0 / math.expm1(nu / temperature)
 
 
@@ -469,8 +479,8 @@ def smeared_planck(
         raise KernelDomainError("delta temperature kernel sits at T <= 0")
     value = kernel_average(kernel, lambda t: planck_radiance(nu, t))
     if ptei_weight > 0.0:
-        if ptei_temperature is None or ptei_temperature <= 0.0:
-            raise ValueError("ptei contribution needs a positive ptei_temperature")
+        if ptei_temperature is None or not 0.0 < ptei_temperature < math.inf:
+            raise ValueError(f"ptei contribution needs a positive, finite ptei_temperature, got {ptei_temperature!r}")
         value += ptei_weight * planck_radiance(nu, ptei_temperature)
     return value
 

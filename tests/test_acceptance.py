@@ -11,11 +11,9 @@ import json
 import math
 import time
 from contextlib import redirect_stdout
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from drivenfluct import bounds as bd
 from drivenfluct import cli

@@ -129,6 +129,23 @@ class TestSpinCommands:
             (["variance-rate", "--bz", "inf"], "b_z must be finite, got inf"),
             (["exact-check", "--j", "nan"], bond),
             (fit + ["--abar-hi", "inf"], "abar bounds must satisfy 0 < lo < hi < inf, got lo = 0.001, hi = inf"),
+            (["ising-corr", "--length", "6", "--walls", "2", "--j", "nan", "--distances", "1"],
+             "coupling must be positive and finite, got nan"),
+            (["ising-corr", "--length", "6", "--walls", "2", "--j", "inf", "--distances", "1"],
+             "coupling must be positive and finite, got inf"),
+            (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--theta", "1", "--e-symm", "nan"],
+             "e_symm must be finite, got nan"),
+            (["spin-dist", "--n", "4", "--stot", "2", "--m", "0", "--theta", "1", "--e-symm", "nan"],
+             "e_symm must be finite, got nan"),
+            (["spin-dist", "--n", "4", "--stot", "2", "--m", "0", "--theta", "1", "--bz", "nan"],
+             "b_z must be finite, got nan"),
+            (["spin-dist", "--n", "4", "--stot", "2", "--m", "0", "--theta", "nan"], "theta must be finite, got nan"),
+            (["smear-planck", "--nu", "nan", "--kernel", "delta:1.0"], "frequency must be positive and finite, got nan"),
+            (["smear-planck", "--nu", "1", "--kernel", "delta:1.0", "--ptei-weight", "0.5", "--ptei-temperature", "nan"],
+             "ptei contribution needs a positive, finite ptei_temperature, got nan"),
+            (["smear-green", "--kernel", "delta:0.0", "--tau", "nan"], "lifetime must be positive and finite, got nan"),
+            (["smear-green", "--kernel", "delta:0.0", "--eps-k", "nan"], "eps_k must be finite, got nan"),
+            (["smear-green", "--kernel", "delta:0.0", "--omega-max", "inf"], "--omega-max must be finite, got inf"),
         )):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")

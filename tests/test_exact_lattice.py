@@ -275,6 +275,50 @@ class TestBoseDual:
         assert report.doping_matches_transverse
         assert report.number_maps_to_magnetization
 
+    @staticmethod
+    def _per_term_reference(lattice):
+        # the dual summed from dense per-site number and per-bond hop matrices
+        n, dim = lattice.n_sites, lattice.dim
+        idx = np.arange(dim)
+        numbers = []
+        for i in range(n):
+            number = np.zeros((dim, dim), dtype=complex)
+            number[idx, idx] = (idx >> i) & 1
+            numbers.append(number)
+        total = np.zeros((dim, dim), dtype=complex)
+        constant = lattice.b_z * n / 2.0
+        for i, j, j_ij in lattice.couplings:
+            hop = np.zeros((dim, dim), dtype=complex)
+            src = idx[((idx >> j) & 1).astype(bool) & ~((idx >> i) & 1).astype(bool)]
+            hop[src ^ ((1 << i) | (1 << j)), src] = 1.0
+            total -= 0.5 * j_ij * (hop + hop.conj().T)
+            total -= j_ij * (numbers[i] @ numbers[j])
+            total += 0.5 * j_ij * (numbers[i] + numbers[j])
+            constant -= 0.25 * j_ij
+        for i in range(n):
+            total -= lattice.b_z * numbers[i]
+        total += constant * np.eye(dim)
+        return total
+
+    def test_matrix_pinned_to_per_term_construction(self):
+        # entry for entry, so a change of basis or of rounding shows even
+        # where the spectra still agree
+        rng = np.random.default_rng(2024)
+        lattices = [
+            xl.LatticeSpec(3, (), 0.8),
+            xl.LatticeSpec.chain(4, 0.9, 0.0),
+            xl.LatticeSpec.complete(4, -1.3, 0.6),
+        ]
+        for n in range(1, 7):
+            for _ in range(3):
+                bonds = tuple(
+                    (i, j, float(rng.normal())) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7
+                )
+                lattices.append(xl.LatticeSpec(n, bonds, float(rng.normal())))
+        for lattice in lattices:
+            bose_op, _ = xl.bose_dual(lattice)
+            assert np.array_equal(bose_op.matrix, self._per_term_reference(lattice))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_couplings(self, seed):
         rng = np.random.default_rng(seed)

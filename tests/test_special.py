@@ -1,7 +1,6 @@
 """erfc family and J0 against the frozen 50-digit reference tables."""
 
 import csv
-import math
 from pathlib import Path
 
 import pytest

@@ -170,6 +170,13 @@ def _run_selftest(args: argparse.Namespace, subcommand: str) -> int:
 Result = tuple[dict[str, object], bool, list[Path]]
 
 
+def _finite_flag(flag: str, value: float, positive: bool = False) -> None:
+    """Refuse a float flag that is not finite (with ``positive``, not positive
+    and finite) by its name, before it reaches a grid or a drive duration."""
+    if not (0.0 if positive else -math.inf) < value < math.inf:
+        raise ValueError(f"{flag} must be {'positive and ' if positive else ''}finite, got {value!r}")
+
+
 def _rotation(theta: float, b_z: float) -> cs.DriveSchedule:
     """Replace-mode drive whose unit field turns the spins by theta, either sign."""
     return cs.DriveSchedule("replace", ((max(abs(theta), 1e-12), 1.0 if theta >= 0 else -1.0),), b_z)
@@ -253,6 +260,8 @@ def _cmd_exact_check(args: argparse.Namespace) -> Result:
 
 
 def _cmd_bose_dual(args: argparse.Namespace) -> Result:
+    if args.n < 2:
+        raise ValueError(f"--n must be at least 2, got {args.n}")
     rng = np.random.default_rng(args.seed)
     rows = []
     for index in range(args.sets):
@@ -282,6 +291,10 @@ def _cmd_bose_dual(args: argparse.Namespace) -> Result:
 def _cmd_magnus_check(args: argparse.Namespace) -> Result:
     if args.count < 2:
         raise ValueError(f"--count must be at least 2 to fit a slope, got {args.count}")
+    # checked before the time grid is built: np.geomspace warns on an
+    # infinite end and refuses a zero one
+    _finite_flag("--t-min", args.t_min, positive=True)
+    _finite_flag("--t-max", args.t_max, positive=True)
     lat = xl.LatticeSpec.chain(args.n, args.j, args.bz)
     times = [float(t) for t in np.geomspace(args.t_min, args.t_max, args.count)]
     errors, slope = oracles.magnus_slope(lat, times)
@@ -305,6 +318,7 @@ def _cmd_magnus_check(args: argparse.Namespace) -> Result:
 
 
 def _cmd_variance_rate(args: argparse.Namespace) -> Result:
+    _finite_flag("--by", args.by, positive=True)  # it divides every angle into a duration
     lat = xl.LatticeSpec.chain(args.n, args.j, args.bz)
     m = (0.0 if args.n % 2 == 0 else 0.5) if args.m is None else args.m
     times = [float(theta) / args.by for theta in np.linspace(0.25, 2.75, args.count)]
@@ -324,6 +338,7 @@ def _cmd_variance_rate(args: argparse.Namespace) -> Result:
 
 
 def _cmd_bounds_check(args: argparse.Namespace) -> Result:
+    _finite_flag("--theta", args.theta)
     lat = xl.LatticeSpec.chain(args.n, args.j, args.bz)
     sched = cs.DriveSchedule("replace", ((max(abs(args.theta), 1e-12), args.by),), args.bz)
     state = xl.evolve_state(xl.dicke_state(args.n, args.m), lat, sched)[-1][1]
@@ -533,9 +548,8 @@ def _cmd_collapse(args: argparse.Namespace) -> Result:
 def _cmd_smear_green(args: argparse.Namespace) -> Result:
     kernel = _parse_kernel(args.kernel)
     # checked before the grid is built: np.linspace warns on an infinite end
-    for flag, value in (("--omega-min", args.omega_min), ("--omega-max", args.omega_max)):
-        if not -math.inf < value < math.inf:
-            raise ValueError(f"{flag} must be finite, got {value!r}")
+    _finite_flag("--omega-min", args.omega_min)
+    _finite_flag("--omega-max", args.omega_max)
     grid = np.linspace(args.omega_min, args.omega_max, args.count)
     result = no.smeared_green(grid, args.eps_k, kernel, args.z, args.tau)
     rows = [

@@ -22,11 +22,14 @@ commutes with S_tot, so a segment is the same single-site field rotation on
 every site followed by exp(-i E t), taken from one cached real eigensystem
 of E per lattice (one block per magnetisation sector, O(sum_k C(N,k)^3)
 time once, 208 MB of eigenvectors at N = 14, refused beyond physical
-memory).  Dense routes (16 * 4^N bytes per 2^N x 2^N complex array, 4.3 GB
-at N = 14): ``MatrixOperator.matrix``, ``propagator``,
-``eigenbasis_distribution``, ``bose_dual``, the total-spin operators and the
-:mod:`magnus` generators.  Each raises :class:`SizeLimitError` before
-allocating more than the machine's physical memory.
+memory).  Each eigenvector lies in one sector, so the same eigensystem gives
+the spectrum of the whole spin Hamiltonian E - B_z S^z_tot:
+``eigenbasis_distribution`` and the spin side of ``bose_dual`` read it
+there.  Dense routes (16 * 4^N bytes per 2^N x 2^N complex array, 4.3 GB
+at N = 14): ``MatrixOperator.matrix``, ``propagator``, the boson side of
+``bose_dual``, the total-spin operators and the :mod:`magnus` generators.
+Each raises :class:`SizeLimitError` before allocating more than the
+machine's physical memory.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
 
 from .collective_spin import DriveSchedule, EmpiricalDistribution, up_count
 
@@ -380,7 +382,9 @@ def _segment_eigensystem(n_sites: int, couplings: tuple) -> tuple:
     # indices group by group: a group is a run of sectors k < N/2, each
     # index followed by its flipped image, or the sector k = N/2 alone.
     # ``inverse`` undoes that order.  ``blocks`` holds per group its span in
-    # ``order`` and the (eigenvalues, eigenvectors) of its sectors k <= N/2.
+    # ``order`` and the (up-counts, eigenvalues, eigenvectors) of its sectors
+    # k <= N/2, each sector diagonalised on its own, so every eigenvector has
+    # one up-count and is an eigenvector of E - B_z S^z_tot as well.
     # The memory check counts the eigenvectors' bytes: from N = 8 on, 0.5 to
     # 0.75 of the 8 * C(2N, N) of one block per sector.  The arrays are
     # shared and read-only.
@@ -415,17 +419,22 @@ def _segment_eigensystem(n_sites: int, couplings: tuple) -> tuple:
         values.append(flip_values[hit])
     rows, cols, values = (np.concatenate(part) for part in (rows, cols, values))
     row_ups = ups[rows]
+    by_ups, offsets = np.argsort(ups, kind="stable"), np.cumsum([0, *sizes])
     position = np.empty_like(idx)
     groups, blocks = [], []
     start = 0
     for first, end in spans:
-        states = np.flatnonzero((ups >= first) & (ups < end))
+        states = by_ups[offsets[first]:offsets[end]]
         position[states] = np.arange(states.size)
         block = np.diag(diagonal[states])
         entries = (row_ups >= first) & (row_ups < end)
         block[position[rows[entries]], position[cols[entries]]] = values[entries]
+        eigvals, eigvecs = np.empty(states.size), np.zeros(block.shape)
+        for k in range(first, end):
+            sector = slice(offsets[k] - offsets[first], offsets[k + 1] - offsets[first])
+            eigvals[sector], eigvecs[sector, sector] = np.linalg.eigh(block[sector, sector])
         groups.append(np.column_stack([states, full - states]).ravel() if 2 * first < n_sites else states)
-        blocks.append((start, start + groups[-1].size, *np.linalg.eigh(block)))
+        blocks.append((start, start + groups[-1].size, ups[states], eigvals, eigvecs))
         start += groups[-1].size
     order = np.concatenate(groups)
     inverse = np.argsort(order)
@@ -444,7 +453,7 @@ def _exchange_evolution(vectors: np.ndarray, eigensystem: tuple, duration: float
     """
     order, inverse, blocks = eigensystem
     grouped = vectors[order]
-    for lo, hi, eigvals, eigvecs in blocks:
+    for lo, hi, _, eigvals, eigvecs in blocks:
         part = grouped[lo:hi].view(float).reshape(eigvals.size, -1)
         coeffs = (eigvecs.T @ part).view(complex)
         coeffs *= np.exp((-1j * duration) * eigvals)[:, None]
@@ -647,30 +656,38 @@ def connected_pair_correlators(
     return CorrelatorReport(g_matrix=g_matrix, gbar=gbar, sigma_sq=sigma_sq)
 
 
-def eigenbasis_distribution(state: QuantumState, operator: MatrixOperator) -> EmpiricalDistribution:
-    """Weights of the state on the operator's eigenbasis, per-site eigenvalues.
+def _spin_spectrum(lattice: LatticeSpec, amplitudes: np.ndarray | None = None) -> tuple:
+    """Eigenvalues of H = E - B_z S^z_tot from the cached exchange eigensystem,
+    and, given amplitudes, their weights: an eigenvector of E in sector k has
+    energy eps - B_z (k - N/2), its flipped image eps - B_z (N/2 - k)."""
+    n = lattice.n_sites
+    order, _, blocks = _segment_eigensystem(n, lattice.couplings)
+    values, weights = [], []
+    for lo, hi, ups, eigvals, eigvecs in blocks:
+        # one column per sector: k, then N - k where the group pairs them
+        sectors = np.column_stack([ups, n - ups])[:, : (hi - lo) // ups.size]
+        values.append((eigvals[:, None] - lattice.b_z * (sectors - 0.5 * n)).ravel())
+        if amplitudes is not None:
+            part = amplitudes[order[lo:hi]].view(float).reshape(eigvals.size, -1)
+            weights.append((np.abs((eigvecs.T @ part).view(complex)) ** 2).ravel())
+    return np.concatenate(values), (np.concatenate(weights) if weights else None)
+
+
+def eigenbasis_distribution(state: QuantumState, lattice: LatticeSpec) -> EmpiricalDistribution:
+    """Weights of the state on the lattice's spin-Hamiltonian eigenbasis, per-site eigenvalues.
 
     Eigenvalues closer than 1e-9 (consecutive gaps) are merged into one
     weight at their unweighted mean.
     """
-    eigvals, eigvecs = eigh(operator.matrix)
-    weights = np.abs(eigvecs.conj().T @ state.amplitudes) ** 2
-    points: list[tuple[float, float]] = []
-    cluster = [0]
-    for k in range(1, len(eigvals)):
-        if eigvals[k] - eigvals[cluster[-1]] <= _MERGE_TOL:
-            cluster.append(k)
-        else:
-            points.append(
-                (float(np.mean(eigvals[cluster])) / operator.n_sites, float(weights[cluster].sum()))
-            )
-            cluster = [k]
-    points.append(
-        (float(np.mean(eigvals[cluster])) / operator.n_sites, float(weights[cluster].sum()))
-    )
-    total = math.fsum(w for _, w in points)
-    points = [(v, w / total) for v, w in points]
-    return EmpiricalDistribution(points=tuple(points))
+    if state.n_sites != lattice.n_sites:
+        raise ValueError("state and lattice site counts differ")
+    values, weights = _spin_spectrum(lattice, state.amplitudes)
+    rank = np.argsort(values, kind="stable")
+    values, weights = values[rank], weights[rank]
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > _MERGE_TOL)
+    means = np.add.reduceat(values, starts) / np.diff(starts, append=values.size) / lattice.n_sites
+    sums = np.add.reduceat(weights, starts)
+    return EmpiricalDistribution(points=tuple(zip(means.tolist(), (sums / math.fsum(sums)).tolist())))
 
 
 def bose_doping_operator(n_sites: int, b_y: float) -> np.ndarray:
@@ -712,7 +729,9 @@ def bose_dual(lattice: LatticeSpec) -> tuple[MatrixOperator, BoseDualReport]:
     identical to the spin Hamiltonian's, not merely equal up to a shift.
     Written into one dense array from the occupation bits n_i of the basis
     index: the number terms collect on the diagonal, and each bond hops the
-    boson across wherever exactly one of its two sites is occupied.
+    boson across wherever exactly one of its two sites is occupied.  Its
+    dense spectrum is checked against the spin spectrum read from the
+    cached sector eigensystem of the exchange.
     """
     _require_dense_memory(lattice.n_sites)
     n = lattice.n_sites
@@ -732,10 +751,7 @@ def bose_dual(lattice: LatticeSpec) -> tuple[MatrixOperator, BoseDualReport]:
     total[idx, idx] = diagonal + constant
     bose_op = MatrixOperator(matrix=total, n_sites=n)
 
-    spin_op = build_spin_hamiltonian(lattice, with_decomposition=False)
-    spec_gap = float(
-        np.max(np.abs(np.sort(eigh(total, eigvals_only=True)) - np.sort(eigh(spin_op.matrix, eigvals_only=True))))
-    )
+    spec_gap = float(np.max(np.abs(np.linalg.eigvalsh(total) - np.sort(_spin_spectrum(lattice)[0]))))
     doping = bose_doping_operator(n, 1.0)
     transverse = build_transverse_field(n, 1.0).matrix
     doping_ok = bool(np.max(np.abs(doping - transverse)) <= 1e-12)

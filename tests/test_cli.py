@@ -126,6 +126,13 @@ class TestSpinCommands:
             (["variance-rate", "--m", "inf"], "m must be finite, got inf"),
             (["bounds-check", "--j", "nan"], bond),
             (["magnus-check", "--j", "nan"], bond),
+            (["magnus-check", "--t-max", "inf"], "--t-max must be positive and finite, got inf"),
+            (["magnus-check", "--t-min", "0"], "--t-min must be positive and finite, got 0.0"),
+            (["variance-rate", "--by", "nan"], "--by must be positive and finite, got nan"),
+            (["variance-rate", "--by", "0"], "--by must be positive and finite, got 0.0"),
+            (["variance-rate", "--by", "inf"], "--by must be positive and finite, got inf"),
+            (["bounds-check", "--theta", "nan"], "--theta must be finite, got nan"),
+            (["bose-dual", "--n", "1"], "--n must be at least 2, got 1"),
             (["variance-rate", "--bz", "inf"], "b_z must be finite, got inf"),
             (["exact-check", "--j", "nan"], bond),
             (fit + ["--abar-hi", "inf"], "abar bounds must satisfy 0 < lo < hi < inf, got lo = 0.001, hi = inf"),

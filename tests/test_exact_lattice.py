@@ -5,7 +5,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import eigh, expm
@@ -241,26 +241,24 @@ class TestCorrelators:
 class TestEigenbasisDistribution:
     def test_eigenstate_point_mass(self):
         lat = xl.LatticeSpec.chain(3, 1.0, 1.0)
-        ham = xl.build_spin_hamiltonian(lat)
-        dist = xl.eigenbasis_distribution(xl.dicke_state(3, 1.5), ham)
+        dist = xl.eigenbasis_distribution(xl.dicke_state(3, 1.5), lat)
         top = max(w for _, w in dist.points)
         assert top == pytest.approx(1.0, abs=1e-12)
 
     def test_weights_sum_to_one(self):
         lat = xl.LatticeSpec.chain(4, 1.0, 1.0)
-        ham = xl.build_spin_hamiltonian(lat)
         state = xl.evolve_state(xl.dicke_state(4, 1), lat, replace_schedule(0.9))[-1][1]
-        dist = xl.eigenbasis_distribution(state, ham)
+        dist = xl.eigenbasis_distribution(state, lat)
         assert math.fsum(w for _, w in dist.points) == pytest.approx(1.0, abs=1e-12)
 
-    def test_matches_ladder_weights(self):
-        n, m, theta = 4, 0, PI / 3
+    @pytest.mark.parametrize("n, m", [(4, 0), *((12, m) for m in range(-6, 7))])
+    def test_matches_ladder_weights(self, n, m):
+        theta = PI / 3
         lat = xl.LatticeSpec.chain(n, 1.0, 1.0)
-        ham = xl.build_spin_hamiltonian(lat)
         state = xl.evolve_state(xl.dicke_state(n, m), lat, replace_schedule(theta))[-1][1]
-        oracle = xl.eigenbasis_distribution(state, ham)
+        oracle = xl.eigenbasis_distribution(state, lat)
         e_symm = -0.25 * sum(j for _, _, j in lat.couplings)
-        ladder = cs.eigenweight_distribution(cs.SpinSector(n, 2, m), theta, 1.0, e_symm)
+        ladder = cs.eigenweight_distribution(cs.SpinSector(n, n / 2, m), theta, 1.0, e_symm)
         oracle_map = dict(oracle.points)
         for value, weight in ladder.points:
             matches = [w for v, w in oracle_map.items() if abs(v - value) < 1e-9]
@@ -555,6 +553,79 @@ def test_augment_eigensystem_one_per_lattice():
     assert after.hits - before.hits == 11
 
 
+def dense_eigenbasis_distribution(state, lattice):
+    """Reference: eigh of the whole dense spin Hamiltonian, eigenvalues
+    closer than 1e-9 (consecutive gaps) merged at their unweighted mean."""
+    eigvals, eigvecs = eigh(xl.build_spin_hamiltonian(lattice).matrix)
+    weights = np.abs(eigvecs.conj().T @ state.amplitudes) ** 2
+    points = []
+    cluster = [0]
+    for k in range(1, len(eigvals)):
+        if eigvals[k] - eigvals[cluster[-1]] <= 1e-9:
+            cluster.append(k)
+        else:
+            points.append((float(np.mean(eigvals[cluster])) / lattice.n_sites, float(weights[cluster].sum())))
+            cluster = [k]
+    points.append((float(np.mean(eigvals[cluster])) / lattice.n_sites, float(weights[cluster].sum())))
+    total = math.fsum(w for _, w in points)
+    return [(v, w / total) for v, w in points]
+
+
+class TestEigenbasisAgainstDenseRoute:
+    """The sector-eigensystem spectrum of H = E - B_z S^z_tot against a dense eigh."""
+
+    @staticmethod
+    def assert_matches_dense(state, lattice):
+        got = np.array(xl.eigenbasis_distribution(state, lattice).points)
+        want = np.array(dense_eigenbasis_distribution(state, lattice))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got[:, 0] - want[:, 0])) <= 1e-12
+        # the dense eigenvectors themselves are good only to about
+        # eps ||H|| / gap, the gap to the nearest other eigenvalue, which
+        # exceeds 1e-12 for the near-degenerate pairs of tiny couplings
+        energies = want[:, 0] * lattice.n_sites
+        gaps = np.diff(energies)
+        nearest = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+        conditioning = np.finfo(float).eps * max(1.0, np.abs(energies).max()) / nearest
+        assert np.all(np.abs(got[:, 1] - want[:, 1]) <= 1e-12 + conditioning)
+
+    @given(bond_lattices())
+    def test_any_bonds(self, lattice):
+        # merging at 1e-9 is discontinuous: where two eigenvalues lie 1e-9
+        # apart (B_z = 1e-9, say), rounding alone decides the clusters
+        gaps = np.diff(np.linalg.eigvalsh(xl.build_spin_hamiltonian(lattice).matrix))
+        assume(np.all(np.abs(gaps - 1e-9) > 1e-12))
+        self.assert_matches_dense(random_state(lattice.n_sites, np.random.default_rng(lattice.n_sites)), lattice)
+
+    @pytest.mark.parametrize(
+        "lattice",
+        [
+            xl.LatticeSpec(1, (), 0.8),
+            xl.LatticeSpec(5, (), -0.6),
+            xl.LatticeSpec.complete(5, 0.9, 0.0),
+            xl.LatticeSpec.complete(6, -1.3, 0.0),
+        ],
+        ids=["one-site", "no-bonds", "complete-odd", "complete-even"],
+    )
+    def test_edge_lattices(self, lattice):
+        # a complete graph at B_z = 0 collapses each SU(2) multiplet into one cluster
+        self.assert_matches_dense(random_state(lattice.n_sites, np.random.default_rng(3)), lattice)
+
+    @pytest.mark.parametrize("mode", ["replace", "augment"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_evolved_states(self, n, mode):
+        rng = np.random.default_rng([n, mode == "augment"])
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
+        lattice = xl.LatticeSpec(n, tuple((i, j, float(rng.normal())) for i, j in pairs), float(rng.normal()))
+        schedule = cs.DriveSchedule(mode, ((0.7, 0.9), (0.4, -1.3)), lattice.b_z)
+        state = xl.evolve_state(xl.dicke_state(n, 0.5 * (n % 2)), lattice, schedule)[-1][1]
+        self.assert_matches_dense(state, lattice)
+
+    def test_site_counts_must_agree(self):
+        with pytest.raises(ValueError, match="site counts differ"):
+            xl.eigenbasis_distribution(xl.dicke_state(3, 0.5), xl.LatticeSpec.chain(4))
+
+
 class TestSparseOperatorChecks:
     def test_operator_holds_no_dense_arrays(self):
         ham = xl.build_spin_hamiltonian(xl.LatticeSpec.chain(4, 0.9, 0.4))
@@ -610,14 +681,12 @@ class TestDenseMemoryGuard:
     def test_dense_routes_refuse_before_allocating(self, tiny_memory):
         lattice = xl.LatticeSpec.chain(3, 0.61, 1.37)
         ham = xl.build_spin_hamiltonian(lattice)
-        state = xl.dicke_state(3, 0.5)
         replace = cs.DriveSchedule("replace", ((0.4, 1.0),), 1.37)
         augment = cs.DriveSchedule("augment", ((0.4, 0.777),), 1.37)
         for dense_route in (
             lambda: ham.matrix,
             lambda: xl.propagator(lattice, replace, 0.4),
             lambda: xl.propagator(lattice, augment, 0.4),
-            lambda: xl.eigenbasis_distribution(state, ham),
             lambda: xl.bose_dual(lattice),
             lambda: xl.total_spin_operators(3),
             lambda: mg.magnus_terms(lattice, augment, 0.4),
@@ -638,6 +707,8 @@ class TestDenseMemoryGuard:
         # augment evolution holds real sector eigenvectors, not a dense operator
         augment = cs.DriveSchedule("augment", ((0.4, 0.777), (0.2, -0.3)), 1.37)
         assert xl.variance(xl.evolve_state(state, lattice, augment)[-1][1], ham) > 0.0
+        # so does the eigenbasis distribution, read from the same eigensystem
+        assert math.fsum(w for _, w in xl.eigenbasis_distribution(state, lattice).points) == pytest.approx(1.0)
 
     def test_exchange_eigensystem_refuses_beyond_memory(self, monkeypatch):
         lattice = xl.LatticeSpec(6, ((0, 1, 0.29), (1, 2, -0.64), (3, 4, 1.08), (2, 5, 0.47)), 0.9)

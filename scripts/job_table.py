@@ -10,7 +10,9 @@ that ``wall_s`` sums), parent and change side by side with their ratio,
 largest saving first.  Jobs are labelled by regenerating the record's seed's
 first round from ``perfbench/workloads.py``: a job's kind, its site count
 where it has one, an ``--selftest`` job after the subcommand it follows, and
-an ordinal where a label repeats.
+an ordinal where a label repeats.  Below the round total, ``setup_s`` is the
+median of each record's ``setup_samples_s`` (the set-up time of every fresh
+process of the run), so a set-up claim reads from the same two records.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import statistics
 import sys
 import tempfile
 from collections import Counter
@@ -66,18 +69,21 @@ def main() -> int:
         parser.error("each record must be named <workload>-seed<seed>-trace0.json")
     if names[0]["workload"] != names[1]["workload"]:
         parser.error(f"records of different workloads: {names[0]['workload']} and {names[1]['workload']}")
-    before, after = (fastest(json.loads(path.read_text())) for path in (args.parent, args.change))
+    records = [json.loads(path.read_text()) for path in (args.parent, args.change)]
+    before, after = (fastest(record) for record in records)
     labels = job_labels(names[0]["workload"], int(names[0]["seed"]))
     if not len(before) == len(after) == len(labels):
         parser.error(f"job counts differ: parent {len(before)}, change {len(after)}, round {len(labels)}")
 
     rows = sorted(zip(labels, before, after), key=lambda row: row[2] - row[1])
-    width = max(len(label) for label in labels + ["total"])
+    width = max(len(label) for label in labels + ["total", "setup_s"])
     print(f"{'job':<{width}}  {'parent ms':>10}  {'change ms':>10}  {'ratio':>6}")
     for label, old, new in rows:
         print(f"{label:<{width}}  {old * 1e3:>10.3f}  {new * 1e3:>10.3f}  {new / old:>6.3f}")
     old, new = sum(before), sum(after)
     print(f"{'total':<{width}}  {old * 1e3:>10.3f}  {new * 1e3:>10.3f}  {new / old:>6.3f}")
+    old, new = (statistics.median(record["setup_samples_s"]) for record in records)
+    print(f"{'setup_s':<{width}}  {old * 1e3:>10.3f}  {new * 1e3:>10.3f}  {new / old:>6.3f}")
     return 0
 
 

@@ -177,6 +177,13 @@ def _finite_flag(flag: str, value: float, positive: bool = False) -> None:
         raise ValueError(f"{flag} must be {'positive and ' if positive else ''}finite, got {value!r}")
 
 
+def _sites_flag(flag: str, value: int, minimum: int = 1) -> None:
+    """Refuse a site-count flag outside [minimum, xl.MAX_SITES] by its name,
+    before any lattice is built."""
+    if not minimum <= value <= xl.MAX_SITES:
+        raise ValueError(f"{flag} must be between {minimum} and {xl.MAX_SITES} sites, got {value}")
+
+
 def _rotation(theta: float, b_z: float) -> cs.DriveSchedule:
     """Replace-mode drive whose unit field turns the spins by theta, either sign."""
     return cs.DriveSchedule("replace", ((max(abs(theta), 1e-12), 1.0 if theta >= 0 else -1.0),), b_z)
@@ -239,6 +246,8 @@ def _cmd_spin_dist(args: argparse.Namespace) -> Result:
 
 
 def _cmd_exact_check(args: argparse.Namespace) -> Result:
+    _sites_flag("--n-min", args.n_min)
+    _sites_flag("--n-max", args.n_max)
     thetas = np.linspace(0.0, 2.0 * math.pi, args.thetas + 1)[1:]
     sched = cs.DriveSchedule(
         "replace", tuple((float(th), 1.0) for th in np.diff(np.concatenate([[0.0], thetas]))), args.bz
@@ -260,8 +269,7 @@ def _cmd_exact_check(args: argparse.Namespace) -> Result:
 
 
 def _cmd_bose_dual(args: argparse.Namespace) -> Result:
-    if args.n < 2:
-        raise ValueError(f"--n must be at least 2, got {args.n}")
+    _sites_flag("--n", args.n, minimum=2)  # the draw below needs two sites
     rng = np.random.default_rng(args.seed)
     rows = []
     for index in range(args.sets):
@@ -295,6 +303,7 @@ def _cmd_magnus_check(args: argparse.Namespace) -> Result:
     # infinite end and refuses a zero one
     _finite_flag("--t-min", args.t_min, positive=True)
     _finite_flag("--t-max", args.t_max, positive=True)
+    _sites_flag("--n", args.n)
     lat = xl.LatticeSpec.chain(args.n, args.j, args.bz)
     times = [float(t) for t in np.geomspace(args.t_min, args.t_max, args.count)]
     errors, slope = oracles.magnus_slope(lat, times)
@@ -319,6 +328,7 @@ def _cmd_magnus_check(args: argparse.Namespace) -> Result:
 
 def _cmd_variance_rate(args: argparse.Namespace) -> Result:
     _finite_flag("--by", args.by, positive=True)  # it divides every angle into a duration
+    _sites_flag("--n", args.n)
     lat = xl.LatticeSpec.chain(args.n, args.j, args.bz)
     m = (0.0 if args.n % 2 == 0 else 0.5) if args.m is None else args.m
     times = [float(theta) / args.by for theta in np.linspace(0.25, 2.75, args.count)]
@@ -339,6 +349,7 @@ def _cmd_variance_rate(args: argparse.Namespace) -> Result:
 
 def _cmd_bounds_check(args: argparse.Namespace) -> Result:
     _finite_flag("--theta", args.theta)
+    _sites_flag("--n", args.n)
     lat = xl.LatticeSpec.chain(args.n, args.j, args.bz)
     sched = cs.DriveSchedule("replace", ((max(abs(args.theta), 1e-12), args.by),), args.bz)
     state = xl.evolve_state(xl.dicke_state(args.n, args.m), lat, sched)[-1][1]

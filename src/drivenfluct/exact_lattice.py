@@ -676,8 +676,12 @@ def _spin_spectrum(lattice: LatticeSpec, amplitudes: np.ndarray | None = None) -
 def eigenbasis_distribution(state: QuantumState, lattice: LatticeSpec) -> EmpiricalDistribution:
     """Weights of the state on the lattice's spin-Hamiltonian eigenbasis, per-site eigenvalues.
 
-    Eigenvalues closer than 1e-9 (consecutive gaps) are merged into one
-    weight at their unweighted mean.
+    The sorted eigenvalues (of the whole lattice, before dividing by the site
+    count) merge wherever a consecutive gap is at most ``_MERGE_TOL`` = 1e-9,
+    each run into one weight at its unweighted mean.  The threshold is hard:
+    a true gap within rounding of 1e-9 may fall on either side of it, so
+    such spectra can cluster differently under a last-bit change, which is
+    why ``TestEigenbasisAgainstDenseRoute`` leaves them out.
     """
     if state.n_sites != lattice.n_sites:
         raise ValueError("state and lattice site counts differ")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import wofz
 
 from .collective_spin import EmpiricalDistribution
@@ -127,12 +126,18 @@ def kernel_average(kernel: SmearKernel, curve: Callable[[float], float]) -> floa
 
     Delta and empirical kernels are summed exactly; Gaussian kernels use
     adaptive quadrature at relative tolerance 1e-8 over +-12 sigma.
+    ``scipy.integrate.quad`` is imported here, in the Gaussian branch, and
+    not at module level: importing ``scipy.integrate`` also loads
+    ``scipy.optimize`` (about 0.25 s), and this branch, reached through
+    ``smeared_planck`` and ``spectral_weight``, is the only caller.
     """
     if isinstance(kernel, DeltaKernel):
         return float(curve(kernel.at))
     if isinstance(kernel, EmpiricalDistribution):
         return float(math.fsum(w * curve(v) for v, w in kernel.points))
     if isinstance(kernel, GaussianKernel):
+        from scipy.integrate import quad
+
         lo, hi = kernel.support
         value, _ = quad(lambda q: kernel.density(q) * curve(q), lo, hi, **_QUAD_KW)
         return float(value)

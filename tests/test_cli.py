@@ -132,7 +132,6 @@ class TestSpinCommands:
             (["variance-rate", "--by", "0"], "--by must be positive and finite, got 0.0"),
             (["variance-rate", "--by", "inf"], "--by must be positive and finite, got inf"),
             (["bounds-check", "--theta", "nan"], "--theta must be finite, got nan"),
-            (["bose-dual", "--n", "1"], "--n must be at least 2, got 1"),
             (["variance-rate", "--bz", "inf"], "b_z must be finite, got inf"),
             (["exact-check", "--j", "nan"], bond),
             (fit + ["--abar-hi", "inf"], "abar bounds must satisfy 0 < lo < hi < inf, got lo = 0.001, hi = inf"),
@@ -161,6 +160,25 @@ class TestSpinCommands:
             assert message in err
             assert "RuntimeWarning" not in err
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_site_flags_refused_by_name(self, tmp_path, capsys):
+        # each is refused before any lattice is built, so a refused
+        # --n-max does not first run the N = 2..14 sweep
+        for k, (args, message) in enumerate((
+            (["bose-dual", "--n", "1"], "--n must be between 2 and 14 sites, got 1"),
+            (["bose-dual", "--n", "15"], "--n must be between 2 and 14 sites, got 15"),
+            (["magnus-check", "--n", "15"], "--n must be between 1 and 14 sites, got 15"),
+            (["magnus-check", "--n", "0"], "--n must be between 1 and 14 sites, got 0"),
+            (["variance-rate", "--n", "15"], "--n must be between 1 and 14 sites, got 15"),
+            (["variance-rate", "--n", "0"], "--n must be between 1 and 14 sites, got 0"),
+            (["bounds-check", "--n", "15"], "--n must be between 1 and 14 sites, got 15"),
+            (["bounds-check", "--n", "0"], "--n must be between 1 and 14 sites, got 0"),
+            (["exact-check", "--n-min", "0"], "--n-min must be between 1 and 14 sites, got 0"),
+            (["exact-check", "--n-max", "15"], "--n-max must be between 1 and 14 sites, got 15"),
+        )):
+            assert run_cli(args, tmp_path / str(k)) == 1
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / str(k)).exists()
 
     def test_bose_dual(self, tmp_path):
         assert run_cli(["bose-dual", "--n", "5", "--sets", "4"], tmp_path) == 0

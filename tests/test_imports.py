@@ -1,8 +1,14 @@
-"""Every top-level import is read: an import left behind by a deletion fails here."""
+"""Import hygiene: every top-level import is read (an import left behind by a
+deletion fails here), and importing the package loads no quadrature module."""
 
 import ast
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,3 +42,25 @@ def unread_imports(path: Path) -> list[str]:
 def test_every_import_is_read(path):
     unread = unread_imports(path)
     assert not unread, f"{path.name} imports names it never reads: {unread}"
+
+
+def test_package_import_leaves_quadrature_unloaded():
+    """``import drivenfluct`` loads no ``scipy.integrate``, nor the ``scipy.optimize``
+    it pulls in; the first Gaussian kernel average loads it and integrates."""
+    probe = (
+        "import sys\n"
+        "import drivenfluct, drivenfluct.cli\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
+        "from drivenfluct import nonequil_observables as no\n"
+        "print(repr(no.smeared_planck(1.0, no.GaussianKernel(2.0, 0.1))), 'scipy.integrate' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    loaded, smeared = done.stdout.splitlines()
+    assert loaded == "[]"
+    value, integrate_loaded = smeared.split()
+    assert integrate_loaded == "True"
+    # independent route: 40-point Gauss-Hermite rule over the normal weight
+    nodes, weights = np.polynomial.hermite_e.hermegauss(40)
+    expected = weights @ (1.0 / np.expm1(1.0 / (2.0 + 0.1 * nodes))) / math.sqrt(2.0 * math.pi)
+    assert float(value) == pytest.approx(expected, rel=1e-9)

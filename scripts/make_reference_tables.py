@@ -1,8 +1,11 @@
-"""Regenerate the frozen special-function reference tables under tests/data.
+"""Regenerate the frozen reference tables under tests/data.
 
 Run once at build time; the emitted CSVs are committed so the test suite does
-not depend on an arbitrary-precision library.  Values are computed at 50
-significant digits and written in full round-trip decimal form.
+not depend on an arbitrary-precision library.  The special functions are
+computed at 50 significant digits and written in full round-trip decimal
+form.  The eigenbasis table is the energy distribution of one state on a
+5-site lattice with a near-degenerate spectrum, from a 40-digit
+diagonalisation of its dense spin Hamiltonian.
 
 Usage: python3 scripts/make_reference_tables.py
 """
@@ -13,6 +16,7 @@ import csv
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
 
@@ -29,6 +33,58 @@ def j0_points() -> list[float]:
     points = [i / 4.0 for i in range(0, 241)]  # 0 .. 60 step 0.25
     points += [17.999, 18.0, 18.001, 100.0, 250.0, 1000.0]
     return sorted(set(points))
+
+
+# A lattice on which a dense double-precision eigh misses its eigenvector
+# weights by more than eps ||H|| / gap: the 1e-5 bond splits levels that
+# are degenerate without it.  The state is the test suite's
+# random_state(5, default_rng(5)).
+EIGENBASIS_BONDS = ((0, 3, -1.0), (0, 4, 0.5), (1, 2, 1.0), (1, 3, 1e-05))
+EIGENBASIS_SITES = 5
+EIGENBASIS_DIGITS = 40
+MERGE_TOL = 1e-9  # exact_lattice._MERGE_TOL
+
+
+def eigenbasis_state() -> np.ndarray:
+    rng = np.random.default_rng(EIGENBASIS_SITES)
+    vector = rng.normal(size=1 << EIGENBASIS_SITES) + 1j * rng.normal(size=1 << EIGENBASIS_SITES)
+    return vector / np.linalg.norm(vector)
+
+
+def eigenbasis_points(amplitudes: np.ndarray) -> list[tuple]:
+    """(energy per site, weight) of the state on the eigenbasis of
+    -sum J S_i.S_j (B_z = 0), eigenvalues with consecutive gaps of at most
+    1e-9 merged at their unweighted mean, weights normalised to sum 1."""
+    with mp.workdps(EIGENBASIS_DIGITS):
+        dim = 1 << EIGENBASIS_SITES
+        ham = mp.zeros(dim, dim)
+        for i, j, coupling in EIGENBASIS_BONDS:
+            c = mp.mpf(coupling)
+            for r in range(dim):
+                up_i, up_j = (r >> i) & 1, (r >> j) & 1
+                ham[r, r] -= c * (mp.mpf(up_i) - 0.5) * (mp.mpf(up_j) - 0.5)
+                if up_i != up_j:
+                    ham[r ^ ((1 << i) | (1 << j)), r] -= c / 2
+        energies, vectors = mp.eigsy(ham)
+        psi = [mp.mpc(complex(a).real, complex(a).imag) for a in amplitudes]
+        weights = [
+            abs(mp.fsum(vectors[r, k] * psi[r] for r in range(dim))) ** 2 for k in range(dim)
+        ]
+        ranked = sorted(range(dim), key=lambda k: energies[k])
+        runs = [[ranked[0]]]
+        for k in ranked[1:]:
+            if energies[k] - energies[runs[-1][-1]] <= MERGE_TOL:
+                runs[-1].append(k)
+            else:
+                runs.append([k])
+        total = mp.fsum(weights)
+        return [
+            (
+                mp.fsum(energies[k] for k in run) / len(run) / EIGENBASIS_SITES,
+                mp.fsum(weights[k] for k in run) / total,
+            )
+            for run in runs
+        ]
 
 
 def main() -> None:
@@ -54,6 +110,17 @@ def main() -> None:
         for x in j0_points():
             xm = mp.mpf(repr(x))
             writer.writerow([repr(x), mp.nstr(mp.besselj(0, xm), 25)])
+    amplitudes = eigenbasis_state()
+    with open(DATA_DIR / "eigenbasis_state.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["re", "im"])
+        for a in amplitudes:
+            writer.writerow([repr(float(a.real)), repr(float(a.imag))])
+    with open(DATA_DIR / "eigenbasis_reference.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["energy_per_site", "weight"])
+        for energy, weight in eigenbasis_points(amplitudes):
+            writer.writerow([mp.nstr(energy, EIGENBASIS_DIGITS), mp.nstr(weight, EIGENBASIS_DIGITS)])
 
 
 if __name__ == "__main__":

@@ -13,23 +13,30 @@ local-term decompositions are written from bit operations straight into
 scipy CSR arrays and applied as such; that CSR is correct by construction
 and tested against Kronecker-product references, so it is stored unchecked,
 while operators given from outside are dense and checked to 1e-12.
-Replace-mode evolution applies the same single-site y-rotation to every
-site of the state; ``expectation``, ``variance``,
+Evolution turns every site by the same single-site unitary, so a whole
+drive is evolved in one batched pass: replace-mode segments are
+y-rotations, which commute, and in augment mode the exchange
+E = -sum J S_i.S_j commutes with S_tot, so a segment is the same field turn
+on every site followed by exp(-i E t).  The state at segment boundary k is
+then the product U_k of the first k single-site turns on every site of the
+initial state, in augment mode followed by exp(-i E t_k): every U_k, a 2x2
+matrix, comes from one accumulation over the schedule, all K of them turn
+the initial state together in N/2 batched pair passes (O(K N 2^N)), and
+augment mode takes the K states through exp(-i E t_k) together, from one
+cached real eigensystem of E per lattice (one block per magnetisation
+sector, O(sum_k C(N,k)^3) time once, 208 MB of eigenvectors at N = 14,
+refused beyond physical memory).  ``expectation``, ``variance``,
 ``connected_pair_correlators``, ``bounds.uncertainty_check`` and
-``magnus.variance_rate`` use matrix-vector products only.  Augment-mode
-evolution is exact without a dense operator: the exchange E = -sum J S_i.S_j
-commutes with S_tot, so a segment is the same single-site field rotation on
-every site followed by exp(-i E t), taken from one cached real eigensystem
-of E per lattice (one block per magnetisation sector, O(sum_k C(N,k)^3)
-time once, 208 MB of eigenvectors at N = 14, refused beyond physical
-memory).  Each eigenvector lies in one sector, so the same eigensystem gives
-the spectrum of the whole spin Hamiltonian E - B_z S^z_tot:
+``magnus.variance_rate`` use matrix-vector products only.  Each
+eigenvector of E lies in one sector, so the same eigensystem gives the
+spectrum of the whole spin Hamiltonian E - B_z S^z_tot:
 ``eigenbasis_distribution`` and the spin side of ``bose_dual`` read it
 there.  Dense routes (16 * 4^N bytes per 2^N x 2^N complex array, 4.3 GB
 at N = 14): ``MatrixOperator.matrix``, ``propagator``, the boson side of
-``bose_dual``, the total-spin operators and the :mod:`magnus` generators.
-Each raises :class:`SizeLimitError` before allocating more than the
-machine's physical memory.
+``bose_dual``, the total-spin operators and the :mod:`magnus` generators
+and Magnus terms.  Each counts every dense array it holds at once and
+raises :class:`SizeLimitError` before allocating more than the machine's
+physical memory.
 """
 
 from __future__ import annotations
@@ -160,9 +167,11 @@ def _require_memory(needed: int, what: str) -> None:
         )
 
 
-def _require_dense_memory(n_sites: int) -> None:
-    """Refuse a dense 2^N x 2^N complex array larger than physical memory."""
-    _require_memory(16 * 4**n_sites, f"a dense {n_sites}-site operator")
+def _require_dense_memory(n_sites: int, arrays: int = 1, route: str = "a dense operator") -> None:
+    """Refuse a route that holds ``arrays`` dense 2^N x 2^N complex arrays at
+    once, 16 * 4^N bytes each, if together they exceed physical memory."""
+    held = f"{arrays} dense 2^N x 2^N array{'s' if arrays > 1 else ''} at once"
+    _require_memory(arrays * 16 * 4**n_sites, f"{route} on {n_sites} sites ({held})")
 
 
 class MatrixOperator:
@@ -385,9 +394,11 @@ def _segment_eigensystem(n_sites: int, couplings: tuple) -> tuple:
     # ``order`` and the (up-counts, eigenvalues, eigenvectors) of its sectors
     # k <= N/2, each sector diagonalised on its own, so every eigenvector has
     # one up-count and is an eigenvector of E - B_z S^z_tot as well.
+    # ``energies`` holds the blocks' eigenvalues one after the other, so
+    # that their phases take one call for all blocks.
     # The memory check counts the eigenvectors' bytes: from N = 8 on, 0.5 to
     # 0.75 of the 8 * C(2N, N) of one block per sector.  The arrays are
-    # shared and read-only.
+    # shared and read-only.  Returns (order, inverse, blocks, energies).
     sizes = [math.comb(n_sites, k) for k in range(n_sites // 2 + 1)]
     # [first, end) sectors per group: runs of the sectors k < N/2, each
     # closed once it has enough rows, then the middle sector of even N
@@ -438,34 +449,36 @@ def _segment_eigensystem(n_sites: int, couplings: tuple) -> tuple:
         start += groups[-1].size
     order = np.concatenate(groups)
     inverse = np.argsort(order)
-    for array in (order, inverse, *(a for block in blocks for a in block[2:])):
+    energies = np.concatenate([eigvals for *_, eigvals, _ in blocks])
+    for array in (order, inverse, energies, *(a for block in blocks for a in block[2:])):
         array.flags.writeable = False
-    return order, inverse, tuple(blocks)
+    return order, inverse, tuple(blocks), energies
 
 
-def _exchange_evolution(vectors: np.ndarray, eigensystem: tuple, duration: float) -> np.ndarray:
-    """exp(-i E t) applied to a state, or to every column of a matrix.
+def _exchange_evolution(vectors: np.ndarray, eigensystem: tuple, durations) -> np.ndarray:
+    """exp(-i E t) applied to a state, or to every column of a matrix: for
+    the one time given, or column k for time ``durations[k]`` of an array.
 
     A group's rows, each index's and its flipped image's side by side,
     take two real products with the group's eigenvectors: complex input is
     viewed as its real and imaginary parts, so no complex copy of the
     eigenvectors is made.
     """
-    order, inverse, blocks = eigensystem
+    order, inverse, blocks, energies = eigensystem
+    # a row per eigenvector, and a column per time if there are several
+    phases = np.exp(np.multiply.outer(energies, -1j * durations))
     grouped = vectors[order]
+    start = 0
     for lo, hi, _, eigvals, eigvecs in blocks:
         part = grouped[lo:hi].view(float).reshape(eigvals.size, -1)
         coeffs = (eigvecs.T @ part).view(complex)
-        coeffs *= np.exp((-1j * duration) * eigvals)[:, None]
+        # one time phases every column alike; several phase the columns of
+        # each image in turn, one time per column
+        phased = coeffs if phases.ndim == 1 else coeffs.reshape(eigvals.size, -1, phases.shape[1])
+        phased *= phases[start:start + eigvals.size, None]
         part[...] = eigvecs @ coeffs.view(float)
+        start += eigvals.size
     return grouped[inverse]
-
-
-def _y_rotation(angles) -> np.ndarray:
-    """exp(i angle S^y) on one site (basis order down, up), one per angle."""
-    half = 0.5 * np.asarray(angles, dtype=float)
-    c, s = np.cos(half), np.sin(half)
-    return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2).astype(complex)
 
 
 def _field_turn(duration: float, b_y: float, b_z: float) -> tuple[complex, complex]:
@@ -483,16 +496,31 @@ def _field_turn(duration: float, b_y: float, b_z: float) -> tuple[complex, compl
 def _su2(turns) -> np.ndarray:
     """The stack of single-site unitaries [[a, -conj(b)], [b, conj(a)]], one
     per (a, b), in basis order (down, up)."""
-    return np.array(
-        [[[a, -b.conjugate()], [b, a.conjugate()]] for a, b in turns], dtype=complex
-    ).reshape(-1, 2, 2)
+    entries = [entry for a, b in turns for entry in (a, -b.conjugate(), b, a.conjugate())]
+    return np.array(entries, dtype=complex).reshape(-1, 2, 2)
 
 
-def _rotations(singles) -> tuple[np.ndarray, np.ndarray]:
-    """A stack of single-site 2x2 unitaries R, and the two-site R (x) R of each."""
-    single = np.asarray(singles, dtype=complex).reshape(-1, 2, 2)
-    pair = (single[:, :, None, :, None] * single[:, None, :, None, :]).reshape(-1, 4, 4)
-    return single, pair
+def _accumulated_turns(steps, mode: str, b_z: float) -> np.ndarray:
+    """Row k: the single-site turn of the first k (step, b_y) steps together.
+
+    Every step turns each site by the same 2x2 unitary, so the first k
+    steps are one turn on every site.  Replace-mode steps are y-rotations
+    exp(i angle S^y), which commute: row k is the rotation by the ``fsum``
+    of the first k angles.  Augment-mode steps are the field turns of
+    ``_field_turn``, composed as (a, b) pairs, later ones on the left.
+    Row 0 is the identity.
+    """
+    if mode == "replace":
+        angles = [b_y * step for step, b_y in steps]
+        halves = [0.5 * math.fsum(angles[:k]) for k in range(len(angles) + 1)]
+        return _su2([(math.cos(half), math.sin(half)) for half in halves])
+    a, b = 1.0 + 0.0j, 0.0j
+    products = [(a, b)]
+    for step, b_y in steps:
+        a_step, b_step = _field_turn(step, b_y, b_z)
+        a, b = a_step * a - b_step.conjugate() * b, b_step * a + a_step.conjugate() * b
+        products.append((a, b))
+    return _su2(products)
 
 
 def _kron_power(single: np.ndarray, n_sites: int) -> np.ndarray:
@@ -504,51 +532,67 @@ def _kron_power(single: np.ndarray, n_sites: int) -> np.ndarray:
     return out
 
 
-def _rotate_every_site(psi: np.ndarray, n_sites: int, single: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """Apply the single-site rotation to every site of ``psi``, O(N 2^N).
+def _turn_every_site(psi: np.ndarray, n_sites: int, turns: np.ndarray) -> np.ndarray:
+    """Row k: every site of ``psi`` turned by ``turns[k]``, O(K N 2^N) in all.
 
-    Each pass applies ``pair`` = R (x) R to the two least significant sites
-    and moves them to the most significant positions, so after N/2 passes
-    (and one single-site pass for odd N) every site is rotated once and the
-    bit order is back where it started.
+    Each pass applies R (x) R to the two least significant sites and moves
+    them to the most significant positions, so after N/2 passes (and one
+    single-site pass for odd N) every site is turned once and the bit order
+    is back where it started.  While the states are one vector (``psi``, or
+    the only row of one turn) a pass is one 2-D product for every turn;
+    after that it is one stacked product, a 4x4 matrix per row.
     """
-    for _ in range(n_sites // 2):
-        psi = np.dot(pair, psi.reshape(-1, 4).T).reshape(-1)
+    count = len(turns)
+    # each pass's matrices stacked as rows: 2-D for a product with one vector
+    pairs = (turns[:, :, None, :, None] * turns[:, None, :, None, :]).reshape(-1, 4)
+    passes = [pairs] * (n_sites // 2)
     if n_sites % 2:
-        psi = np.dot(single, psi.reshape(-1, 2).T).reshape(-1)
-    return psi
+        passes.append(turns.reshape(-1, 2))
+    # a product's rows are the states one after the other, in C order, so
+    # each pass reads the last one's output as it is
+    states = psi
+    for ops in passes:
+        width = ops.shape[1]
+        if count == 1 or states is psi:
+            states = np.dot(ops, states.reshape(-1, width).T)
+        else:
+            columns = states.reshape(count, -1, width).transpose(0, 2, 1)
+            states = np.matmul(ops.reshape(count, width, width), columns)
+    return states.reshape(count, -1)
 
 
 def evolve_state(
     state: QuantumState, lattice: LatticeSpec, schedule: DriveSchedule
 ) -> list[tuple[float, QuantumState]]:
-    """Evolve exactly through every schedule segment.
+    """Evolve exactly through every schedule segment, all boundaries at once.
 
     A replace-mode segment is exp(i b_y t S^y_tot), the same y-rotation on
     every site.  An augment-mode segment's Hamiltonian E - B_z S^z_tot -
     b_y S^y_tot splits exactly, because the exchange E commutes with S_tot:
-    the same field rotation on every site, then exp(-i E t) from the cached
-    sector eigensystem of E.  Returns (time, state) at t = 0 and each
-    segment boundary.  Norms are checked against 1e-10 drift and never
+    the same field turn on every site, then exp(-i E t).  So the state at
+    boundary k is the product U_k of the first k single-site turns, from
+    ``_accumulated_turns``, on every site of the initial state, in augment
+    mode followed by exp(-i E t_k) from the cached sector eigensystem of E.
+    Every boundary state is computed from the initial one: one batched pass
+    turns it by all U_k, and in augment mode one pass through the
+    eigensystem gives each its own exp(-i E t_k).  Returns (time, state) at
+    t = 0 and each segment boundary, the times summed segment by segment.
+    Norms are checked against 1e-10 drift, in time order, and never
     renormalized.
     """
     if state.n_sites != lattice.n_sites:
         raise ValueError("state and lattice site counts differ")
-    replace = schedule.mode == "replace"
-    if replace:
-        singles = _y_rotation([b_y * duration for duration, b_y in schedule.segments])
-    else:
-        singles = _su2([_field_turn(duration, b_y, lattice.b_z) for duration, b_y in schedule.segments])
+    times = schedule.boundary_times()[1:]
+    turns = _accumulated_turns(schedule.segments, schedule.mode, lattice.b_z)[1:]
+    states = _turn_every_site(state.amplitudes, lattice.n_sites, turns)
+    if schedule.mode == "augment":
         exchange = _segment_eigensystem(lattice.n_sites, lattice.couplings)
-    singles, pairs = _rotations(singles)
-    psi = state.amplitudes
-    t = 0.0
+        if len(times) == 1:  # numpy gathers a lone state faster as a vector
+            states = [_exchange_evolution(states[0], exchange, times[0])]
+        else:
+            states = np.ascontiguousarray(_exchange_evolution(states.T, exchange, np.array(times)).T)
     trajectory = [(0.0, state)]
-    for k, (duration, _) in enumerate(schedule.segments):
-        psi = _rotate_every_site(psi, lattice.n_sites, singles[k], pairs[k])
-        if not replace:
-            psi = _exchange_evolution(psi, exchange, duration)
-        t += duration
+    for t, psi in zip(times, states):
         try:
             evolved = QuantumState(amplitudes=psi, n_sites=state.n_sites, norm_tol=1e-10)
         except ValueError as exc:  # the norm check: psi keeps its length
@@ -561,24 +605,20 @@ def propagator(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> np.nd
     """Exact unitary U(t) for the schedule's ``pieces(t)`` (segments cut at t).
 
     Dense, 16 * 4^N bytes.  Every segment turns each site by the same 2x2
-    rotation, so the product of the turns is the N-fold Kronecker power of
-    one accumulated rotation: about y in replace mode, and in augment mode
-    followed by exp(-i E t) of the exchange, which commutes with them all.
+    unitary, so the product of the turns is the N-fold Kronecker power of
+    the last of ``_accumulated_turns``: about y in replace mode, and in
+    augment mode followed by exp(-i E t) of the exchange, which commutes
+    with them all.
     """
     steps = schedule.pieces(t)
-    _require_dense_memory(lattice.n_sites)
-    if schedule.mode == "replace":
-        # y-rotations commute: the product is the rotation by the summed angle
-        rotation = _y_rotation([math.fsum(b_y * step for step, b_y in steps)])[0]
-        return _kron_power(rotation, lattice.n_sites)
-    # compose the turns, later ones on the left, as (a, b) pairs
-    a, b = 1.0 + 0.0j, 0.0j
-    for step, b_y in steps:
-        a_step, b_step = _field_turn(step, b_y, lattice.b_z)
-        a, b = a_step * a - b_step.conjugate() * b, b_step * a + a_step.conjugate() * b
-    rotation = _su2([(a, b)])[0]
+    replace = schedule.mode == "replace"
+    # augment mode also holds the exchange's gathered copy and its result
+    _require_dense_memory(lattice.n_sites, 1 if replace else 3, "propagator")
+    unitary = _kron_power(_accumulated_turns(steps, schedule.mode, lattice.b_z)[-1], lattice.n_sites)
+    if replace:
+        return unitary
     exchange = _segment_eigensystem(lattice.n_sites, lattice.couplings)
-    return _exchange_evolution(_kron_power(rotation, lattice.n_sites), exchange, math.fsum(step for step, _ in steps))
+    return _exchange_evolution(unitary, exchange, math.fsum(step for step, _ in steps))
 
 
 def expectation(state: QuantumState, operator: MatrixOperator) -> float:
@@ -615,7 +655,7 @@ def site_magnetizations(state: QuantumState) -> np.ndarray:
 
 def total_spin_operators(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense global (S_x, S_y, S_z)."""
-    _require_dense_memory(n_sites)
+    _require_dense_memory(n_sites, 3, "total_spin_operators")
     idx = np.arange(1 << n_sites)
     sites = np.arange(n_sites)
     # S^x and S^y flip one site: row r holds column c = r ^ 2^s for each s,
@@ -628,8 +668,13 @@ def total_spin_operators(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def spin_squared_operator(n_sites: int) -> np.ndarray:
+    # the three components, the sum and one product at a time
+    _require_dense_memory(n_sites, 5, "spin_squared_operator")
     sx, sy, sz = total_spin_operators(n_sites)
-    return sx @ sx + sy @ sy + sz @ sz
+    out = sx @ sx
+    out += sy @ sy
+    out += sz @ sz
+    return out
 
 
 def connected_pair_correlators(
@@ -661,7 +706,7 @@ def _spin_spectrum(lattice: LatticeSpec, amplitudes: np.ndarray | None = None) -
     and, given amplitudes, their weights: an eigenvector of E in sector k has
     energy eps - B_z (k - N/2), its flipped image eps - B_z (N/2 - k)."""
     n = lattice.n_sites
-    order, _, blocks = _segment_eigensystem(n, lattice.couplings)
+    order, _, blocks, _ = _segment_eigensystem(n, lattice.couplings)
     values, weights = [], []
     for lo, hi, ups, eigvals, eigvecs in blocks:
         # one column per sector: k, then N - k where the group pairs them
@@ -701,7 +746,7 @@ def bose_doping_operator(n_sites: int, b_y: float) -> np.ndarray:
     b^dag, fixing this sign; the opposite overall sign corresponds to the
     boson = down-spin convention and generates the same rotation family.
     """
-    _require_dense_memory(n_sites)
+    _require_dense_memory(n_sites, 1, "bose_doping_operator")
     dim = 1 << n_sites
     idx = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
@@ -735,9 +780,12 @@ def bose_dual(lattice: LatticeSpec) -> tuple[MatrixOperator, BoseDualReport]:
     index: the number terms collect on the diagonal, and each bond hops the
     boson across wherever exactly one of its two sites is occupied.  Its
     dense spectrum is checked against the spin spectrum read from the
-    cached sector eigensystem of the exchange.
+    cached sector eigensystem of the exchange.  Five dense arrays are held at
+    once, at most: the Hamiltonian with the conjugate and the difference of
+    its Hermiticity check, then with the doping and transverse operators and
+    their difference.
     """
-    _require_dense_memory(lattice.n_sites)
+    _require_dense_memory(lattice.n_sites, 5, "bose_dual")
     n = lattice.n_sites
     idx = np.arange(lattice.dim)
     occupied = _site_bits(n)

@@ -21,6 +21,7 @@ from .exact_lattice import (
     LatticeSpec,
     MatrixOperator,
     QuantumState,
+    _require_dense_memory,
     build_spin_hamiltonian,
     build_transverse_field,
     propagator,
@@ -59,6 +60,7 @@ class MagnusTerms:
 def _dense_generators(lattice: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     """Dense spin Hamiltonian and unit transverse field -sum_i S_i^y of a
     lattice, built once and shared read-only by every call on it."""
+    _require_dense_memory(lattice.n_sites, 2, "the dense magnus generators")
     spin = build_spin_hamiltonian(lattice, with_decomposition=False).matrix
     unit_field = build_transverse_field(lattice.n_sites, 1.0).matrix
     spin.flags.writeable = unit_field.flags.writeable = False
@@ -69,7 +71,9 @@ def segment_hamiltonians(
     lattice: LatticeSpec, schedule: DriveSchedule
 ) -> list[tuple[float, np.ndarray]]:
     """(duration, H) per segment; replace mode drives with the transverse field
-    alone, augment mode with the spin Hamiltonian plus the transverse field."""
+    alone, augment mode with the spin Hamiltonian plus the transverse field.
+    Holds the two generators, one matrix per segment and one being built."""
+    _require_dense_memory(lattice.n_sites, len(schedule.segments) + 3, "segment_hamiltonians")
     spin, unit_field = _dense_generators(lattice)
     out = []
     for duration, b_y in schedule.segments:
@@ -86,8 +90,11 @@ def magnus_terms(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> Mag
     Omega_1 = -i sum_k H_k dt_k; Omega_2 = -(1/2) sum_{k>l} dt_k dt_l [H_k, H_l],
     the closed form of the time-ordered double integral for piecewise-constant
     schedules (no quadrature involved).  The steps dt_k are the schedule's
-    ``pieces(t)``, the segments cut at t.
+    ``pieces(t)``, the segments cut at t.  Holds the two generators, one
+    matrix per segment, Omega_1, Omega_2 and the two products of a
+    commutator with their difference.
     """
+    _require_dense_memory(lattice.n_sites, len(schedule.segments) + 7, "magnus_terms")
     pieces = [
         (step, matrix)
         for (step, _), (_, matrix) in zip(schedule.pieces(t), segment_hamiltonians(lattice, schedule))
@@ -106,9 +113,15 @@ def magnus_terms(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> Mag
 
 
 def magnus_error(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> float:
-    """Spectral norm of exp(Omega_1 + Omega_2) minus the exact propagator."""
+    """Spectral norm of exp(Omega_1 + Omega_2) minus the exact propagator.
+
+    Holds the two generators, Omega_1, Omega_2 and their sum, and the eight
+    work arrays of scipy's ``expm`` (its peak, measured with tracemalloc),
+    or the Magnus terms' own working set where that is larger.
+    """
     if t == 0.0:
         return 0.0
+    _require_dense_memory(lattice.n_sites, max(len(schedule.segments) + 7, 13), "magnus_error")
     terms = magnus_terms(lattice, schedule, t)
     approx = expm(terms.total)
     exact = propagator(lattice, schedule, t)
@@ -159,6 +172,8 @@ def variance_expansion(
     """
     if state.n_sites != lattice.n_sites:
         raise ValueError("state and lattice site counts differ")
+    # H^2 held through the Magnus terms' own working set
+    _require_dense_memory(lattice.n_sites, len(schedule.segments) + 8, "variance_expansion")
     n_sq = float(lattice.n_sites) ** 2
     h_ref = _dense_generators(lattice)[0]
     h_sq = h_ref @ h_ref

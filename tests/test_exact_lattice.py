@@ -1,11 +1,13 @@
 """Dense-oracle construction, evolution, correlators, and the boson dual."""
 
+import csv
 import math
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import eigh, expm
@@ -18,6 +20,7 @@ from drivenfluct import magnus as mg
 from drivenfluct import oracles
 
 PI = math.pi
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def replace_schedule(theta, b_z=1.0, b_y=1.0):
@@ -153,10 +156,21 @@ class TestEvolution:
             xl.evolve_state(xl.dicke_state(2, 0), lat, replace_schedule(1.0))
 
     def test_norm_drift_raises_with_time(self, monkeypatch):
-        rotate = xl._rotate_every_site
-        monkeypatch.setattr(xl, "_rotate_every_site", lambda *args: 1.001 * rotate(*args))
+        rotate = xl._turn_every_site
+        monkeypatch.setattr(xl, "_turn_every_site", lambda *args: 1.001 * rotate(*args))
         sched = cs.DriveSchedule("replace", ((0.5, 1.0), (0.25, 1.0)), 1.0)
         with pytest.raises(xl.NumericalDriftError, match=r"by 1\.000e-03 at t = 0\.5$"):
+            xl.evolve_state(xl.dicke_state(3, 0.5), xl.LatticeSpec.chain(3), sched)
+
+    @pytest.mark.parametrize("mode", ["replace", "augment"])
+    def test_drift_raises_at_first_offending_boundary(self, monkeypatch, mode):
+        # every boundary state is computed at once; the check still runs in
+        # time order and names the first boundary that drifts
+        rotate = xl._turn_every_site
+        scale = np.array([[1.0], [1.0 + 1e-11], [1.002], [1.001]])
+        monkeypatch.setattr(xl, "_turn_every_site", lambda *args: scale * rotate(*args))
+        sched = cs.DriveSchedule(mode, ((0.5, 1.0), (0.25, -0.7), (0.125, 1.3), (0.25, 0.4)), 1.0)
+        with pytest.raises(xl.NumericalDriftError, match=r"by 2\.000e-03 at t = 0\.875$"):
             xl.evolve_state(xl.dicke_state(3, 0.5), xl.LatticeSpec.chain(3), sched)
 
     def test_augment_sigma_matches_closed_form(self):
@@ -515,6 +529,48 @@ def check_augment_against_expm(lattice, segments, rng):
     assert close(xl.propagator(lattice, schedule, t_partial), unitary)
 
 
+def per_segment_states(lattice, schedule, psi):
+    """Boundary states stepped one segment at a time with expm of the
+    Kronecker-built segment Hamiltonian: -b_y S^y_tot in replace mode, the
+    spin Hamiltonian plus it in augment mode."""
+    n = lattice.n_sites
+    sy_total = sum(kron_sites(n, {s: SY}) for s in range(n))
+    h_spin = sum(kron_hamiltonian_terms(lattice)) if schedule.mode == "augment" else 0.0
+    states = []
+    for duration, b_y in schedule.segments:
+        psi = expm(-1j * duration * (h_spin - b_y * sy_total)) @ psi
+        states.append(psi)
+    return states
+
+
+@pytest.mark.parametrize("mode", ["replace", "augment"])
+@pytest.mark.parametrize(
+    "kind,n,count",
+    [("chain", 1, 6), ("chain", 5, 1), ("complete", 5, 7), ("chain", 7, 4), ("chain", 4, 1), ("chain", 3, 200)],
+)
+def test_batched_boundaries_match_per_segment_reference(mode, kind, n, count):
+    # every boundary state comes from the initial one through the
+    # accumulated turn, in one batch; the references step segment by segment
+    rng = np.random.default_rng([n, count, mode == "augment"])
+    lattice = random_lattice(kind, n, rng)
+    segments = tuple(
+        (float(d), float(b)) for d, b in zip(rng.uniform(0.02, 0.8, count), rng.uniform(-1.5, 1.5, count))
+    )
+    schedule = cs.DriveSchedule(mode, segments, lattice.b_z)
+    state = random_state(n, rng)
+    trajectory = xl.evolve_state(state, lattice, schedule)
+    # the boundary times are the segment durations summed one by one
+    t, times = 0.0, [0.0]
+    for duration, _ in segments:
+        t += duration
+        times.append(t)
+    assert [t for t, _ in trajectory] == times
+    assert trajectory[0][1] is state
+    for (t, evolved), psi in zip(trajectory[1:], per_segment_states(lattice, schedule, state.amplitudes), strict=True):
+        assert close(evolved.amplitudes, psi)
+        assert close(evolved.amplitudes, xl.propagator(lattice, schedule, t) @ state.amplitudes)
+
+
 AUGMENT_LATTICES = [("chain", n) for n in range(2, 9)] + [("complete", n) for n in range(3, 7)]
 
 
@@ -571,6 +627,14 @@ def dense_eigenbasis_distribution(state, lattice):
     return [(v, w / total) for v, w in points]
 
 
+def eigenvector_bound(energies):
+    """eps ||H|| / gap per eigenvalue, gap to its nearest neighbour in the
+    sorted ``energies``."""
+    gaps = np.diff(energies)
+    nearest = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+    return np.finfo(float).eps * max(1.0, np.abs(energies).max()) / nearest
+
+
 class TestEigenbasisAgainstDenseRoute:
     """The sector-eigensystem spectrum of H = E - B_z S^z_tot against a dense eigh."""
 
@@ -580,16 +644,18 @@ class TestEigenbasisAgainstDenseRoute:
         want = np.array(dense_eigenbasis_distribution(state, lattice))
         assert got.shape == want.shape
         assert np.max(np.abs(got[:, 0] - want[:, 0])) <= 1e-12
-        # the dense eigenvectors themselves are good only to about
-        # eps ||H|| / gap, the gap to the nearest other eigenvalue, which
-        # exceeds 1e-12 for the near-degenerate pairs of tiny couplings
-        energies = want[:, 0] * lattice.n_sites
-        gaps = np.diff(energies)
-        nearest = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
-        conditioning = np.finfo(float).eps * max(1.0, np.abs(energies).max()) / nearest
-        assert np.all(np.abs(got[:, 1] - want[:, 1]) <= 1e-12 + conditioning)
+        # LAPACK bounds the angle between a computed eigenvector and the true
+        # one by p(n) eps ||H|| / gap, with gap the distance to the nearest
+        # other eigenvalue and p(n) a modestly growing function of the
+        # dimension n, taken as n here.  A weight |<v|psi>|^2 moves by at
+        # most twice that angle, far beyond 1e-12 for the near-degenerate
+        # pairs of tiny couplings.
+        assert np.all(np.abs(got[:, 1] - want[:, 1]) <= 1e-12 + 2 * lattice.dim * eigenvector_bound(want[:, 0] * lattice.n_sites))
 
     @given(bond_lattices())
+    # a 1e-5 bond splits levels by about 1e-6: the dense eigh misses these
+    # weights by 3.0e-10, beyond eps ||H|| / gap = 1.8e-10
+    @example(xl.LatticeSpec(5, ((0, 3, -1.0), (0, 4, 0.5), (1, 2, 1.0), (1, 3, 1e-05)), 0.0))
     def test_any_bonds(self, lattice):
         # merging at 1e-9 is discontinuous: where two eigenvalues lie 1e-9
         # apart (B_z = 1e-9, say), rounding alone decides the clusters
@@ -620,6 +686,23 @@ class TestEigenbasisAgainstDenseRoute:
         schedule = cs.DriveSchedule(mode, ((0.7, 0.9), (0.4, -1.3)), lattice.b_z)
         state = xl.evolve_state(xl.dicke_state(n, 0.5 * (n % 2)), lattice, schedule)[-1][1]
         self.assert_matches_dense(state, lattice)
+
+    def test_near_degenerate_example_against_frozen_weights(self):
+        # the example of test_any_bonds, random_state(5, default_rng(5)) on
+        # it, against a 40-digit diagonalisation written by
+        # scripts/make_reference_tables.py; the sector route's eigenvectors
+        # keep within eps ||H|| / gap of it (2.7e-11 off, bound 1.8e-10)
+        lattice = xl.LatticeSpec(5, ((0, 3, -1.0), (0, 4, 0.5), (1, 2, 1.0), (1, 3, 1e-05)), 0.0)
+        with open(DATA / "eigenbasis_state.csv", newline="") as fh:
+            amplitudes = [complex(float(re), float(im)) for re, im in list(csv.reader(fh))[1:]]
+        with open(DATA / "eigenbasis_reference.csv", newline="") as fh:
+            want = np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:]])
+        state = xl.QuantumState(np.array(amplitudes), 5)
+        assert np.array_equal(state.amplitudes, random_state(5, np.random.default_rng(5)).amplitudes)
+        got = np.array(xl.eigenbasis_distribution(state, lattice).points)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got[:, 0] - want[:, 0])) <= 1e-15
+        assert np.all(np.abs(got[:, 1] - want[:, 1]) <= eigenvector_bound(want[:, 0] * 5))
 
     def test_site_counts_must_agree(self):
         with pytest.raises(ValueError, match="site counts differ"):
@@ -678,21 +761,65 @@ class TestDenseMemoryGuard:
         # 1000 bytes: a 3-site dense operator needs 16 * 4^3 = 1024
         monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 1000)
 
-    def test_dense_routes_refuse_before_allocating(self, tiny_memory):
+    @staticmethod
+    def dense_routes():
+        """(route, dense 3-site arrays it holds at once), 1024 bytes each."""
         lattice = xl.LatticeSpec.chain(3, 0.61, 1.37)
         ham = xl.build_spin_hamiltonian(lattice)
         replace = cs.DriveSchedule("replace", ((0.4, 1.0),), 1.37)
-        augment = cs.DriveSchedule("augment", ((0.4, 0.777),), 1.37)
-        for dense_route in (
-            lambda: ham.matrix,
-            lambda: xl.propagator(lattice, replace, 0.4),
-            lambda: xl.propagator(lattice, augment, 0.4),
-            lambda: xl.bose_dual(lattice),
-            lambda: xl.total_spin_operators(3),
-            lambda: mg.magnus_terms(lattice, augment, 0.4),
-        ):
-            with pytest.raises(xl.SizeLimitError, match="needs 1024 bytes"):
+        augment = cs.DriveSchedule("augment", ((0.4, 0.777), (0.2, -0.3)), 1.37)
+        return [
+            (lambda: ham.matrix, 1),
+            (lambda: xl.propagator(lattice, replace, 0.4), 1),
+            # the Kronecker power, the exchange's gathered copy and its result
+            (lambda: xl.propagator(lattice, augment, 0.4), 3),
+            (lambda: xl.bose_dual(lattice), 5),
+            (lambda: xl.bose_doping_operator(3, 0.5), 1),
+            (lambda: xl.total_spin_operators(3), 3),
+            (lambda: xl.spin_squared_operator(3), 5),
+            # two generators, one matrix per segment (two here), one being built
+            (lambda: mg.segment_hamiltonians(lattice, augment), 5),
+            # two generators, two segments, Omega_1, Omega_2, and the two
+            # products of a commutator with their difference
+            (lambda: mg.magnus_terms(lattice, augment, 0.4), 9),
+            # two generators, Omega_1, Omega_2, their sum, expm's eight
+            (lambda: mg.magnus_error(lattice, augment, 0.4), 13),
+            # and H^2
+            (lambda: mg.variance_expansion(xl.dicke_state(3, 0.5), lattice, augment, 0.4), 10),
+        ]
+
+    def test_dense_routes_refuse_before_allocating(self, tiny_memory):
+        mg._dense_generators.cache_clear()
+        for dense_route, arrays in self.dense_routes():
+            with pytest.raises(xl.SizeLimitError, match=f"needs {1024 * arrays} bytes"):
                 dense_route()
+
+    def test_each_route_counts_everything_it_holds_at_once(self, monkeypatch):
+        # one check up front, for the whole route: one byte short is refused
+        # with the route's total, and the total itself passes every check
+        # made on the way, the nested routes' included
+        for dense_route, arrays in self.dense_routes():
+            mg._dense_generators.cache_clear()
+            monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 1024 * arrays - 1)
+            with pytest.raises(xl.SizeLimitError, match=rf"\({arrays} dense 2\^N x 2\^N arrays? at once\) needs {1024 * arrays} bytes"):
+                dense_route()
+            monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 1024 * arrays)
+            dense_route()
+        mg._dense_generators.cache_clear()
+
+    def test_cli_names_the_bytes_of_a_refused_route(self, monkeypatch, tmp_path, capsys):
+        from drivenfluct import cli
+
+        # 14 sites: magnus_error on the two-segment Magnus schedule holds
+        # thirteen 2^14 x 2^14 complex arrays; bose-dual checks each drawn
+        # lattice
+        monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 8 * 2**30)
+        mg._dense_generators.cache_clear()
+        assert cli.main(["magnus-check", "--n", "14", "--outdir", str(tmp_path)]) == 1
+        assert f"magnus_error on 14 sites (13 dense 2^N x 2^N arrays at once) needs {13 * 16 * 4**14} bytes" in capsys.readouterr().err
+        monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 1000)
+        assert cli.main(["bose-dual", "--n", "14", "--outdir", str(tmp_path)]) == 1
+        assert "bose_dual on " in capsys.readouterr().err
 
     def test_matrix_free_routes_need_no_dense_memory(self, tiny_memory):
         lattice = xl.LatticeSpec.chain(3, 0.61, 1.37)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_lattice import MatrixOperator, QuantumState, connected_pair_correlators, variance
+from .exact_lattice import MatrixOperator, QuantumState, _applied_variance, _pair_correlators
 
 __all__ = ["BoundReport", "uncertainty_check", "equilibrium_rate_threshold"]
 
@@ -66,22 +66,26 @@ def uncertainty_check(
     """
     if h_system.dim != h_total.dim:
         raise ValueError("operator dimensions differ")
+    # each operator is applied to the state once, for its variance, the
+    # commutator and its correlators' variance identity
     psi = state.amplitudes
-    sigma_density = math.sqrt(variance(state, h_system)) / n_sites
-    sigma_total = math.sqrt(variance(state, h_total))
+    system_psi = h_system.array @ psi
+    total_psi = h_total.array @ psi
+    var_system = _applied_variance(psi, system_psi)
+    var_total = _applied_variance(psi, total_psi)
+    sigma_density = math.sqrt(var_system) / n_sites
+    sigma_total = math.sqrt(var_total)
     lhs = sigma_density * sigma_total
 
     # <[H, H_total]> = <H psi|H_total psi> - <H_total psi|H psi> (both Hermitian)
-    system_psi = h_system.array @ psi
-    total_psi = h_total.array @ psi
     commutator_mean = complex(np.vdot(system_psi, total_psi) - np.vdot(total_psi, system_psi))
     robertson_rhs = 0.5 * abs(commutator_mean) / n_sites
 
     energy_rate = (1j * -commutator_mean).real  # i <[H_total, H]> = -i <[H, H_total]>
     rate_rhs = 0.5 * abs(energy_rate) / n_sites
 
-    gbar_system = connected_pair_correlators(state, h_system).gbar
-    gbar_total = connected_pair_correlators(state, h_total).gbar
+    gbar_system = _pair_correlators(state, h_system, var_system).gbar
+    gbar_total = _pair_correlators(state, h_total, var_total).gbar
     correlator_rhs = energy_rate**2 / (4.0 * n_sites**2)
 
     return (

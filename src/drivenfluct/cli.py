@@ -66,23 +66,26 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_json(path: Path, payload) -> None:
+def _json_text(payload) -> str:
+    """Strict JSON: a NaN or infinity raises ValueError instead of being written."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _write_text(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+        handle.write(text)
 
 
 def _digest(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_manifest(
-    outdir: Path,
+def _manifest_text(
     subcommand: str,
     args: argparse.Namespace,
     input_paths: list[Path],
     output_names: list[str],
-) -> Path:
+) -> str:
     params = {
         key: _fmt(value) if isinstance(value, float) else value
         for key, value in sorted(vars(args).items())
@@ -95,9 +98,7 @@ def _write_manifest(
         "input_digests": {Path(p).name: _digest(p) for p in input_paths},
         "outputs": sorted(output_names),
     }
-    path = outdir / f"{subcommand}_manifest.json"
-    _write_json(path, manifest)
-    return path
+    return _json_text(manifest)
 
 
 def _outdir(args: argparse.Namespace) -> Path:
@@ -113,21 +114,25 @@ def _emit(
     artifacts: dict[str, object],
     input_paths: list[Path],
 ) -> None:
-    """Write artifacts ({filename: (header, rows) | json payload}) + manifest."""
+    """Write artifacts ({filename: (header, rows) | json payload}) + manifest.
+
+    Every JSON payload is serialised before the output directory is made,
+    so one that cannot be written as strict JSON leaves no files behind.
+    """
+    names = sorted(artifacts)
+    texts = {name: _json_text(artifacts[name]) for name in names if not name.endswith(".csv")}
+    manifest_name = f"{subcommand}_manifest.json"
+    manifest = _manifest_text(subcommand, args, input_paths, names)
     outdir = _outdir(args)
-    names = []
-    for name, content in sorted(artifacts.items()):
-        path = outdir / name
-        if name.endswith(".csv"):
-            header, rows = content
-            _write_csv(path, header, rows)
+    for name in names:
+        if name in texts:
+            _write_text(outdir / name, texts[name])
         else:
-            _write_json(path, content)
-        names.append(name)
-    manifest = _write_manifest(outdir, subcommand, args, input_paths, names)
+            _write_csv(outdir / name, *artifacts[name])
+    _write_text(outdir / manifest_name, manifest)
     for name in names:
         print(f"wrote {name}")
-    print(f"wrote {manifest.name}")
+    print(f"wrote {manifest_name}")
 
 
 _KERNEL_SYNTAX = "delta:AT | gauss:MEAN,SIGMA | empirical:V:W,..."
@@ -153,9 +158,9 @@ def _parse_kernel(spec: str) -> no.SmearKernel:
 def _run_selftest(args: argparse.Namespace, subcommand: str) -> int:
     checks = oracles.SUITES[subcommand]()
     ok = all(c["ok"] for c in checks)
-    outdir = _outdir(args)
     name = f"{subcommand}_selftest.json"
-    _write_json(outdir / name, {"subcommand": subcommand, "ok": ok, "checks": checks})
+    text = _json_text({"subcommand": subcommand, "ok": ok, "checks": checks})
+    _write_text(_outdir(args) / name, text)
     for check in checks:
         status = "ok" if check["ok"] else "FAIL"
         print(f"{status} {check['name']}" + (f" ({check['detail']})" if check["detail"] else ""))
@@ -304,6 +309,8 @@ def _cmd_magnus_check(args: argparse.Namespace) -> Result:
     _finite_flag("--t-min", args.t_min, positive=True)
     _finite_flag("--t-max", args.t_max, positive=True)
     _sites_flag("--n", args.n)
+    if args.bz == 0.0:
+        raise ValueError("--bz must be nonzero: with no longitudinal field every segment commutes, so there is no truncation error to fit")
     lat = xl.LatticeSpec.chain(args.n, args.j, args.bz)
     times = [float(t) for t in np.geomspace(args.t_min, args.t_max, args.count)]
     errors, slope = oracles.magnus_slope(lat, times)

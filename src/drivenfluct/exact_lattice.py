@@ -26,17 +26,18 @@ augment mode takes the K states through exp(-i E t_k) together, from one
 cached real eigensystem of E per lattice (one block per magnetisation
 sector, O(sum_k C(N,k)^3) time once, 208 MB of eigenvectors at N = 14,
 refused beyond physical memory).  ``expectation``, ``variance``,
-``connected_pair_correlators``, ``bounds.uncertainty_check`` and
-``magnus.variance_rate`` use matrix-vector products only.  Each
-eigenvector of E lies in one sector, so the same eigensystem gives the
-spectrum of the whole spin Hamiltonian E - B_z S^z_tot:
-``eigenbasis_distribution`` and the spin side of ``bose_dual`` read it
-there.  Dense routes (16 * 4^N bytes per 2^N x 2^N complex array, 4.3 GB
-at N = 14): ``MatrixOperator.matrix``, ``propagator``, the boson side of
-``bose_dual``, the total-spin operators and the :mod:`magnus` generators
-and Magnus terms.  Each counts every dense array it holds at once and
-raises :class:`SizeLimitError` before allocating more than the machine's
-physical memory.
+``connected_pair_correlators``, ``bounds.uncertainty_check``,
+``magnus.variance_expansion`` and ``magnus.variance_rate`` use
+matrix-vector products only, and ``magnus.magnus_error`` works on the
+single-site turns alone.  Each eigenvector of E lies in one sector, so
+the same eigensystem gives the spectrum of the whole spin Hamiltonian
+E - B_z S^z_tot: ``eigenbasis_distribution`` and the spin side of
+``bose_dual`` read it there.  Dense routes (16 * 4^N bytes per 2^N x 2^N
+complex array, 4.3 GB at N = 14): ``MatrixOperator.matrix``,
+``propagator``, the boson side of ``bose_dual`` and the total-spin
+operators.  Each counts every dense array it holds at once and raises
+:class:`SizeLimitError` before allocating more than the machine's physical
+memory.
 """
 
 from __future__ import annotations
@@ -348,7 +349,7 @@ def build_spin_hamiltonian(lattice: LatticeSpec, with_decomposition: bool = True
     return MatrixOperator._from_builder(total, n, terms)
 
 
-def build_transverse_field(n_sites: int, b_y: float) -> MatrixOperator:
+def build_transverse_field(n_sites: int, b_y: float, with_decomposition: bool = True) -> MatrixOperator:
     """Uniform transverse drive -b_y sum_i S_i^y, with its per-site decomposition."""
     if n_sites > MAX_SITES:
         raise SizeLimitError(f"lattice oracle capped at {MAX_SITES} sites")
@@ -359,6 +360,8 @@ def build_transverse_field(n_sites: int, b_y: float) -> MatrixOperator:
     cols = idx[:, None] ^ (1 << sites)
     values = -b_y * (1j * (((cols >> sites) & 1) - 0.5))
     total = _csr(cols, values, idx.size)
+    if not with_decomposition:
+        return MatrixOperator._from_builder(total, n_sites)
     # site s alone is one entry per row, in row block s of the stack
     terms = _csr(cols.T.reshape(-1, 1), values.T.reshape(-1, 1), idx.size)
     return MatrixOperator._from_builder(total, n_sites, terms)
@@ -634,8 +637,11 @@ def variance(state: QuantumState, operator: MatrixOperator) -> float:
     rounding (1 ulp for a Dicke state, up to 1e-10 after evolution) out of
     the result.
     """
-    psi = state.amplitudes
-    applied = operator.array @ psi
+    return _applied_variance(state.amplitudes, operator.array @ state.amplitudes)
+
+
+def _applied_variance(psi: np.ndarray, applied: np.ndarray) -> float:
+    """``variance`` from the state and the operator's product with it."""
     norm_sq = np.vdot(psi, psi).real
     residual = applied - (np.vdot(psi, applied).real / norm_sq) * psi
     return float(np.vdot(residual, residual).real / norm_sq)
@@ -687,6 +693,11 @@ def connected_pair_correlators(
     modeled (for the driven collective-spin model they stay local, so the
     two pictures agree there).
     """
+    return _pair_correlators(state, operator, variance(state, operator))
+
+
+def _pair_correlators(state: QuantumState, operator: MatrixOperator, total_variance: float) -> CorrelatorReport:
+    """``connected_pair_correlators`` given the variance of the whole operator."""
     if operator.term_stack is None:
         raise ValueError("operator carries no local-term decomposition")
     psi = state.amplitudes
@@ -697,7 +708,7 @@ def connected_pair_correlators(
     g_matrix = overlap.real - means[:, None] * means
     g_matrix = 0.5 * (g_matrix + g_matrix.T)
     gbar = float(np.abs(g_matrix).sum() / g_matrix.size)
-    sigma_sq = variance(state, operator) / n_terms**2
+    sigma_sq = total_variance / n_terms**2
     return CorrelatorReport(g_matrix=g_matrix, gbar=gbar, sigma_sq=sigma_sq)
 
 

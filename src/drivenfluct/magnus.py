@@ -1,30 +1,46 @@
 """Magnus expansion diagnostics for piecewise-constant drive schedules.
 
-For a piecewise-constant Hamiltonian the first two exp-log generators have
-closed forms (segment sums and pairwise commutators weighted by time-ordered
-overlap areas), so the truncation error of exp(Omega_1 + Omega_2) against the
-exact propagator isolates the genuine third-order remainder.  The module also
-evaluates the short-time series of the energy-density variance and the exact
-instantaneous variance rate.
+Every segment Hamiltonian is H_k = H_0 + b_k F in augment mode and b_k F in
+replace mode, with H_0 the lattice's spin Hamiltonian and F = -S^y_tot the
+unit transverse field.  So [H_k, H_l] = (b_l - b_k) [H_0, F], and the first
+two exp-log generators are three scalars on two fixed operators:
+Omega_1 = -i (tau H_0 + beta F) and Omega_2 = c [H_0, F], with
+tau = sum_k dt_k, beta = sum_k dt_k b_k and
+c = -(1/2) sum_{k>l} dt_k dt_l (b_l - b_k), the closed form of the
+time-ordered double integral; replace mode has tau = c = 0.
+
+The truncation error of exp(Omega_1 + Omega_2) against the exact propagator
+isolates the genuine third-order remainder, and it reduces to 2x2 matrices.
+H_0 = E - B_z S^z_tot, and the exchange E commutes with S_tot, so
+exp(Omega_1 + Omega_2) = exp(-i tau E) V^(x)N, where V = exp(omega) and
+omega is the same generator built from the single-site g_0 = -B_z s^z and
+f = -s^y; the exact propagator is exp(-i t E) W^(x)N, with W the
+accumulated single-site turn of the drive.  The common unitary factor drops
+out of the spectral norm, and W^dag V has eigenvalues e^(+-i alpha), so
+||V^(x)N - W^(x)N||_2 = max over m in {N, N-2, ...} of 2 |sin(m alpha / 2)|,
+with sin(alpha / 2) = ||V - W||_F / (2 sqrt 2): O(N) work at any lattice
+size.  The module also evaluates the short-time series of the
+energy-density variance from products of H_0 and F with the state, and the
+exact instantaneous variance rate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .collective_spin import DriveSchedule
 from .exact_lattice import (
     LatticeSpec,
     MatrixOperator,
     QuantumState,
-    _require_dense_memory,
+    _accumulated_turns,
+    _turn_every_site,
     build_spin_hamiltonian,
     build_transverse_field,
-    propagator,
 )
 
 __all__ = [
@@ -34,102 +50,78 @@ __all__ = [
     "magnus_error",
     "variance_expansion",
     "variance_rate",
-    "segment_hamiltonians",
 ]
 
 
 @dataclass(frozen=True)
 class MagnusTerms:
-    """Anti-Hermitian generators of the truncated exp-log propagator."""
+    """The scalars of Omega_1 = -i (tau H_0 + beta F) and Omega_2 = c [H_0, F]."""
 
-    omega1: np.ndarray
-    omega2: np.ndarray
+    tau: float
+    beta: float
+    c: float
 
     def __post_init__(self):
-        for name, term in (("omega1", self.omega1), ("omega2", self.omega2)):
-            dev = np.max(np.abs(term + term.conj().T))
-            if dev > 1e-12:
-                raise ValueError(f"{name} not anti-Hermitian within 1e-12 ({dev:.3e})")
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.omega1 + self.omega2
+        for name in ("tau", "beta", "c"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"Magnus scalar {name} must be finite, got {value!r}")
 
 
-@lru_cache(maxsize=8)
-def _dense_generators(lattice: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Dense spin Hamiltonian and unit transverse field -sum_i S_i^y of a
-    lattice, built once and shared read-only by every call on it."""
-    _require_dense_memory(lattice.n_sites, 2, "the dense magnus generators")
-    spin = build_spin_hamiltonian(lattice, with_decomposition=False).matrix
-    unit_field = build_transverse_field(lattice.n_sites, 1.0).matrix
-    spin.flags.writeable = unit_field.flags.writeable = False
-    return spin, unit_field
+def magnus_terms(schedule: DriveSchedule, t: float) -> MagnusTerms:
+    """The scalars of the first two exp-log generators at time t (hbar = 1).
 
-
-def segment_hamiltonians(
-    lattice: LatticeSpec, schedule: DriveSchedule
-) -> list[tuple[float, np.ndarray]]:
-    """(duration, H) per segment; replace mode drives with the transverse field
-    alone, augment mode with the spin Hamiltonian plus the transverse field.
-    Holds the two generators, one matrix per segment and one being built."""
-    _require_dense_memory(lattice.n_sites, len(schedule.segments) + 3, "segment_hamiltonians")
-    spin, unit_field = _dense_generators(lattice)
-    out = []
-    for duration, b_y in schedule.segments:
-        drive = b_y * unit_field
-        if schedule.mode == "augment":
-            drive = drive + spin
-        out.append((duration, drive))
-    return out
-
-
-def magnus_terms(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> MagnusTerms:
-    """First and second exp-log generators at time t (hbar = 1).
-
-    Omega_1 = -i sum_k H_k dt_k; Omega_2 = -(1/2) sum_{k>l} dt_k dt_l [H_k, H_l],
-    the closed form of the time-ordered double integral for piecewise-constant
-    schedules (no quadrature involved).  The steps dt_k are the schedule's
-    ``pieces(t)``, the segments cut at t.  Holds the two generators, one
-    matrix per segment, Omega_1, Omega_2 and the two products of a
-    commutator with their difference.
+    The steps dt_k are the schedule's ``pieces(t)``, the segments cut at t;
+    c sums its pairs in one pass, with running sums over the earlier steps.
     """
-    _require_dense_memory(lattice.n_sites, len(schedule.segments) + 7, "magnus_terms")
-    pieces = [
-        (step, matrix)
-        for (step, _), (_, matrix) in zip(schedule.pieces(t), segment_hamiltonians(lattice, schedule))
-    ]
-    dim = lattice.dim
-    omega1 = np.zeros((dim, dim), dtype=complex)
-    omega2 = np.zeros((dim, dim), dtype=complex)
-    for step, matrix in pieces:
-        omega1 += -1j * step * matrix
-    for k in range(len(pieces)):
-        dt_k, h_k = pieces[k]
-        for l in range(k):
-            dt_l, h_l = pieces[l]
-            omega2 += -0.5 * dt_k * dt_l * (h_k @ h_l - h_l @ h_k)
-    return MagnusTerms(omega1=omega1, omega2=omega2)
+    steps = schedule.pieces(t)
+    beta = math.fsum(step * b_y for step, b_y in steps)
+    if schedule.mode == "replace":
+        return MagnusTerms(tau=0.0, beta=beta, c=0.0)
+    elapsed = moment = 0.0
+    pairs = []
+    for step, b_y in steps:
+        pairs.append(step * (moment - b_y * elapsed))
+        elapsed += step
+        moment += step * b_y
+    return MagnusTerms(tau=math.fsum(step for step, _ in steps), beta=beta, c=-0.5 * math.fsum(pairs))
 
 
 def magnus_error(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> float:
-    """Spectral norm of exp(Omega_1 + Omega_2) minus the exact propagator.
+    """Spectral norm of exp(Omega_1 + Omega_2) minus the exact propagator,
+    from the single-site V and W of the module docstring.
 
-    Holds the two generators, Omega_1, Omega_2 and their sum, and the eight
-    work arrays of scipy's ``expm`` (its peak, measured with tracemalloc),
-    or the Magnus terms' own working set where that is larger.
+    With s^x, s^y, s^z in the basis order (down, up), the single-site
+    generator is omega = i n.s with n = (-c B_z, beta, tau B_z), so V is
+    the (a, b) of ``exact_lattice._su2``: a = cos(|n|/2) - i n_z sin(|n|/2)/|n|
+    and b = (n_y + i n_x) sin(|n|/2)/|n|.  Two such turns differ by
+    ||V - W||_F = sqrt(2 (|a_V - a_W|^2 + |b_V - b_W|^2)).
     """
     if t == 0.0:
         return 0.0
-    _require_dense_memory(lattice.n_sites, max(len(schedule.segments) + 7, 13), "magnus_error")
-    terms = magnus_terms(lattice, schedule, t)
-    approx = expm(terms.total)
-    exact = propagator(lattice, schedule, t)
-    return float(np.linalg.norm(approx - exact, 2))
+    terms = magnus_terms(schedule, t)
+    n_x, n_y, n_z = -terms.c * lattice.b_z, terms.beta, terms.tau * lattice.b_z
+    length = math.hypot(n_x, n_y, n_z)
+    # sin(|n|/2) / |n|, continued to 1/2 at n = 0
+    s = math.sin(0.5 * length) / length if length > 0.0 else 0.5
+    a_v, b_v = complex(math.cos(0.5 * length), -s * n_z), complex(s * n_y, s * n_x)
+    w = _accumulated_turns(schedule.pieces(t), schedule.mode, lattice.b_z)[-1]
+    half_angle = math.asin(min(1.0, 0.5 * math.hypot(abs(a_v - complex(w[0, 0])), abs(b_v - complex(w[1, 0])))))
+    return max(2.0 * abs(math.sin(m * half_angle)) for m in range(lattice.n_sites, 0, -2))
 
 
-def _expect(psi: np.ndarray, matrix: np.ndarray) -> complex:
-    return complex(np.vdot(psi, matrix @ psi))
+@lru_cache(maxsize=8)
+def _sparse_generators(lattice: LatticeSpec) -> tuple:
+    """CSR arrays of H_0 and F = -S^y_tot for a lattice, O(N 2^N) bytes each
+    (under 20 MB together at 14 sites), built once and shared read-only."""
+    ops = (
+        build_spin_hamiltonian(lattice, with_decomposition=False).array,
+        build_transverse_field(lattice.n_sites, 1.0, with_decomposition=False).array,
+    )
+    for op in ops:
+        for array in (op.data, op.indices, op.indptr):
+            array.flags.writeable = False
+    return ops
 
 
 @dataclass(frozen=True)
@@ -166,34 +158,44 @@ def variance_expansion(
 ) -> VarianceExpansion:
     """Expand sigma_eps^2(t) through second order in the drive and compare exact.
 
-    The reference energy is the undriven spin Hamiltonian; the state is the
-    t = 0 representative of the density matrix (pure states suffice since any
-    density matrix can be purified).
+    The reference energy is the undriven spin Hamiltonian H = H_0; the state
+    is the t = 0 representative of the density matrix (pure states suffice
+    since any density matrix can be purified).  Every term is an expectation
+    of a polynomial in H and F, read from six CSR products with the state:
+    with G = tau H + beta F, Omega_1 psi = -i G psi and Omega_2 psi =
+    c (HF - FH) psi.  The exact value is the variance in W^(x)N psi: the
+    exchange factor of the propagator commutes with H and drops out.
     """
     if state.n_sites != lattice.n_sites:
         raise ValueError("state and lattice site counts differ")
-    # H^2 held through the Magnus terms' own working set
-    _require_dense_memory(lattice.n_sites, len(schedule.segments) + 8, "variance_expansion")
+    terms = magnus_terms(schedule, t)
+    tau, beta = terms.tau, terms.beta
+    h_op, f_op = _sparse_generators(lattice)
     n_sq = float(lattice.n_sites) ** 2
-    h_ref = _dense_generators(lattice)[0]
-    h_sq = h_ref @ h_ref
     psi = state.amplitudes
-    e0 = _expect(psi, h_ref).real
-    sigma2_initial = (_expect(psi, h_sq).real - e0**2) / n_sq
+    h_psi, f_psi = h_op @ psi, f_op @ psi
+    hh_psi, hf_psi = h_op @ h_psi, h_op @ f_psi
+    fh_psi, ff_psi = f_op @ h_psi, f_op @ f_psi
+    g_psi = tau * h_psi + beta * f_psi
+    hg_psi = tau * hh_psi + beta * hf_psi
+    gg_psi = tau * hg_psi + beta * (tau * fh_psi + beta * ff_psi)
+    omega2_psi = terms.c * (hf_psi - fh_psi)
 
-    terms = magnus_terms(lattice, schedule, t)
-    om1, om2 = terms.omega1, terms.omega2
-    comm_h2_om1 = _expect(psi, h_sq @ om1 - om1 @ h_sq).real
-    comm_h_om1 = _expect(psi, h_ref @ om1 - om1 @ h_ref).real
+    e0 = np.vdot(psi, h_psi).real
+    sigma2_initial = (np.vdot(h_psi, h_psi).real - e0**2) / n_sq
+    # <[A, Omega]> = 2 Re <A psi|Omega psi> for Hermitian A, anti-Hermitian
+    # Omega, which is 2 Im <A psi|G psi> for Omega_1 psi = -i G psi
+    comm_h2_om1 = 2.0 * np.vdot(hh_psi, g_psi).imag
+    comm_h_om1 = 2.0 * np.vdot(h_psi, g_psi).imag
     first_bracket = (comm_h2_om1 - 2.0 * e0 * comm_h_om1) / n_sq
 
-    om1_sq = om1 @ om1
-    comm_h2_om2 = _expect(psi, h_sq @ om2 - om2 @ h_sq).real
-    anti_h2 = _expect(psi, om1_sq @ h_sq + h_sq @ om1_sq).real
-    sandwich_h2 = _expect(psi, om1 @ (h_sq @ om1)).real
-    comm_h_om2 = _expect(psi, h_ref @ om2 - om2 @ h_ref).real
-    anti_h = _expect(psi, om1_sq @ h_ref + h_ref @ om1_sq).real
-    sandwich_h = _expect(psi, om1 @ (h_ref @ om1)).real
+    # Omega_1^2 = -G^2, and <Omega_1 A Omega_1> = -<G psi|A G psi>
+    comm_h2_om2 = 2.0 * np.vdot(hh_psi, omega2_psi).real
+    anti_h2 = -2.0 * np.vdot(gg_psi, hh_psi).real
+    sandwich_h2 = -np.vdot(hg_psi, hg_psi).real
+    comm_h_om2 = 2.0 * np.vdot(h_psi, omega2_psi).real
+    anti_h = -2.0 * np.vdot(gg_psi, h_psi).real
+    sandwich_h = -np.vdot(g_psi, hg_psi).real
     second_bracket = (
         comm_h2_om2
         + 0.5 * anti_h2
@@ -202,14 +204,15 @@ def variance_expansion(
         - comm_h_om1**2
     ) / n_sq
 
-    final = propagator(lattice, schedule, t) @ psi
-    e_t = _expect(final, h_ref).real
-    exact = (_expect(final, h_sq).real - e_t**2) / n_sq
+    turn = _accumulated_turns(schedule.pieces(t), schedule.mode, lattice.b_z)[-1:]
+    final = _turn_every_site(psi, lattice.n_sites, turn)[0]
+    h_final = h_op @ final
+    e_t = np.vdot(final, h_final).real
     return VarianceExpansion(
-        sigma2_initial=sigma2_initial,
-        first_bracket=first_bracket,
-        second_bracket=second_bracket,
-        exact=exact,
+        sigma2_initial=float(sigma2_initial),
+        first_bracket=float(first_bracket),
+        second_bracket=float(second_bracket),
+        exact=float((np.vdot(h_final, h_final).real - e_t**2) / n_sq),
     )
 
 

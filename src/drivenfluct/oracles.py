@@ -81,8 +81,13 @@ def magnus_schedule(t: float) -> cs.DriveSchedule:
 
 def magnus_slope(lattice: xl.LatticeSpec, times) -> tuple[list[float], float]:
     """Magnus truncation error of ``magnus_schedule(t)`` at each time, and the
-    slope of log(error) against log(t) fitted through them (3 at second order)."""
+    slope of log(error) against log(t) fitted through them (3 at second order).
+    An error that is not positive is refused, naming its time."""
     errors = [mg.magnus_error(lattice, magnus_schedule(float(t)), float(t)) for t in times]
+    for t, error in zip(times, errors):
+        # with B_z = 0, say, the segments commute and there is no error to fit
+        if not error > 0.0:
+            raise ValueError(f"Magnus truncation error at t = {float(t)!r} is {error!r}, not positive: no slope to fit")
     slope = float(np.polyfit(np.log(times), np.log(errors), 1)[0])
     return errors, slope
 
@@ -275,10 +280,15 @@ def magnus_suite() -> list[dict]:
     _check(checks, "zero-time-error", mg.magnus_error(lat, commuting, 0.0) == 0.0)
     t = 0.2
     sched = magnus_schedule(t)
-    terms = mg.magnus_terms(lat, sched, t)
-    (dt1, h1), (dt2, h2) = mg.segment_hamiltonians(lat, sched)
+    # c [H_0, F] against the pairwise commutator of the two dense segment
+    # Hamiltonians H_0 + b_k F
+    h_0 = xl.build_spin_hamiltonian(lat, with_decomposition=False).matrix
+    field = xl.build_transverse_field(3, 1.0).matrix
+    (dt1, b1), (dt2, b2) = sched.pieces(t)
+    h1, h2 = h_0 + b1 * field, h_0 + b2 * field
     reference = -0.5 * dt1 * dt2 * (h2 @ h1 - h1 @ h2)
-    _check(checks, "omega2-closed-form", np.max(np.abs(terms.omega2 - reference)) < 1e-12)
+    omega2 = mg.magnus_terms(sched, t).c * (h_0 @ field - field @ h_0)
+    _check(checks, "omega2-closed-form", np.max(np.abs(omega2 - reference)) < 1e-12)
     _, slope = magnus_slope(lat, np.geomspace(1e-3, 1e-1, 7))
     _check(checks, "error-slope-3", abs(slope - 3.0) < 0.2, slope)
     psi = xl.dicke_state(3, 0.5)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from drivenfluct import cli
 from drivenfluct import nonequil_observables as no
+from drivenfluct import oracles
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -128,6 +129,7 @@ class TestSpinCommands:
             (["magnus-check", "--j", "nan"], bond),
             (["magnus-check", "--t-max", "inf"], "--t-max must be positive and finite, got inf"),
             (["magnus-check", "--t-min", "0"], "--t-min must be positive and finite, got 0.0"),
+            (["magnus-check", "--bz", "0"], "--bz must be nonzero: with no longitudinal field every segment commutes"),
             (["variance-rate", "--by", "nan"], "--by must be positive and finite, got nan"),
             (["variance-rate", "--by", "0"], "--by must be positive and finite, got 0.0"),
             (["variance-rate", "--by", "inf"], "--by must be positive and finite, got inf"),
@@ -480,6 +482,14 @@ class TestCliBehavior:
         assert run_cli(args, dir_b) == 0
         for name in ("spin_dist.csv", "spin_dist.json", "spin-dist_manifest.json"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+    def test_non_finite_json_exits_1_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # every payload is serialised as strict JSON before any file is
+        # written: a NaN slope is an error, not a "NaN" token in an artifact
+        monkeypatch.setattr(oracles, "magnus_slope", lambda lattice, times: ([1.0] * len(times), math.nan))
+        assert run_cli(["magnus-check"], tmp_path / "nan") == 1
+        assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+        assert not (tmp_path / "nan").exists()
 
     def test_selftest_smoke(self, tmp_path, capsys):
         assert run_cli(["rate-threshold", "--temperature", "1", "--cv-total", "1",

@@ -777,19 +777,9 @@ class TestDenseMemoryGuard:
             (lambda: xl.bose_doping_operator(3, 0.5), 1),
             (lambda: xl.total_spin_operators(3), 3),
             (lambda: xl.spin_squared_operator(3), 5),
-            # two generators, one matrix per segment (two here), one being built
-            (lambda: mg.segment_hamiltonians(lattice, augment), 5),
-            # two generators, two segments, Omega_1, Omega_2, and the two
-            # products of a commutator with their difference
-            (lambda: mg.magnus_terms(lattice, augment, 0.4), 9),
-            # two generators, Omega_1, Omega_2, their sum, expm's eight
-            (lambda: mg.magnus_error(lattice, augment, 0.4), 13),
-            # and H^2
-            (lambda: mg.variance_expansion(xl.dicke_state(3, 0.5), lattice, augment, 0.4), 10),
         ]
 
     def test_dense_routes_refuse_before_allocating(self, tiny_memory):
-        mg._dense_generators.cache_clear()
         for dense_route, arrays in self.dense_routes():
             with pytest.raises(xl.SizeLimitError, match=f"needs {1024 * arrays} bytes"):
                 dense_route()
@@ -799,27 +789,23 @@ class TestDenseMemoryGuard:
         # with the route's total, and the total itself passes every check
         # made on the way, the nested routes' included
         for dense_route, arrays in self.dense_routes():
-            mg._dense_generators.cache_clear()
             monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 1024 * arrays - 1)
             with pytest.raises(xl.SizeLimitError, match=rf"\({arrays} dense 2\^N x 2\^N arrays? at once\) needs {1024 * arrays} bytes"):
                 dense_route()
             monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 1024 * arrays)
             dense_route()
-        mg._dense_generators.cache_clear()
 
     def test_cli_names_the_bytes_of_a_refused_route(self, monkeypatch, tmp_path, capsys):
         from drivenfluct import cli
 
-        # 14 sites: magnus_error on the two-segment Magnus schedule holds
-        # thirteen 2^14 x 2^14 complex arrays; bose-dual checks each drawn
-        # lattice
-        monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 8 * 2**30)
-        mg._dense_generators.cache_clear()
-        assert cli.main(["magnus-check", "--n", "14", "--outdir", str(tmp_path)]) == 1
-        assert f"magnus_error on 14 sites (13 dense 2^N x 2^N arrays at once) needs {13 * 16 * 4**14} bytes" in capsys.readouterr().err
+        # the Magnus routes hold no dense array: with 1000 bytes of memory
+        # magnus-check still runs at 14 sites, while bose-dual names the
+        # bytes of the dense dual it would build
         monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 1000)
+        assert cli.main(["magnus-check", "--n", "14", "--outdir", str(tmp_path / "magnus")]) == 0
+        assert "wrote magnus_check.json" in capsys.readouterr().out
         assert cli.main(["bose-dual", "--n", "14", "--outdir", str(tmp_path)]) == 1
-        assert "bose_dual on " in capsys.readouterr().err
+        assert f"bose_dual on 14 sites (5 dense 2^N x 2^N arrays at once) needs {5 * 16 * 4**14} bytes" in capsys.readouterr().err
 
     def test_matrix_free_routes_need_no_dense_memory(self, tiny_memory):
         lattice = xl.LatticeSpec.chain(3, 0.61, 1.37)
@@ -831,8 +817,12 @@ class TestDenseMemoryGuard:
         assert xl.connected_pair_correlators(state, ham).sigma_sq > 0.0
         assert bd.uncertainty_check(state, ham, drive, 3)[0].satisfied
         assert math.isfinite(mg.variance_rate(state, drive, ham))
-        # augment evolution holds real sector eigenvectors, not a dense operator
+        # the Magnus routes: 2x2 turns, and products of CSR operators with
+        # the state
         augment = cs.DriveSchedule("augment", ((0.4, 0.777), (0.2, -0.3)), 1.37)
+        assert mg.magnus_error(lattice, augment, 0.5) > 0.0
+        assert math.isfinite(mg.variance_expansion(state, lattice, augment, 0.5).exact)
+        # augment evolution holds real sector eigenvectors, not a dense operator
         assert xl.variance(xl.evolve_state(state, lattice, augment)[-1][1], ham) > 0.0
         # so does the eigenbasis distribution, read from the same eigensystem
         assert math.fsum(w for _, w in xl.eigenbasis_distribution(state, lattice).points) == pytest.approx(1.0)

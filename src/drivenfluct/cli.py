@@ -286,7 +286,7 @@ def _cmd_bose_dual(args: argparse.Namespace) -> Result:
             if rng.random() < 0.8
         )
         lat = xl.LatticeSpec(n, bonds, float(rng.normal()))
-        _, report = xl.bose_dual(lat)
+        report = xl.bose_dual(lat)
         ok = (
             report.spectra_match
             and report.doping_matches_transverse

@@ -5,8 +5,9 @@ site i, bit value 1 = spin up): the point is an exact reference for the
 closed forms in :mod:`collective_spin`, not a production simulator, hence the
 cap at 14 sites.  Includes the hard-core-boson dual obtained from the spin
 algebra (boson number = up-spin indicator), whose spectrum must coincide with
-the spin Hamiltonian's; it is written into one dense array straight from the
-occupation bits of the basis index, with no per-site or per-bond matrices.
+the spin Hamiltonian's; it conserves the boson number, so it is written one
+real number-sector block at a time straight from the occupation bits of the
+basis index, with no per-site or per-bond matrices.
 
 Matrix-free routes (memory O(N 2^N) for a chain): operators and their
 local-term decompositions are written from bit operations straight into
@@ -32,12 +33,11 @@ matrix-vector products only, and ``magnus.magnus_error`` works on the
 single-site turns alone.  Each eigenvector of E lies in one sector, so
 the same eigensystem gives the spectrum of the whole spin Hamiltonian
 E - B_z S^z_tot: ``eigenbasis_distribution`` and the spin side of
-``bose_dual`` read it there.  Dense routes (16 * 4^N bytes per 2^N x 2^N
-complex array, 4.3 GB at N = 14): ``MatrixOperator.matrix``,
-``propagator``, the boson side of ``bose_dual`` and the total-spin
-operators.  Each counts every dense array it holds at once and raises
-:class:`SizeLimitError` before allocating more than the machine's physical
-memory.
+``bose_dual`` read it there.  The only dense routes (16 * 4^N bytes per
+2^N x 2^N complex array, 4.3 GB at N = 14) are ``MatrixOperator.matrix``
+and ``propagator``.  Each counts every dense array it holds at once and
+raises :class:`SizeLimitError` before allocating more than the machine's
+physical memory, as ``bose_dual`` does for its largest number-sector block.
 """
 
 from __future__ import annotations
@@ -70,12 +70,9 @@ __all__ = [
     "variance",
     "energy_density_sigma",
     "site_magnetizations",
-    "total_spin_operators",
-    "spin_squared_operator",
     "connected_pair_correlators",
     "eigenbasis_distribution",
     "bose_dual",
-    "bose_doping_operator",
 ]
 
 MAX_SITES = 14
@@ -181,13 +178,14 @@ class MatrixOperator:
     ``array`` holds the operator and ``term_stack`` its terms, term k in rows
     k*2^N .. (k+1)*2^N - 1, so one product gives every term's.  The lattice
     builders store scipy CSR arrays, Hermitian and resumming by construction,
-    without re-checking them.  Any other operator (``bose_dual``, user
-    arrays) comes through this constructor as dense arrays, ``terms`` a
-    sequence of 2^N x 2^N matrices, and must be Hermitian, with terms that
-    sum back to it, each within 1e-12.  ``matrix`` is the dense form, a new
-    16 * 4^N-byte array on each read of a sparse operator.  Bond terms are
-    split half-half between their two sites, one fixed choice among the many
-    admissible splits.
+    without re-checking them.  Any other operator (user arrays, such as
+    the padded pairs of ``oracles.robertson_report``) comes through this
+    constructor as dense arrays, ``terms`` a sequence of 2^N x 2^N
+    matrices, and must be Hermitian, with terms that sum back to it, each
+    within 1e-12.  ``matrix`` is the dense form, a new 16 * 4^N-byte array
+    on each read of a sparse operator.  Bond terms are split half-half
+    between their two sites, one fixed choice among the many admissible
+    splits.
     """
 
     def __init__(self, matrix, n_sites: int, terms=None):
@@ -659,30 +657,6 @@ def site_magnetizations(state: QuantumState) -> np.ndarray:
     return (bits - 0.5) @ weights
 
 
-def total_spin_operators(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense global (S_x, S_y, S_z)."""
-    _require_dense_memory(n_sites, 3, "total_spin_operators")
-    idx = np.arange(1 << n_sites)
-    sites = np.arange(n_sites)
-    # S^x and S^y flip one site: row r holds column c = r ^ 2^s for each s,
-    # with <down|S_y|up> = i/2 and <up|S_y|down> = -i/2 read from bit s of c
-    cols = idx[:, None] ^ (1 << sites)
-    sx = _csr(cols, np.full(cols.shape, 0.5), idx.size)
-    sy = _csr(cols, 1j * (((cols >> sites) & 1) - 0.5), idx.size)
-    sz = _csr(idx[:, None], (np.bitwise_count(idx) - 0.5 * n_sites)[:, None], idx.size)
-    return sx.toarray(), sy.toarray(), sz.toarray()
-
-
-def spin_squared_operator(n_sites: int) -> np.ndarray:
-    # the three components, the sum and one product at a time
-    _require_dense_memory(n_sites, 5, "spin_squared_operator")
-    sx, sy, sz = total_spin_operators(n_sites)
-    out = sx @ sx
-    out += sy @ sy
-    out += sz @ sz
-    return out
-
-
 def connected_pair_correlators(
     state: QuantumState, operator: MatrixOperator
 ) -> CorrelatorReport:
@@ -750,26 +724,6 @@ def eigenbasis_distribution(state: QuantumState, lattice: LatticeSpec) -> Empiri
     return EmpiricalDistribution(points=tuple(zip(means.tolist(), (sums / math.fsum(sums)).tolist())))
 
 
-def bose_doping_operator(n_sites: int, b_y: float) -> np.ndarray:
-    """(i b_y/2) sum_i (b_i^dag - b_i): the boson image of the transverse drive.
-
-    With the number convention n_i = S_i^z + 1/2 the raising operator maps to
-    b^dag, fixing this sign; the opposite overall sign corresponds to the
-    boson = down-spin convention and generates the same rotation family.
-    """
-    _require_dense_memory(n_sites, 1, "bose_doping_operator")
-    dim = 1 << n_sites
-    idx = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    for site in range(n_sites):
-        bit = (idx >> site) & 1
-        creat = idx[bit == 0]
-        out[creat ^ (1 << site), creat] += 0.5j * b_y
-        annih = idx[bit == 1]
-        out[annih ^ (1 << site), annih] -= 0.5j * b_y
-    return out
-
-
 @dataclass(frozen=True)
 class BoseDualReport:
     """Equivalence evidence for the hard-core-boson dual of the spin model."""
@@ -780,50 +734,76 @@ class BoseDualReport:
     number_maps_to_magnetization: bool
 
 
-def bose_dual(lattice: LatticeSpec) -> tuple[MatrixOperator, BoseDualReport]:
-    """Hard-core-boson Hamiltonian dual to the spin model, plus its evidence.
+def _bose_dual_blocks(lattice: LatticeSpec):
+    """Yield (states, block) per boson number k = 0..N: the basis indices
+    with k occupied sites, ascending, and the real C(N,k) x C(N,k) block of
+    the dual on them, which conserves the boson number.
 
-    Per bond (i < j, coupling J counted once):
-        -(J/2)(b_i^dag b_j + h.c.) - J n_i n_j + (J/2)(n_i + n_j) - J/4
-    plus -B_z sum n_i + B_z N/2.  The c-number pieces keep the full spectrum
-    identical to the spin Hamiltonian's, not merely equal up to a shift.
-    Written into one dense array from the occupation bits n_i of the basis
-    index: the number terms collect on the diagonal, and each bond hops the
-    boson across wherever exactly one of its two sites is occupied.  Its
-    dense spectrum is checked against the spin spectrum read from the
-    cached sector eigensystem of the exchange.  Five dense arrays are held at
-    once, at most: the Hamiltonian with the conjugate and the difference of
-    its Hermiticity check, then with the doping and transverse operators and
-    their difference.
+    Written from the occupation bits n_i of the basis index: the number
+    terms collect on the diagonal, and each bond hops the boson across
+    wherever exactly one of its two sites is occupied.
     """
-    _require_dense_memory(lattice.n_sites, 5, "bose_dual")
     n = lattice.n_sites
     idx = np.arange(lattice.dim)
     occupied = _site_bits(n)
-    total = np.zeros((lattice.dim, lattice.dim), dtype=complex)
     diagonal = np.zeros(lattice.dim)
     constant = lattice.b_z * n / 2.0
     for i, j, j_ij in lattice.couplings:
-        src = idx[occupied[i] != occupied[j]]
-        total[src ^ ((1 << i) | (1 << j)), src] = -0.5 * j_ij
         diagonal -= j_ij * (occupied[i] * occupied[j])
         diagonal += 0.5 * j_ij * (occupied[i] + occupied[j])
         constant -= 0.25 * j_ij
     for i in range(n):
         diagonal -= lattice.b_z * occupied[i]
-    total[idx, idx] = diagonal + constant
-    bose_op = MatrixOperator(matrix=total, n_sites=n)
+    diagonal += constant
+    # every bond's hops at once, each from state src to src ^ (its mask)
+    bonds = np.array(lattice.couplings).reshape(-1, 3)
+    first, second = bonds[:, :2].T.astype(int)
+    bond, src = np.nonzero(occupied[first] != occupied[second])
+    dst = src ^ ((1 << first) | (1 << second))[bond]
+    count = np.bitwise_count(idx)
+    position = np.empty_like(idx)
+    for k in range(n + 1):
+        states = np.flatnonzero(count == k)
+        position[states] = np.arange(states.size)
+        block = np.diag(diagonal[states])
+        run = count[src] == k
+        block[position[dst[run]], position[src[run]]] = -0.5 * bonds[bond[run], 2]
+        yield states, block
 
-    spec_gap = float(np.max(np.abs(np.linalg.eigvalsh(total) - np.sort(_spin_spectrum(lattice)[0]))))
-    doping = bose_doping_operator(n, 1.0)
-    transverse = build_transverse_field(n, 1.0).matrix
-    doping_ok = bool(np.max(np.abs(doping - transverse)) <= 1e-12)
+
+def bose_dual(lattice: LatticeSpec) -> BoseDualReport:
+    """Evidence that the hard-core-boson dual reproduces the spin model.
+
+    Per bond (i < j, coupling J counted once):
+        -(J/2)(b_i^dag b_j + h.c.) - J n_i n_j + (J/2)(n_i + n_j) - J/4
+    plus -B_z sum n_i + B_z N/2.  The c-number pieces keep the full spectrum
+    identical to the spin Hamiltonian's, not merely equal up to a shift.
+    Its spectrum, one ``eigvalsh`` per block of ``_bose_dual_blocks``, is
+    checked against the spin spectrum read from the cached sector
+    eigensystem of the exchange; the doping (i/2) sum_i (b_i^dag - b_i)
+    (with n_i = S_i^z + 1/2 the raising operator is b^dag, which fixes the
+    sign) against the CSR entries of the unit transverse drive.  One block
+    is held at a time, at most 8 C(N, N/2)^2 bytes (94 MB at 14 sites).
+    """
+    n = lattice.n_sites
+    size = math.comb(n, n // 2)
+    _require_memory(8 * size**2, f"bose_dual on {n} sites (a {size} x {size} number-sector block)")
+    dual = np.sort(np.concatenate([np.linalg.eigvalsh(block) for _, block in _bose_dual_blocks(lattice)]))
+    spec_gap = float(np.max(np.abs(dual - np.sort(_spin_spectrum(lattice)[0]))))
+    # b_i^dag on the columns where site i is empty, -b_i where it is
+    # occupied: the drive stores each of these entries and nothing else
+    idx = np.arange(lattice.dim)
+    occupied = _site_bits(n)
+    cols = np.tile(idx, n)
+    rows = cols ^ np.repeat(1 << np.arange(n), lattice.dim)
+    transverse = build_transverse_field(n, 1.0, with_decomposition=False).array
+    doping_gap = np.max(np.abs(transverse[rows, cols] - 0.5j * (1 - 2 * occupied.ravel())))
+    doping_ok = bool(transverse.nnz == cols.size and doping_gap <= 1e-12)
     # sum_i n_i = S^z_tot + N/2, the up-spin count, on every basis state
     number_ok = bool(np.array_equal(occupied.sum(axis=0), np.bitwise_count(idx)))
-    report = BoseDualReport(
+    return BoseDualReport(
         spectrum_max_delta=spec_gap,
         spectra_match=spec_gap <= 1e-10,
         doping_matches_transverse=doping_ok,
         number_maps_to_magnetization=number_ok,
     )
-    return bose_op, report

@@ -212,6 +212,18 @@ def collective_suite() -> list[dict]:
     return checks
 
 
+def _total_spin(vectors: np.ndarray, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """S^2 = S^- S^+ + S_z^2 + S_z and S^z_tot on the columns of ``vectors``,
+    from the bits of the basis index alone: S^z is the up-count minus N/2,
+    and S^+ (S^-) moves each site's amplitude from its down (up) state."""
+    idx = np.arange(1 << n_sites)
+    s_z = (np.bitwise_count(idx) - 0.5 * n_sites)[:, None]
+    up = ((idx >> np.arange(n_sites)[:, None]) & 1)[:, :, None]
+    raised = sum(up[s] * vectors[idx ^ (1 << s)] for s in range(n_sites))
+    lowered = sum((1 - up[s]) * raised[idx ^ (1 << s)] for s in range(n_sites))
+    return lowered + s_z * (s_z + 1.0) * vectors, s_z * vectors
+
+
 def exact_suite() -> list[dict]:
     checks: list[dict] = []
     lat2 = xl.LatticeSpec(2, ((0, 1, 1.0),), 1.0)
@@ -230,10 +242,12 @@ def exact_suite() -> list[dict]:
     )
     lat = xl.LatticeSpec.chain(5, 0.7, 1.1)
     ham = xl.build_spin_hamiltonian(lat)
-    s_sq = xl.spin_squared_operator(5)
-    _, _, s_z = xl.total_spin_operators(5)
-    _check(checks, "s2-commutes", np.max(np.abs(ham.matrix @ s_sq - s_sq @ ham.matrix)) < 1e-12)
-    _check(checks, "sz-commutes", np.max(np.abs(ham.matrix @ s_z - s_z @ ham.matrix)) < 1e-12)
+    # both sides of [H, S^2] and [H, S^z] on seeded vectors
+    vectors = np.random.default_rng(5).normal(size=(32, 6)).view(complex)
+    s_sq, s_z = _total_spin(vectors, 5)
+    h_s_sq, h_s_z = _total_spin(ham.array @ vectors, 5)
+    _check(checks, "s2-commutes", np.max(np.abs(ham.array @ s_sq - h_s_sq)) < 1e-12)
+    _check(checks, "sz-commutes", np.max(np.abs(ham.array @ s_z - h_s_z)) < 1e-12)
     worst = max(
         abs(oracle - analytic)
         for theta in (0.5, 1.7, 3.0)
@@ -263,7 +277,7 @@ def bose_suite() -> list[dict]:
             for j in range(i + 1, n)
         )
         lat = xl.LatticeSpec(n, bonds, float(rng.normal()))
-        _, report = xl.bose_dual(lat)
+        report = xl.bose_dual(lat)
         worst = max(worst, report.spectrum_max_delta)
         _check(checks, f"dual-spectrum-n{n}", report.spectra_match, report.spectrum_max_delta)
         _check(checks, f"dual-doping-n{n}", report.doping_matches_transverse)

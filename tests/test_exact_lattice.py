@@ -62,10 +62,19 @@ class TestSpinHamiltonian:
     def test_total_spin_symmetry(self):
         lat = xl.LatticeSpec.complete(4, j=0.8, b_z=1.3)
         ham = xl.build_spin_hamiltonian(lat).matrix
-        s_sq = xl.spin_squared_operator(4)
-        _, _, s_z = xl.total_spin_operators(4)
+        s_sq, s_z = kron_total_spin(4)
         assert np.max(np.abs(ham @ s_sq - s_sq @ ham)) < 1e-12
         assert np.max(np.abs(ham @ s_z - s_z @ ham)) < 1e-12
+
+    def test_selftest_total_spin_matches_kron(self):
+        # the exact selftest applies S^2 and S^z through the bits alone
+        rng = np.random.default_rng(11)
+        for n in (1, 3, 5):
+            vectors = rng.normal(size=(1 << n, 4)).view(complex)
+            s_sq, s_z = kron_total_spin(n)
+            got_sq, got_z = oracles._total_spin(vectors, n)
+            assert close(got_sq, s_sq @ vectors)
+            assert close(got_z, s_z @ vectors)
 
     def test_decomposition_resums(self):
         ham = xl.build_spin_hamiltonian(xl.LatticeSpec.chain(4, 0.9, 0.4))
@@ -193,8 +202,7 @@ class TestGeneralSpinSectorOracle:
         # an S_tot < N/2 eigenstate: simultaneous eigenvector of (H, S^2, S_z)
         lat = xl.LatticeSpec.chain(4, 1.0, 1.0)
         ham = xl.build_spin_hamiltonian(lat, with_decomposition=False)
-        s_sq = xl.spin_squared_operator(4)
-        _, _, s_z = xl.total_spin_operators(4)
+        s_sq, s_z = kron_total_spin(4)
         # break degeneracies with commuting perturbations, then classify
         eigvals, eigvecs = eigh(ham.matrix + 1e-3 * s_sq + 1e-5 * s_z)
         target = None
@@ -281,7 +289,7 @@ class TestEigenbasisDistribution:
 
 class TestBoseDual:
     def test_two_site_chain(self):
-        _, report = xl.bose_dual(xl.LatticeSpec(2, ((0, 1, 1.0),), 1.0))
+        report = xl.bose_dual(xl.LatticeSpec(2, ((0, 1, 1.0),), 1.0))
         assert report.spectra_match
         assert report.spectrum_max_delta < 1e-10
         assert report.doping_matches_transverse
@@ -313,8 +321,9 @@ class TestBoseDual:
         return total
 
     def test_matrix_pinned_to_per_term_construction(self):
-        # entry for entry, so a change of basis or of rounding shows even
-        # where the spectra still agree
+        # the reference keeps the boson number, and each number-sector block
+        # equals it entry for entry on its states, so a change of basis or
+        # of rounding shows even where the spectra still agree
         rng = np.random.default_rng(2024)
         lattices = [
             xl.LatticeSpec(3, (), 0.8),
@@ -328,28 +337,35 @@ class TestBoseDual:
                 )
                 lattices.append(xl.LatticeSpec(n, bonds, float(rng.normal())))
         for lattice in lattices:
-            bose_op, _ = xl.bose_dual(lattice)
-            assert np.array_equal(bose_op.matrix, self._per_term_reference(lattice))
+            reference = self._per_term_reference(lattice)
+            count = np.bitwise_count(np.arange(lattice.dim))
+            assert not np.any(reference[count[:, None] != count])
+            blocks = list(xl._bose_dual_blocks(lattice))
+            assert np.array_equal(np.sort(np.concatenate([states for states, _ in blocks])), np.arange(lattice.dim))
+            for states, block in blocks:
+                assert np.array_equal(block, reference[np.ix_(states, states)])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_couplings(self, seed):
         rng = np.random.default_rng(seed)
-        for n in (3, 5, 7):
+        # one 12-site lattice, past the reach of a dense 2^N dual
+        for n in (3, 5, 7, 12) if seed == 0 else (3, 5, 7):
             bonds = tuple(
                 (i, j, float(rng.normal()))
                 for i in range(n)
                 for j in range(i + 1, n)
                 if rng.random() < 0.7
             )
-            _, report = xl.bose_dual(xl.LatticeSpec(n, bonds, float(rng.normal())))
+            report = xl.bose_dual(xl.LatticeSpec(n, bonds, float(rng.normal())))
             assert report.spectrum_max_delta < 1e-10
 
     def test_doping_evolution_sigma(self):
         # doping drive on the boson side reproduces B_z |sin| sqrt(1 + 2/N - w^2)/(2 sqrt 2)
         n, m, b_y = 4, 1, 1.0
         lat = xl.LatticeSpec.chain(n, 1.0, 1.0)
-        bose_op, _ = xl.bose_dual(lat)
-        doping = xl.bose_doping_operator(n, b_y)
+        bose_op = xl.MatrixOperator(self._per_term_reference(lat), n)
+        # (i b_y/2) sum (b^dag - b) = -b_y sum S^y, since b^dag - b = 2i S^y
+        doping = -b_y * sum(kron_sites(n, {s: SY}) for s in range(n))
         eigvals, eigvecs = eigh(doping)
         psi = xl.dicke_state(n, m).amplitudes  # same occupation basis
         for theta in (0.7, PI / 2, 2.0):
@@ -374,6 +390,12 @@ def kron_sites(n_sites, singles):
     """Dense product of single-site matrices ({site: matrix}, identity elsewhere)."""
     # site 0 is the least significant bit of the basis index: rightmost factor
     return reduce(np.kron, [singles.get(k, np.eye(2)) for k in reversed(range(n_sites))])
+
+
+def kron_total_spin(n_sites):
+    """Dense (S^2, S^z_tot), summed from the single-site matrices."""
+    totals = [sum(kron_sites(n_sites, {s: single}) for s in range(n_sites)) for single in (SX, SY, SZ)]
+    return sum(total @ total for total in totals), totals[2]
 
 
 def kron_hamiltonian_terms(lattice):
@@ -763,36 +785,45 @@ class TestDenseMemoryGuard:
 
     @staticmethod
     def dense_routes():
-        """(route, dense 3-site arrays it holds at once), 1024 bytes each."""
+        """(route, bytes it holds at once, how its refusal names them)."""
         lattice = xl.LatticeSpec.chain(3, 0.61, 1.37)
         ham = xl.build_spin_hamiltonian(lattice)
         replace = cs.DriveSchedule("replace", ((0.4, 1.0),), 1.37)
         augment = cs.DriveSchedule("augment", ((0.4, 0.777), (0.2, -0.3)), 1.37)
-        return [
-            (lambda: ham.matrix, 1),
-            (lambda: xl.propagator(lattice, replace, 0.4), 1),
-            # the Kronecker power, the exchange's gathered copy and its result
-            (lambda: xl.propagator(lattice, augment, 0.4), 3),
-            (lambda: xl.bose_dual(lattice), 5),
-            (lambda: xl.bose_doping_operator(3, 0.5), 1),
-            (lambda: xl.total_spin_operators(3), 3),
-            (lambda: xl.spin_squared_operator(3), 5),
+        # dense 3-site arrays, 1024 bytes each
+        routes = [
+            (route, 1024 * arrays, rf"\({arrays} dense 2\^N x 2\^N arrays? at once\)")
+            for route, arrays in [
+                (lambda: ham.matrix, 1),
+                (lambda: xl.propagator(lattice, replace, 0.4), 1),
+                # the Kronecker power, the exchange's gathered copy and its result
+                (lambda: xl.propagator(lattice, augment, 0.4), 3),
+            ]
         ]
+        # the boson dual holds one real number-sector block at a time, the
+        # largest C(6, 3) = 20 rows square; its spin side reads the cached
+        # exchange eigensystem, which makes its own check
+        dual_lattice = xl.LatticeSpec.chain(6, 0.61, 1.37)
+        xl._segment_eigensystem(6, dual_lattice.couplings)
+        routes.append((lambda: xl.bose_dual(dual_lattice), 8 * 20**2, r"\(a 20 x 20 number-sector block\)"))
+        return routes
 
-    def test_dense_routes_refuse_before_allocating(self, tiny_memory):
-        for dense_route, arrays in self.dense_routes():
-            with pytest.raises(xl.SizeLimitError, match=f"needs {1024 * arrays} bytes"):
+    def test_dense_routes_refuse_before_allocating(self, monkeypatch):
+        routes = self.dense_routes()  # with the memory there is, to fill the cache
+        monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 1000)
+        for dense_route, needed, _ in routes:
+            with pytest.raises(xl.SizeLimitError, match=f"needs {needed} bytes"):
                 dense_route()
 
     def test_each_route_counts_everything_it_holds_at_once(self, monkeypatch):
         # one check up front, for the whole route: one byte short is refused
         # with the route's total, and the total itself passes every check
         # made on the way, the nested routes' included
-        for dense_route, arrays in self.dense_routes():
-            monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 1024 * arrays - 1)
-            with pytest.raises(xl.SizeLimitError, match=rf"\({arrays} dense 2\^N x 2\^N arrays? at once\) needs {1024 * arrays} bytes"):
+        for dense_route, needed, held in self.dense_routes():
+            monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: needed - 1)
+            with pytest.raises(xl.SizeLimitError, match=rf"{held} needs {needed} bytes"):
                 dense_route()
-            monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 1024 * arrays)
+            monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: needed)
             dense_route()
 
     def test_cli_names_the_bytes_of_a_refused_route(self, monkeypatch, tmp_path, capsys):
@@ -800,12 +831,12 @@ class TestDenseMemoryGuard:
 
         # the Magnus routes hold no dense array: with 1000 bytes of memory
         # magnus-check still runs at 14 sites, while bose-dual names the
-        # bytes of the dense dual it would build
+        # bytes of the largest number-sector block of the dual
         monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 1000)
         assert cli.main(["magnus-check", "--n", "14", "--outdir", str(tmp_path / "magnus")]) == 0
         assert "wrote magnus_check.json" in capsys.readouterr().out
         assert cli.main(["bose-dual", "--n", "14", "--outdir", str(tmp_path)]) == 1
-        assert f"bose_dual on 14 sites (5 dense 2^N x 2^N arrays at once) needs {5 * 16 * 4**14} bytes" in capsys.readouterr().err
+        assert f"bose_dual on 14 sites (a 3432 x 3432 number-sector block) needs {8 * 3432**2} bytes" in capsys.readouterr().err
 
     def test_matrix_free_routes_need_no_dense_memory(self, tiny_memory):
         lattice = xl.LatticeSpec.chain(3, 0.61, 1.37)

@@ -4,8 +4,8 @@ Run once at build time; the emitted CSVs are committed so the test suite does
 not depend on an arbitrary-precision library.  The special functions are
 computed at 50 significant digits and written in full round-trip decimal
 form.  The eigenbasis table is the energy distribution of one state on a
-5-site lattice with a near-degenerate spectrum, from a 40-digit
-diagonalisation of its dense spin Hamiltonian.
+5-site lattice with a near-degenerate spectrum, one atom per eigenvector of
+a 40-digit diagonalisation of its dense spin Hamiltonian.
 
 Usage: python3 scripts/make_reference_tables.py
 """
@@ -35,14 +35,13 @@ def j0_points() -> list[float]:
     return sorted(set(points))
 
 
-# A lattice on which a dense double-precision eigh misses its eigenvector
+# A lattice on which a dense double-precision eigh misses single eigenvector
 # weights by more than eps ||H|| / gap: the 1e-5 bond splits levels that
 # are degenerate without it.  The state is the test suite's
 # random_state(5, default_rng(5)).
 EIGENBASIS_BONDS = ((0, 3, -1.0), (0, 4, 0.5), (1, 2, 1.0), (1, 3, 1e-05))
 EIGENBASIS_SITES = 5
 EIGENBASIS_DIGITS = 40
-MERGE_TOL = 1e-9  # exact_lattice._MERGE_TOL
 
 
 def eigenbasis_state() -> np.ndarray:
@@ -53,8 +52,8 @@ def eigenbasis_state() -> np.ndarray:
 
 def eigenbasis_points(amplitudes: np.ndarray) -> list[tuple]:
     """(energy per site, weight) of the state on the eigenbasis of
-    -sum J S_i.S_j (B_z = 0), eigenvalues with consecutive gaps of at most
-    1e-9 merged at their unweighted mean, weights normalised to sum 1."""
+    -sum J S_i.S_j (B_z = 0), one atom per eigenvector in energy order,
+    weights normalised to sum 1."""
     with mp.workdps(EIGENBASIS_DIGITS):
         dim = 1 << EIGENBASIS_SITES
         ham = mp.zeros(dim, dim)
@@ -70,21 +69,8 @@ def eigenbasis_points(amplitudes: np.ndarray) -> list[tuple]:
         weights = [
             abs(mp.fsum(vectors[r, k] * psi[r] for r in range(dim))) ** 2 for k in range(dim)
         ]
-        ranked = sorted(range(dim), key=lambda k: energies[k])
-        runs = [[ranked[0]]]
-        for k in ranked[1:]:
-            if energies[k] - energies[runs[-1][-1]] <= MERGE_TOL:
-                runs[-1].append(k)
-            else:
-                runs.append([k])
         total = mp.fsum(weights)
-        return [
-            (
-                mp.fsum(energies[k] for k in run) / len(run) / EIGENBASIS_SITES,
-                mp.fsum(weights[k] for k in run) / total,
-            )
-            for run in runs
-        ]
+        return sorted((energies[k] / EIGENBASIS_SITES, weights[k] / total) for k in range(dim))
 
 
 def main() -> None:

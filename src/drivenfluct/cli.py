@@ -253,6 +253,8 @@ def _cmd_spin_dist(args: argparse.Namespace) -> Result:
 def _cmd_exact_check(args: argparse.Namespace) -> Result:
     _sites_flag("--n-min", args.n_min)
     _sites_flag("--n-max", args.n_max)
+    if args.n_min > args.n_max:
+        raise ValueError(f"--n-min must not exceed --n-max, got {args.n_min} > {args.n_max}")
     thetas = np.linspace(0.0, 2.0 * math.pi, args.thetas + 1)[1:]
     sched = cs.DriveSchedule(
         "replace", tuple((float(th), 1.0) for th in np.diff(np.concatenate([[0.0], thetas]))), args.bz

@@ -32,10 +32,10 @@ refused beyond physical memory).  ``expectation``, ``variance``,
 matrix-vector products only, and ``magnus.magnus_error`` works on the
 single-site turns alone.  Each eigenvector of E lies in one sector, so
 the same eigensystem gives the spectrum of the whole spin Hamiltonian
-E - B_z S^z_tot: ``eigenbasis_distribution`` and the spin side of
-``bose_dual`` read it there.  The only dense routes (16 * 4^N bytes per
-2^N x 2^N complex array, 4.3 GB at N = 14) are ``MatrixOperator.matrix``
-and ``propagator``.  Each counts every dense array it holds at once and
+E - B_z S^z_tot: ``eigenbasis_distribution`` (one atom per eigenvector)
+and the spin side of ``bose_dual`` read it there.  The only dense routes
+(16 * 4^N bytes per 2^N x 2^N complex array, 4.3 GB at N = 14) are
+``MatrixOperator.matrix`` and ``propagator``.  Each counts every dense array it holds at once and
 raises :class:`SizeLimitError` before allocating more than the machine's
 physical memory, as ``bose_dual`` does for its largest number-sector block.
 """
@@ -76,7 +76,6 @@ __all__ = [
 ]
 
 MAX_SITES = 14
-_MERGE_TOL = 1e-9
 
 
 class SizeLimitError(ValueError):
@@ -704,24 +703,16 @@ def _spin_spectrum(lattice: LatticeSpec, amplitudes: np.ndarray | None = None) -
 
 
 def eigenbasis_distribution(state: QuantumState, lattice: LatticeSpec) -> EmpiricalDistribution:
-    """Weights of the state on the lattice's spin-Hamiltonian eigenbasis, per-site eigenvalues.
-
-    The sorted eigenvalues (of the whole lattice, before dividing by the site
-    count) merge wherever a consecutive gap is at most ``_MERGE_TOL`` = 1e-9,
-    each run into one weight at its unweighted mean.  The threshold is hard:
-    a true gap within rounding of 1e-9 may fall on either side of it, so
-    such spectra can cluster differently under a last-bit change, which is
-    why ``TestEigenbasisAgainstDenseRoute`` leaves them out.
-    """
+    """Weights of the state on the lattice's spin-Hamiltonian eigenbasis, one
+    atom per eigenvector at its eigenvalue per site, weights normalised by
+    ``fsum``.  Degenerate eigenvalues stay separate atoms, so compare two such
+    laws by a distance continuous in the values, such as Wasserstein-1."""
     if state.n_sites != lattice.n_sites:
         raise ValueError("state and lattice site counts differ")
     values, weights = _spin_spectrum(lattice, state.amplitudes)
-    rank = np.argsort(values, kind="stable")
-    values, weights = values[rank], weights[rank]
-    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > _MERGE_TOL)
-    means = np.add.reduceat(values, starts) / np.diff(starts, append=values.size) / lattice.n_sites
-    sums = np.add.reduceat(weights, starts)
-    return EmpiricalDistribution(points=tuple(zip(means.tolist(), (sums / math.fsum(sums)).tolist())))
+    return EmpiricalDistribution(
+        points=tuple(zip((values / lattice.n_sites).tolist(), (weights / math.fsum(weights)).tolist()))
+    )
 
 
 @dataclass(frozen=True)

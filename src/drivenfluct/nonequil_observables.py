@@ -67,17 +67,6 @@ class KernelDomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class DeltaKernel:
-    """Point mass at one parameter value."""
-
-    at: float
-
-    def __post_init__(self):
-        if not -math.inf < self.at < math.inf:
-            raise ValueError(f"delta kernel needs a finite location, got {self.at!r}")
-
-
-@dataclass(frozen=True)
 class GaussianKernel:
     """Normal weight over the parameter, sigma > 0."""
 
@@ -101,7 +90,14 @@ class GaussianKernel:
 
 # An empirical kernel is exactly an empirical distribution over the parameter.
 EmpiricalKernel = EmpiricalDistribution
-SmearKernel = Union[DeltaKernel, GaussianKernel, EmpiricalDistribution]
+SmearKernel = Union[GaussianKernel, EmpiricalDistribution]
+
+
+def DeltaKernel(at: float) -> EmpiricalDistribution:
+    """Point mass at one parameter value: the one-atom empirical kernel."""
+    if not -math.inf < at < math.inf:
+        raise ValueError(f"delta kernel needs a finite location, got {at!r}")
+    return EmpiricalDistribution(points=((at, 1.0),))
 
 
 def tabulated_curve(xs: Sequence[float], ys: Sequence[float]) -> Callable[[float], float]:
@@ -124,15 +120,14 @@ def tabulated_curve(xs: Sequence[float], ys: Sequence[float]) -> Callable[[float
 def kernel_average(kernel: SmearKernel, curve: Callable[[float], float]) -> float:
     """Weighted average of an equilibrium curve over the kernel.
 
-    Delta and empirical kernels are summed exactly; Gaussian kernels use
-    adaptive quadrature at relative tolerance 1e-8 over +-12 sigma.
+    Empirical kernels, delta ones included, are summed exactly by ``fsum``;
+    Gaussian kernels use adaptive quadrature at relative tolerance 1e-8 over
+    +-12 sigma.
     ``scipy.integrate.quad`` is imported here, in the Gaussian branch, and
     not at module level: importing ``scipy.integrate`` also loads
     ``scipy.optimize`` (about 0.25 s), and this branch, reached through
     ``smeared_planck`` and ``spectral_weight``, is the only caller.
     """
-    if isinstance(kernel, DeltaKernel):
-        return float(curve(kernel.at))
     if isinstance(kernel, EmpiricalDistribution):
         return float(math.fsum(w * curve(v) for v, w in kernel.points))
     if isinstance(kernel, GaussianKernel):
@@ -390,8 +385,8 @@ def smeared_green(
 
     G(omega) = integral d mu' P(mu') Z / (omega - eps_k + mu' + i/tau), with
     the spectral function A = -Im G / pi attached.  Z and tau are held fixed
-    across the kernel (sweep momenta externally).  Delta and empirical kernels
-    sum Lorentzians exactly; a Gaussian kernel gives the Voigt profile
+    across the kernel (sweep momenta externally).  Empirical kernels (delta
+    ones included) sum Lorentzians; a Gaussian kernel gives the Voigt profile
     G = -i Z sqrt(pi/2)/sigma w((omega - eps_k + mean + i/tau)/(sigma sqrt 2)),
     with w the Faddeeva function, evaluated over the whole grid at once.
     """
@@ -409,18 +404,12 @@ def smeared_green(
         values = (-1j * z_weight * math.sqrt(math.pi) / scale) * wofz(
             (omega - eps_k + kernel.mean + 1j / lifetime) / scale
         )
+    elif isinstance(kernel, EmpiricalDistribution):
+        values = np.array(
+            [sum(weight * _lorentzian(w, eps_k, mu, z_weight, lifetime) for mu, weight in kernel.points) for w in omega]
+        )
     else:
-        values = np.empty(omega.size, dtype=complex)
-        for idx, w in enumerate(omega):
-            if isinstance(kernel, DeltaKernel):
-                values[idx] = _lorentzian(w, eps_k, kernel.at, z_weight, lifetime)
-            elif isinstance(kernel, EmpiricalDistribution):
-                values[idx] = sum(
-                    weight * _lorentzian(w, eps_k, mu, z_weight, lifetime)
-                    for mu, weight in kernel.points
-                )
-            else:
-                raise TypeError(f"unknown kernel type {type(kernel).__name__}")
+        raise TypeError(f"unknown kernel type {type(kernel).__name__}")
     spectral = -values.imag / math.pi
     return GreenResult(omega=omega, values=values, spectral=spectral)
 
@@ -469,8 +458,9 @@ def smeared_planck(
 
     Adds ptei_weight/(e^(nu/T) - 1) for the phase-transition energy window
     pinned at the nominal temperature; the window's weight is a free
-    parameter since only its functional form is fixed.  A delta kernel routes
-    through :func:`planck_radiance` itself (bit-identical to the unsmeared law).
+    parameter since only its functional form is fixed.  A delta kernel's one
+    atom of weight 1 gives :func:`planck_radiance` itself (bit-identical to
+    the unsmeared law, since fsum([1.0 * x]) == x).
     """
     if not 0.0 <= ptei_weight <= 1.0:
         raise ValueError("ptei_weight must lie in [0, 1]")
@@ -479,9 +469,7 @@ def smeared_planck(
     if isinstance(kernel, EmpiricalDistribution) and any(
         t <= 0.0 for t, _ in kernel.points
     ):
-        raise KernelDomainError("empirical temperature kernel has points at T <= 0")
-    if isinstance(kernel, DeltaKernel) and kernel.at <= 0.0:
-        raise KernelDomainError("delta temperature kernel sits at T <= 0")
+        raise KernelDomainError("temperature kernel has points at T <= 0")
     value = kernel_average(kernel, lambda t: planck_radiance(nu, t))
     if ptei_weight > 0.0:
         if ptei_temperature is None or not 0.0 < ptei_temperature < math.inf:

@@ -103,11 +103,10 @@ class TestSpinCommands:
     @pytest.mark.parametrize(
         "args, stem, key",
         [
-            (["exact-check", "--n-min", "2", "--n-max", "1"], "exact_check", "ok"),
             (["variance-rate", "--count", "0"], "variance_rate", "ok"),
             (["bose-dual", "--sets", "0"], "bose_dual", "all_ok"),
         ],
-        ids=["exact-check", "variance-rate", "bose-dual"],
+        ids=["variance-rate", "bose-dual"],
     )
     def test_gate_fails_when_nothing_compared(self, tmp_path, args, stem, key):
         assert run_cli(args, tmp_path) == 1
@@ -177,6 +176,7 @@ class TestSpinCommands:
             (["bounds-check", "--n", "0"], "--n must be between 1 and 14 sites, got 0"),
             (["exact-check", "--n-min", "0"], "--n-min must be between 1 and 14 sites, got 0"),
             (["exact-check", "--n-max", "15"], "--n-max must be between 1 and 14 sites, got 15"),
+            (["exact-check", "--n-min", "5", "--n-max", "3"], "--n-min must not exceed --n-max, got 5 > 3"),
         )):
             assert run_cli(args, tmp_path / str(k)) == 1
             assert message in capsys.readouterr().err

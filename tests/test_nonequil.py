@@ -23,6 +23,7 @@ def synthetic_record(liquid_id, abar, t_liquidus, eta_liquidus, temps, rng=None,
 
 class TestKernelAverage:
     def test_delta_exact(self):
+        assert no.DeltaKernel(1.7) == no.EmpiricalKernel(points=((1.7, 1.0),))
         assert no.kernel_average(no.DeltaKernel(1.7), lambda q: q**3) == 1.7**3
 
     def test_empirical_sum(self):
@@ -301,6 +302,8 @@ class TestSmearedPlanck:
     def test_support_validation(self):
         with pytest.raises(no.KernelDomainError):
             no.smeared_planck(1.0, no.DeltaKernel(-1.0))
+        with pytest.raises(no.KernelDomainError, match="temperature kernel has points at T <= 0"):
+            no.smeared_planck(1.0, no.DeltaKernel(0.0))
         with pytest.raises(no.KernelDomainError):
             no.smeared_planck(1.0, no.GaussianKernel(0.5, 0.2))  # reaches T <= 0
         with pytest.raises(no.KernelDomainError):

@@ -6,8 +6,9 @@ Runs every example of the README's CLI examples block and every
 subcommand's ``--selftest`` as ``python -m drivenfluct.cli``, once per
 checkout, with ``PYTHONPATH`` set to that checkout's ``src``.  Both run in
 fresh directories holding the same generated viscosity tables, which the
-README's viscosity examples read.  The examples and subcommands are read
-from checkout A's README.
+README's viscosity examples read.  The calls are the union of both
+checkouts' READMEs: A's in its order, then those only B's README holds,
+and each call found in only one README is flagged as such in the report.
 
 For every artifact the report says ``identical`` when the two files agree
 byte for byte.  Otherwise it lists, per numeric CSV column or JSON field,
@@ -35,13 +36,24 @@ VISCOSITY_ROWS = [("glassa", 620.0 + 20.0 * k, 10.0 ** (2.0 + 600.0 / (20.0 * k 
 VISCOSITY_META = [("glassa", 1000.0, 2.0)]
 
 
-def readme_runs(readme: str) -> list[list[str]]:
-    """argv lists: the examples block, then ``<subcommand> --selftest`` for
+def readme_runs(readme: str) -> tuple[list[list[str]], list[list[str]]]:
+    """argv lists: the examples block, and ``<subcommand> --selftest`` for
     every subcommand of the README's table."""
     block = readme.split("Examples:\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("drivenfluct ")]
     subcommands = re.findall(r"^\| `([a-z0-9-]+)` \|", readme, flags=re.MULTILINE)
-    return examples + [[name, "--selftest"] for name in subcommands]
+    return examples, [[name, "--selftest"] for name in subcommands]
+
+
+def union_runs(readme_a: str, readme_b: str) -> list[tuple[list[str], str | None]]:
+    """(argv, side) for every call of either README, examples before
+    selftests: A's calls in its order, then those only B holds.  ``side`` is
+    "A" or "B" for a call that only that README holds, else None."""
+    union = []
+    for calls_a, calls_b in zip(readme_runs(readme_a), readme_runs(readme_b)):
+        union += [(call, None if call in calls_b else "A") for call in calls_a]
+        union += [(call, "B") for call in calls_b if call not in calls_a]
+    return union
 
 
 def write_inputs(directory: Path) -> None:
@@ -142,18 +154,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("checkout_b", type=Path)
     args = parser.parse_args(argv)
     checkouts = [path.resolve() for path in (args.checkout_a, args.checkout_b)]
-    runs = readme_runs((checkouts[0] / "README.md").read_text(encoding="utf-8"))
+    runs = union_runs(*((checkout / "README.md").read_text(encoding="utf-8") for checkout in checkouts))
     differs = False
     with tempfile.TemporaryDirectory() as scratch:
-        for index, call in enumerate(runs):
+        for index, (call, side) in enumerate(runs):
             results = []
-            for side, checkout in enumerate(checkouts):
-                workdir = Path(scratch) / f"{index}-{side}"
+            for position, checkout in enumerate(checkouts):
+                workdir = Path(scratch) / f"{index}-{position}"
                 workdir.mkdir()
                 write_inputs(workdir)
                 results.append(run(checkout, call, workdir))
             (code_a, files_a), (code_b, files_b) = results
             label = " ".join(call)
+            if side:
+                print(f"{label}: only in README {side}")
             differs |= code_a != code_b
             print(f"{label}: exit code {code_a}" + ("" if code_a == code_b else f" -> {code_b}"))
             for name in sorted(set(files_a) | set(files_b)):

@@ -48,6 +48,14 @@ class BoundReport:
         }
 
 
+def _robertson_report(system_psi, total_psi, var_system: float, var_total: float, n_sites: int) -> tuple[BoundReport, complex]:
+    """Report (i) of ``uncertainty_check`` and <[H, H_total]> of two Hermitian operators,
+    from their products with the state and their variances."""
+    commutator_mean = complex(np.vdot(system_psi, total_psi) - np.vdot(total_psi, system_psi))
+    lhs = math.sqrt(var_system) / n_sites * math.sqrt(var_total)
+    return BoundReport(label="robertson", lhs=lhs, rhs=0.5 * abs(commutator_mean) / n_sites), commutator_mean
+
+
 def uncertainty_check(
     state: QuantumState,
     h_system: MatrixOperator,
@@ -73,13 +81,7 @@ def uncertainty_check(
     total_psi = h_total.array @ psi
     var_system = _applied_variance(psi, system_psi)
     var_total = _applied_variance(psi, total_psi)
-    sigma_density = math.sqrt(var_system) / n_sites
-    sigma_total = math.sqrt(var_total)
-    lhs = sigma_density * sigma_total
-
-    # <[H, H_total]> = <H psi|H_total psi> - <H_total psi|H psi> (both Hermitian)
-    commutator_mean = complex(np.vdot(system_psi, total_psi) - np.vdot(total_psi, system_psi))
-    robertson_rhs = 0.5 * abs(commutator_mean) / n_sites
+    robertson, commutator_mean = _robertson_report(system_psi, total_psi, var_system, var_total, n_sites)
 
     energy_rate = (1j * -commutator_mean).real  # i <[H_total, H]> = -i <[H, H_total]>
     rate_rhs = 0.5 * abs(energy_rate) / n_sites
@@ -89,8 +91,8 @@ def uncertainty_check(
     correlator_rhs = energy_rate**2 / (4.0 * n_sites**2)
 
     return (
-        BoundReport(label="robertson", lhs=lhs, rhs=robertson_rhs),
-        BoundReport(label="energy-rate", lhs=lhs, rhs=rate_rhs),
+        robertson,
+        BoundReport(label="energy-rate", lhs=robertson.lhs, rhs=rate_rhs),
         BoundReport(label="correlator-product", lhs=gbar_system * gbar_total, rhs=correlator_rhs),
     )
 

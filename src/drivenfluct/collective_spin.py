@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -177,7 +178,7 @@ class DriveSchedule:
                 raise ValueError("segment durations must be strictly positive")
             _require_finite(b_y, f"segment {index} b_y")
 
-    @property
+    @cached_property
     def total_duration(self) -> float:
         return math.fsum(d for d, _ in self.segments)
 

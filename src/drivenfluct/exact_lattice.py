@@ -177,8 +177,7 @@ class MatrixOperator:
     ``array`` holds the operator and ``term_stack`` its terms, term k in rows
     k*2^N .. (k+1)*2^N - 1, so one product gives every term's.  The lattice
     builders store scipy CSR arrays, Hermitian and resumming by construction,
-    without re-checking them.  Any other operator (user arrays, such as
-    the padded pairs of ``oracles.robertson_report``) comes through this
+    without re-checking them.  Any other operator comes through this
     constructor as dense arrays, ``terms`` a sequence of 2^N x 2^N
     matrices, and must be Hermitian, with terms that sum back to it, each
     within 1e-12.  ``matrix`` is the dense form, a new 16 * 4^N-byte array
@@ -525,10 +524,17 @@ def _accumulated_turns(steps, mode: str, b_z: float) -> np.ndarray:
 
 def _kron_power(single: np.ndarray, n_sites: int) -> np.ndarray:
     """The N-fold Kronecker power of a single-site matrix, as ``np.kron``
-    would multiply it out, without its per-call overhead."""
+    would multiply it out, without its per-call overhead.  Each step writes
+    the four scaled copies of the last power into place, so numpy's inner
+    loop runs along its rows rather than along an axis of length 2."""
     out = single
     for _ in range(n_sites - 1):
-        out = (out[:, None, :, None] * single[None, :, None, :]).reshape(2 * out.shape[0], -1)
+        rows, cols = out.shape
+        grown = np.empty((rows, 2, cols, 2), dtype=out.dtype)
+        for a in range(2):
+            for b in range(2):
+                np.multiply(out, single[a, b], out=grown[:, a, :, b])
+        out = grown.reshape(2 * rows, 2 * cols)
     return out
 
 

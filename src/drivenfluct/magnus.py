@@ -38,6 +38,7 @@ from .exact_lattice import (
     MatrixOperator,
     QuantumState,
     _accumulated_turns,
+    _applied_variance,
     _turn_every_site,
     build_spin_hamiltonian,
     build_transverse_field,
@@ -164,7 +165,9 @@ def variance_expansion(
     of a polynomial in H and F, read from six CSR products with the state:
     with G = tau H + beta F, Omega_1 psi = -i G psi and Omega_2 psi =
     c (HF - FH) psi.  The exact value is the variance in W^(x)N psi: the
-    exchange factor of the propagator commutes with H and drops out.
+    exchange factor of the propagator commutes with H and drops out.  Both
+    variances take the two-pass form of ``exact_lattice.variance``, so
+    neither falls below zero near a zero-variance state.
     """
     if state.n_sites != lattice.n_sites:
         raise ValueError("state and lattice site counts differ")
@@ -182,7 +185,6 @@ def variance_expansion(
     omega2_psi = terms.c * (hf_psi - fh_psi)
 
     e0 = np.vdot(psi, h_psi).real
-    sigma2_initial = (np.vdot(h_psi, h_psi).real - e0**2) / n_sq
     # <[A, Omega]> = 2 Re <A psi|Omega psi> for Hermitian A, anti-Hermitian
     # Omega, which is 2 Im <A psi|G psi> for Omega_1 psi = -i G psi
     comm_h2_om1 = 2.0 * np.vdot(hh_psi, g_psi).imag
@@ -206,13 +208,11 @@ def variance_expansion(
 
     turn = _accumulated_turns(schedule.pieces(t), schedule.mode, lattice.b_z)[-1:]
     final = _turn_every_site(psi, lattice.n_sites, turn)[0]
-    h_final = h_op @ final
-    e_t = np.vdot(final, h_final).real
     return VarianceExpansion(
-        sigma2_initial=float(sigma2_initial),
+        sigma2_initial=_applied_variance(psi, h_psi) / n_sq,
         first_bracket=float(first_bracket),
         second_bracket=float(second_bracket),
-        exact=float((np.vdot(h_final, h_final).real - e_t**2) / n_sq),
+        exact=_applied_variance(final, h_op @ final) / n_sq,
     )
 
 

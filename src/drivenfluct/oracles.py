@@ -11,7 +11,7 @@ call them, so each comparison loop exists only here:
 - ``rate_against_finite_difference``: the exact variance rate against a
   centred finite difference of the evolved variance
 - ``robertson_fuzz``: the Robertson slack on random Hermitian pairs in random
-  states, each pair padded and checked by ``robertson_report``
+  states, each pair checked by ``robertson_report`` in its own dimension
 
 The per-module suites follow.  Each returns its checks as ``{"name", "ok",
 "detail"}`` records in a fixed order, and ``SUITES`` maps every CLI
@@ -58,7 +58,8 @@ def sigma_sweep(
     Evolves the Dicke state |S = N/2, m> of each magnetization in
     ``sectors`` (default: all N + 1 of them) through the schedule and
     returns one row (m, t, sigma_oracle, sigma_analytic) per segment
-    boundary after t = 0, in sector order.
+    boundary after t = 0, in sector order: ``energy_density_sigma`` of each
+    state, from one product of the Hamiltonian with a sector's states.
     """
     n = lattice.n_sites
     ham = xl.build_spin_hamiltonian(lattice, with_decomposition=False)
@@ -67,10 +68,11 @@ def sigma_sweep(
     rows = []
     for m in sectors:
         sector = cs.SpinSector(n, n / 2.0, m)
-        for t, state in xl.evolve_state(xl.dicke_state(n, m), lattice, schedule)[1:]:
-            rows.append(
-                (m, t, xl.energy_density_sigma(state, ham), cs.analytic_sigma(sector, schedule, t))
-            )
+        trajectory = xl.evolve_state(xl.dicke_state(n, m), lattice, schedule)[1:]
+        states = np.array([state.amplitudes for _, state in trajectory])
+        applied = np.ascontiguousarray((ham.array @ states.T).T)
+        for (t, _), psi, h_psi in zip(trajectory, states, applied):
+            rows.append((m, t, math.sqrt(xl._applied_variance(psi, h_psi)) / n, cs.analytic_sigma(sector, schedule, t)))
     return rows
 
 
@@ -127,18 +129,13 @@ def rate_against_finite_difference(
 
 def robertson_report(h_a: np.ndarray, h_b: np.ndarray, vec: np.ndarray) -> bd.BoundReport:
     """Robertson report of the Hermitian parts of two square complex matrices in
-    the normalised state vec, all padded with zeros to the next power of two."""
-    dim = len(vec)
-    n_sites = max(1, (dim - 1).bit_length())
-    pad = 1 << n_sites
-    amplitudes = np.zeros(pad, dtype=complex)
-    amplitudes[:dim] = vec / np.linalg.norm(vec)
-    operators = []
-    for h in (h_a, h_b):
-        padded = np.zeros((pad, pad), dtype=complex)
-        padded[:dim, :dim] = (h + h.conj().T) / 2
-        operators.append(xl.MatrixOperator(padded, n_sites, (padded,)))
-    return bd.uncertainty_check(xl.QuantumState(amplitudes, n_sites), *operators, 4)[0]
+    the normalised state vec: report (i) of ``bounds.uncertainty_check`` at four sites."""
+    norm = np.linalg.norm(vec)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"state vector needs a positive finite norm, got {norm!r}")
+    psi = vec / norm
+    a_psi, b_psi = (((h + h.conj().T) / 2) @ psi for h in (h_a, h_b))
+    return bd._robertson_report(a_psi, b_psi, xl._applied_variance(psi, a_psi), xl._applied_variance(psi, b_psi), 4)[0]
 
 
 def robertson_fuzz(rng: np.random.Generator, trials: int, max_dim: int) -> list[float]:

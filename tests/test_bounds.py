@@ -87,6 +87,38 @@ class TestUncertaintyCheck:
         slacks = oracles.robertson_fuzz(np.random.default_rng(424242), 300, 64)
         assert len(slacks) == 300
         assert min(slacks) >= -1e-12
+        assert min(slacks) == 0.007779406472138539  # frozen
+
+    @pytest.mark.parametrize("dim", range(2, 18))
+    def test_robertson_report_matches_padded_operator_route(self, dim):
+        # reference: the pair and state padded with zeros to 2^n and checked
+        # by uncertainty_check as validated MatrixOperators
+        rng = np.random.default_rng([31, dim])
+        for _ in range(5):
+            h_a, h_b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
+            vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            n_sites = max(1, (dim - 1).bit_length())
+            pad = 1 << n_sites
+            amplitudes = np.zeros(pad, dtype=complex)
+            amplitudes[:dim] = vec / np.linalg.norm(vec)
+            operators = []
+            for h in (h_a, h_b):
+                padded = np.zeros((pad, pad), dtype=complex)
+                padded[:dim, :dim] = (h + h.conj().T) / 2
+                operators.append(xl.MatrixOperator(padded, n_sites, (padded,)))
+            reference = bd.uncertainty_check(xl.QuantumState(amplitudes, n_sites), *operators, 4)[0]
+            report = oracles.robertson_report(h_a, h_b, vec)
+            assert report.label == reference.label
+            assert report.lhs == pytest.approx(reference.lhs, rel=1e-13)
+            assert report.rhs == pytest.approx(reference.rhs, rel=1e-13)
+
+    def test_selftest_fuzz_worst_slack_frozen(self):
+        # the worst slack that the bounds selftest reports
+        assert min(oracles.robertson_fuzz(np.random.default_rng(77), 100, 16)) == 0.02640997609145984
+
+    def test_robertson_report_refuses_a_null_state(self):
+        with pytest.raises(ValueError, match="positive finite norm"):
+            oracles.robertson_report(np.eye(3), np.eye(3), np.zeros(3))
 
     @given(robertson_inputs())
     def test_robertson_bound_holds(self, inputs):

@@ -142,6 +142,23 @@ class TestEvolution:
             assert t == theta
             assert oracle == pytest.approx(analytic, abs=1e-10)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_sigma_sweep_rows_equal_per_state_route(self, n):
+        # one product per sector's boundary states gives the same floats as
+        # energy_density_sigma state by state
+        rng = np.random.default_rng([17, n])
+        lat = xl.LatticeSpec.chain(n, float(rng.normal()), float(rng.normal()))
+        segments = tuple((float(rng.uniform(0.05, 0.5)), float(rng.normal())) for _ in range(20))
+        schedule = cs.DriveSchedule("replace", segments, lat.b_z)
+        ham = xl.build_spin_hamiltonian(lat, with_decomposition=False)
+        expected = [
+            (m, t, xl.energy_density_sigma(state, ham), cs.analytic_sigma(cs.SpinSector(n, n / 2, m), schedule, t))
+            for m in (-n / 2 + k for k in range(n + 1))
+            for t, state in xl.evolve_state(xl.dicke_state(n, m), lat, schedule)[1:]
+        ]
+        assert len(expected) == 20 * (n + 1)
+        assert oracles.sigma_sweep(lat, schedule) == expected
+
     def test_full_rotation_returns_observables(self):
         lat = xl.LatticeSpec.chain(4, 1.0, 1.0)
         ham = xl.build_spin_hamiltonian(lat)

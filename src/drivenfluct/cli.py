@@ -196,35 +196,22 @@ def _rotation(theta: float, b_z: float) -> cs.DriveSchedule:
 
 def _cmd_spin_sigma(args: argparse.Namespace) -> Result:
     sector = cs.SpinSector(args.n, args.stot, args.m)
-    rows = []
+    # (abscissa, schedule, t_f) per row
     if args.mode == "replace":
         if not args.theta:
             raise ValueError("replace mode needs --theta values")
-        for theta in args.theta:
-            sched = _rotation(theta, args.bz)
-            t_f = abs(theta)
-            rows.append(
-                (
-                    theta,
-                    cs.analytic_sigma(sector, sched, t_f),
-                    cs.analytic_energy_mean(sector, sched, t_f, args.e_symm),
-                )
-            )
         header = ["theta", "sigma", "mean"]
+        runs = ((theta, _rotation(theta, args.bz), abs(theta)) for theta in args.theta)
     else:
         if not args.times:
             raise ValueError("augment mode needs --times values")
-        horizon = max(args.times)
-        sched = cs.DriveSchedule("augment", ((max(horizon, 1e-12), args.by),), args.bz)
-        for t_f in args.times:
-            rows.append(
-                (
-                    t_f,
-                    cs.analytic_sigma(sector, sched, t_f),
-                    cs.analytic_energy_mean(sector, sched, t_f, args.e_symm),
-                )
-            )
         header = ["t", "sigma", "mean"]
+        sched = cs.DriveSchedule("augment", ((max(max(args.times), 1e-12), args.by),), args.bz)
+        runs = ((t_f, sched, t_f) for t_f in args.times)
+    rows = [
+        (x, cs.analytic_sigma(sector, sched, t_f), cs.analytic_energy_mean(sector, sched, t_f, args.e_symm))
+        for x, sched, t_f in runs
+    ]
     return {"spin_sigma.csv": (header, rows)}, True, []
 
 

@@ -272,22 +272,31 @@ def _fluctuation_factor(sector: SpinSector) -> float:
     return math.sqrt(max(1.0 + 1.0 / sector.s_tot - sector.w**2, 0.0))
 
 
-def _single_augment_field(schedule: DriveSchedule, t_f: float) -> float:
-    """b_y of a one-segment augment drive, once t_f is checked to lie in it."""
+def _rotated_axis(schedule: DriveSchedule, t_f: float) -> tuple[float, float]:
+    """(n_perp, n_z): the transverse and z parts of the image of z-hat under
+    the drive up to t_f.  Replace mode turns it by theta about y, giving
+    (|sin theta|, cos theta); a one-segment augment drive precesses it by the
+    angle B t_f about (0, b_y, B_z)/B with B = hypot(b_y, B_z)."""
+    if schedule.mode == "replace":
+        theta = schedule.theta_at(t_f)
+        return abs(math.sin(theta)), math.cos(theta)
     if len(schedule.segments) != 1:
         raise UnsupportedScheduleError("augment-mode closed form requires a single constant-b_y segment")
     schedule.pieces(t_f)
-    return schedule.segments[0][1]
+    b_y = schedule.segments[0][1]
+    b_total = math.hypot(b_y, schedule.b_z)
+    if b_total == 0.0:
+        return 0.0, 1.0
+    sin_phase, cos_phase = math.sin(b_total * t_f), math.cos(b_total * t_f)
+    tilt = schedule.b_z**2 / b_total**2
+    n_perp = (abs(b_y) / b_total) * math.sqrt(sin_phase**2 + tilt * (1.0 - cos_phase) ** 2)
+    return n_perp, cos_phase + tilt * (1.0 - cos_phase)
 
 
 def analytic_sigma(sector: SpinSector, schedule: DriveSchedule, t_f: float) -> float:
-    """Standard deviation of the energy density after driving to time t_f.
-
-    Replace mode: B_z S |sin theta| sqrt(1 + 1/S - w^2) / (N sqrt(2)) with
-    theta the accumulated rotation angle.  Augment mode (single constant
-    segment only): the same prefactor with the precession-axis geometry
-    sqrt(sin^2(Bt) + B_z^2 (1 - cos Bt)^2 / B^2) and B = hypot(b_y, b_z).
-    """
+    """Standard deviation of the energy density after driving to time t_f:
+    B_z S n_perp sqrt(1 + 1/S - w^2) / (N sqrt(2)), with n_perp the
+    transverse part of the rotated z axis (|sin theta| under replace)."""
     if sector.s_tot == 0:
         raise UndefinedSpinError("sigma needs w = m/s_tot; s_tot = 0 sector rejected")
     prefactor = (
@@ -296,44 +305,20 @@ def analytic_sigma(sector: SpinSector, schedule: DriveSchedule, t_f: float) -> f
         / (sector.n_sites * math.sqrt(2.0))
         * _fluctuation_factor(sector)
     )
-    if schedule.mode == "replace":
-        theta = schedule.theta_at(t_f)
-        return prefactor * abs(math.sin(theta))
-    b_y = _single_augment_field(schedule, t_f)
-    b_total = math.hypot(b_y, schedule.b_z)
-    if b_total == 0.0:
-        return 0.0
-    phase = b_total * t_f
-    geometry = math.sqrt(
-        math.sin(phase) ** 2
-        + (schedule.b_z**2 / b_total**2) * (1.0 - math.cos(phase)) ** 2
-    )
-    return prefactor * (abs(b_y) / b_total) * geometry
-
-
-def _axis_projection(schedule: DriveSchedule, t_f: float) -> float:
-    # <S_z(t)>/m: cos(theta) under replace; the zz element of the precession
-    # rotation about the tilted field axis under augment.
-    if schedule.mode == "replace":
-        return math.cos(schedule.theta_at(t_f))
-    b_y = _single_augment_field(schedule, t_f)
-    b_total = math.hypot(b_y, schedule.b_z)
-    if b_total == 0.0:
-        return 1.0
-    cos_phase = math.cos(b_total * t_f)
-    return cos_phase + (schedule.b_z**2 / b_total**2) * (1.0 - cos_phase)
+    return prefactor * _rotated_axis(schedule, t_f)[0]
 
 
 def analytic_energy_mean(
     sector: SpinSector, schedule: DriveSchedule, t_f: float, e_symm: float = 0.0
 ) -> float:
-    """Mean energy density (e_symm - B_z <S_z(t)>)/N at drive time t_f.
+    """Mean energy density (e_symm - B_z m n_z)/N at drive time t_f, with n_z
+    the z part of the rotated z axis (cos theta under replace): <S_z(t)> = m n_z.
 
     e_symm is the rotationally invariant part of the global energy in the
     initial eigenstate; the width formulas are independent of it.
     """
     _require_finite(e_symm, "e_symm")
-    return (e_symm - schedule.b_z * sector.m * _axis_projection(schedule, t_f)) / sector.n_sites
+    return (e_symm - schedule.b_z * sector.m * _rotated_axis(schedule, t_f)[1]) / sector.n_sites
 
 
 def _ladder_arrays(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -355,15 +340,16 @@ def central_moment(
     """Even central moment <(delta eps)^(2g)> of the energy density.
 
     "asymptotic" evaluates the large-N law binom(2g, g) (sigma^2/2)^g;
-    "exact" applies the rotated ladder operator 2g times in the (2S+1)
-    representation (global energy internally, divided by N^(2g) at the end,
-    which avoids underflow for large N).  Odd moments vanish identically and
-    are not parameterized here.
+    "exact" applies B_z (n_z (S_z - m) + n_perp S_x), the energy about its
+    mean with (n_perp, n_z) the rotated z axis, g times to |S, m> in the
+    (2S+1) representation and takes the squared norm (a turn about z brings
+    the transverse part onto x and changes |S, m> only by a phase; global
+    energy internally, divided by N^(2g) at the end, which avoids underflow
+    for large N).  Odd moments vanish identically and are not parameterized
+    here.
     """
     if g < 1:
         raise ValueError("moment index g must be a positive integer")
-    if schedule.mode != "replace":
-        raise UnsupportedScheduleError("central moments implemented for replace mode")
     if method == "asymptotic":
         sigma_sq = analytic_sigma(sector, schedule, t_f) ** 2
         return float(math.comb(2 * g, g)) * (0.5 * sigma_sq) ** g
@@ -371,11 +357,10 @@ def central_moment(
         raise ValueError(f"unknown method {method!r}")
     if sector.s_tot == 0:
         raise UndefinedSpinError("exact moments need w; s_tot = 0 sector rejected")
-    theta = schedule.theta_at(t_f)
+    n_perp, n_z = _rotated_axis(schedule, t_f)
     m_values, couplings = _ladder_arrays(sector.dim)
-    # X = B_z (cos(theta) S_z + sin(theta) S_x) about its mean B_z cos(theta) m
-    diag = schedule.b_z * math.cos(theta) * (m_values - sector.m)
-    off = schedule.b_z * math.sin(theta) * couplings / 2.0
+    diag = schedule.b_z * n_z * (m_values - sector.m)
+    off = schedule.b_z * n_perp * couplings / 2.0
     vec = np.zeros(len(m_values))
     vec[ladder_index(sector.s_tot, sector.m)] = 1.0
     for _ in range(g):

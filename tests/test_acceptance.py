@@ -106,6 +106,7 @@ def test_criterion_03_moments():
 def test_criterion_04_boson_duality():
     rng = np.random.default_rng(1234)
     worst = 0.0
+    sectors_ok = True
     sets = 0
     while sets < 20:
         n = 2 + sets % 7  # cycles N through 2..8
@@ -117,8 +118,14 @@ def test_criterion_04_boson_duality():
         )
         report = xl.bose_dual(xl.LatticeSpec(n, bonds, float(rng.normal())))
         worst = max(worst, report.spectrum_max_delta)
+        sectors_ok &= report.number_maps_to_magnetization
         sets += 1
-    _report(4, "hard-core boson duality", worst < 1e-10, f"max spectrum delta = {worst:.3e}")
+    _report(
+        4,
+        "hard-core boson duality",
+        worst < 1e-10 and sectors_ok,
+        f"max spectrum delta = {worst:.3e}, every number sector matched: {sectors_ok}",
+    )
 
 
 def test_criterion_05_magnus():

@@ -1,11 +1,11 @@
 """CLI surface: artifacts, manifests, ingestion, determinism, exit codes."""
 
 import csv
+import importlib.util
 import json
 import math
 import os
 import re
-import shlex
 import subprocess
 import sys
 import tempfile
@@ -26,11 +26,15 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 GATES = ("ok", "all_ok", "slope_ok", "all_satisfied")
 
 
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("artifact_diff", ROOT / "scripts" / "artifact_diff.py")
+artifact_diff = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(artifact_diff)
+
+
 def readme_examples():
-    """The ``drivenfluct ...`` lines of the README's CLI examples block, as argv lists."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    block = readme.split("Examples:\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("drivenfluct ")]
+    """The README's CLI examples as argv lists, split by ``scripts/artifact_diff.py``."""
+    examples = artifact_diff.readme_runs((ROOT / "README.md").read_text(encoding="utf-8"))[0]
     if not examples:
         raise ValueError("README has no CLI examples block")
     return examples

@@ -330,7 +330,7 @@ class TestCentralMoments:
         sector = cs.SpinSector(4, 2, 0)
         with pytest.raises(ValueError):
             cs.central_moment(sector, replace_schedule(1.0), 1.0, 0, "exact")
-        aug = cs.DriveSchedule("augment", ((1.0, 1.0),), 1.0)
+        aug = cs.DriveSchedule("augment", ((1.0, 1.0), (1.0, 0.5)), 1.0)
         with pytest.raises(cs.UnsupportedScheduleError):
             cs.central_moment(sector, aug, 1.0, 1, "exact")
 

@@ -223,6 +223,48 @@ class TestEvolution:
             assert xl.expectation(state, ham) / 4 == pytest.approx(expected_mean, abs=1e-10)
 
 
+class TestCollectiveSpinOracle:
+    """``central_moment("exact")`` and ``analytic_energy_mean`` against the
+    2^N lattice: ||(H - mu)^g psi||^2 / N^(2g) and <H>/N in every Dicke
+    sector, after a 4-segment replace drive and single-segment augment drives."""
+
+    @staticmethod
+    def lattice_moments(state, ham, g_max):
+        psi = state.amplitudes
+        mu = float(np.vdot(psi, ham.array @ psi).real)
+        moments, vec = [], psi
+        for _ in range(g_max):
+            vec = ham.array @ vec - mu * vec
+            moments.append(float(np.vdot(vec, vec).real))
+        return mu, moments
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_moments_and_mean_match_lattice(self, n):
+        rng = np.random.default_rng([23, n])
+        bonds = tuple((i, j, float(rng.normal())) for i in range(n) for j in range(i + 1, n))
+        lattice = xl.LatticeSpec(n, bonds, float(rng.uniform(0.5, 1.5)))
+        ham = xl.build_spin_hamiltonian(lattice, with_decomposition=False)
+        e_symm = -0.25 * math.fsum(j for _, _, j in bonds)  # every pair is a triplet at S = N/2
+        b_z, b_y = lattice.b_z, float(rng.uniform(0.3, 1.2))
+        replace = cs.DriveSchedule("replace", ((0.3, 1.1), (0.5, -0.7), (0.2, 1.9), (0.4, 0.6)), b_z)
+        augments = [cs.DriveSchedule("augment", ((t_f, b_y),), b_z) for t_f in (0.4, 1.3, 2.9)]
+        worst = 0.0
+        for m in np.arange(n + 1) - n / 2:
+            sector = cs.SpinSector(n, n / 2, m)
+            psi = xl.dicke_state(n, m)
+            cases = [(replace, t, state) for t, state in xl.evolve_state(psi, lattice, replace)[1:]]
+            for sched in augments:
+                cases.append((sched, sched.total_duration, xl.evolve_state(psi, lattice, sched)[-1][1]))
+            for sched, t_f, state in cases:
+                mu, moments = self.lattice_moments(state, ham, 3)
+                pairs = [(mu / n, cs.analytic_energy_mean(sector, sched, t_f, e_symm))]
+                for g, got in enumerate(moments, 1):
+                    pairs.append((got / n ** (2 * g), cs.central_moment(sector, sched, t_f, g, "exact")))
+                for got, want in pairs:
+                    worst = max(worst, abs(got - want) / abs(want))
+        assert worst < 1e-12
+
+
 class TestGeneralSpinSectorOracle:
     def test_submaximal_sector(self):
         # an S_tot < N/2 eigenstate: simultaneous eigenvector of (H, S^2, S_z)
@@ -368,6 +410,28 @@ class TestBoseDual:
             assert np.array_equal(np.sort(np.concatenate([states for states, _ in blocks])), np.arange(lattice.dim))
             for states, block in blocks:
                 assert np.array_equal(block, reference[np.ix_(states, states)])
+
+    def test_number_gate_catches_bosons_on_down_spins(self, monkeypatch):
+        # with n_i read off the down spins, block k holds the spectrum of the
+        # spin sector with N - k up spins: the whole spectrum still matches
+        blocks, site_bits = xl._bose_dual_blocks, xl._site_bits
+
+        def bosons_on_down_spins(lattice):
+            with monkeypatch.context() as patch:
+                patch.setattr(xl, "_site_bits", lambda n: 1 - site_bits(n))
+                return list(blocks(lattice))
+
+        rng = np.random.default_rng(5)
+        lattices = []
+        for n in (3, 5, 7):
+            bonds = tuple((i, j, float(rng.normal())) for i in range(n) for j in range(i + 1, n))
+            lattices.append(xl.LatticeSpec(n, bonds, float(rng.uniform(0.5, 1.5))))
+        assert all(xl.bose_dual(lattice).number_maps_to_magnetization for lattice in lattices)
+        monkeypatch.setattr(xl, "_bose_dual_blocks", bosons_on_down_spins)
+        for lattice in lattices:
+            report = xl.bose_dual(lattice)
+            assert report.spectra_match and report.doping_matches_transverse
+            assert not report.number_maps_to_magnetization
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_couplings(self, seed):

@@ -205,6 +205,8 @@ def _cmd_spin_sigma(args: argparse.Namespace) -> Result:
     else:
         if not args.times:
             raise ValueError("augment mode needs --times values")
+        for t_f in args.times:
+            _finite_flag("--times", t_f)
         header = ["t", "sigma", "mean"]
         sched = cs.DriveSchedule("augment", ((max(max(args.times), 1e-12), args.by),), args.bz)
         runs = ((t_f, sched, t_f) for t_f in args.times)

@@ -185,8 +185,8 @@ class DriveSchedule:
     def pieces(self, t: float) -> list[tuple[float, float]]:
         """(step, b_y) of each segment entered by time t, the last cut at t: the
         one rule by which every module reads a drive up to t.  t outside
-        [-1e-12, T + 1e-9] raises :class:`ScheduleRangeError`."""
-        if t < -1e-12 or t > self.total_duration + 1e-9:
+        [-1e-12, T + 1e-9], NaN included, raises :class:`ScheduleRangeError`."""
+        if not -1e-12 <= t <= self.total_duration + 1e-9:
             raise ScheduleRangeError(f"t = {t} outside schedule span [0, {self.total_duration}]")
         out = []
         remaining = t

@@ -38,6 +38,14 @@ and the spin side of ``bose_dual`` read it there.  The only dense routes
 ``MatrixOperator.matrix`` and ``propagator``.  Each counts every dense array it holds at once and
 raises :class:`SizeLimitError` before allocating more than the machine's
 physical memory, as ``bose_dual`` does for its largest number-sector block.
+
+The arithmetic follows the dtype of the input.  The spin Hamiltonian and
+its terms are stored as real (float64) CSR, the transverse field as
+complex.  Dicke states are real and replace-mode turns are real rotations,
+so a real state stays real through a replace-mode drive, in real
+arithmetic; augment turns and exp(-i E t) are complex, and a complex state
+stays complex everywhere.  A real operator applied to a complex state
+takes scipy's conversion of its entries to complex in that product.
 """
 
 from __future__ import annotations
@@ -135,20 +143,36 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Normalized state vector on the 2^n product basis."""
+    """Normalized state vector on the 2^n product basis.
+
+    Float64 amplitudes stay float64, so a real state (a Dicke state, and
+    every replace-mode state evolved from one) is computed in real
+    arithmetic; amplitudes of any other dtype become complex128.
+    """
 
     amplitudes: np.ndarray
     n_sites: int
     norm_tol: float = 1e-12
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes)
+        if amps.dtype != np.float64:
+            amps = amps.astype(complex, copy=False)
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (1 << self.n_sites,):
             raise ValueError("amplitude vector length must be 2^n_sites")
         drift = abs(math.sqrt(np.vdot(amps, amps).real) - 1.0)
         if not drift <= self.norm_tol:  # NaN fails too
             raise ValueError(f"state norm off unity by {drift:.3e}")
+
+    @classmethod
+    def _from_checked(cls, amplitudes: np.ndarray, n_sites: int, norm_tol: float) -> "QuantumState":
+        """Amplitudes whose dtype, length and norm the caller has checked, stored as given."""
+        state = cls.__new__(cls)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        object.__setattr__(state, "n_sites", n_sites)
+        object.__setattr__(state, "norm_tol", norm_tol)
+        return state
 
 
 def _physical_memory_bytes() -> int:
@@ -177,11 +201,13 @@ class MatrixOperator:
     ``array`` holds the operator and ``term_stack`` its terms, term k in rows
     k*2^N .. (k+1)*2^N - 1, so one product gives every term's.  The lattice
     builders store scipy CSR arrays, Hermitian and resumming by construction,
-    without re-checking them.  Any other operator comes through this
-    constructor as dense arrays, ``terms`` a sequence of 2^N x 2^N
-    matrices, and must be Hermitian, with terms that sum back to it, each
-    within 1e-12.  ``matrix`` is the dense form, a new 16 * 4^N-byte array
-    on each read of a sparse operator.  Bond terms are split half-half
+    without re-checking them: real (float64) for the spin Hamiltonian and
+    its terms, complex for the transverse field.  Any other operator comes
+    through this constructor as dense complex arrays, ``terms`` a sequence
+    of 2^N x 2^N matrices, and must be Hermitian, with terms that sum back
+    to it, each within 1e-12.  ``matrix`` is the dense form, a new array of
+    8 * 4^N bytes (real) or 16 * 4^N bytes (complex) on each read of a
+    sparse operator.  Bond terms are split half-half
     between their two sites, one fixed choice among the many admissible
     splits.
     """
@@ -272,11 +298,12 @@ def _csr(cols: np.ndarray, values: np.ndarray, dim: int) -> sparse.csr_array:
     """CSR array whose row r holds values[r] at columns cols[r].
 
     Every row has the same number of slots, so the CSR arrays are the inputs
-    flattened: O(entries), no sorting.  Stored zeros are dropped.
+    flattened: O(entries), no sorting.  The entries keep the dtype of
+    ``values``.  Stored zeros are dropped.
     """
     width = cols.shape[1]
     out = sparse.csr_array(
-        (values.astype(complex).ravel(), cols.ravel(), np.arange(0, cols.size + 1, width)),
+        (values.ravel(), cols.ravel(), np.arange(0, cols.size + 1, width)),
         shape=(cols.shape[0], dim),
     )
     out.eliminate_zeros()
@@ -365,12 +392,12 @@ def build_transverse_field(n_sites: int, b_y: float, with_decomposition: bool = 
 
 def dicke_state(n_sites: int, m: float) -> QuantumState:
     """Equal-amplitude superposition of all product states with S_z^tot = m,
-    the basis indices with ``collective_spin.up_count(n_sites, m)`` set bits."""
+    the basis indices with ``collective_spin.up_count(n_sites, m)`` set bits.
+    The amplitudes are real (float64): 1/sqrt(C(N, n_up)) on each of the
+    C(N, n_up) indices, normalised by construction."""
     n_up = up_count(n_sites, m)
     hits = np.bitwise_count(np.arange(1 << n_sites)) == n_up
-    amps = np.zeros(1 << n_sites, dtype=complex)
-    amps[hits] = 1.0 / math.sqrt(int(hits.sum()))
-    return QuantumState(amplitudes=amps, n_sites=n_sites)
+    return QuantumState._from_checked(hits / math.sqrt(math.comb(n_sites, n_up)), n_sites, 1e-12)
 
 
 # Sectors are diagonalised together, as one block-diagonal block, until the
@@ -504,15 +531,17 @@ def _accumulated_turns(steps, mode: str, b_z: float) -> np.ndarray:
 
     Every step turns each site by the same 2x2 unitary, so the first k
     steps are one turn on every site.  Replace-mode steps are y-rotations
-    exp(i angle S^y), which commute: row k is the rotation by the ``fsum``
-    of the first k angles.  Augment-mode steps are the field turns of
-    ``_field_turn``, composed as (a, b) pairs, later ones on the left.
-    Row 0 is the identity.
+    exp(i angle S^y), which commute and are real: row k is the rotation
+    [[c, -s], [s, c]] by the ``fsum`` of the first k angles, with c and s
+    the cosine and sine of half of it.  Augment-mode steps are the complex
+    field turns of ``_field_turn``, composed as (a, b) pairs, later ones on
+    the left.  Row 0 is the identity.
     """
     if mode == "replace":
         angles = [b_y * step for step, b_y in steps]
         halves = [0.5 * math.fsum(angles[:k]) for k in range(len(angles) + 1)]
-        return _su2([(math.cos(half), math.sin(half)) for half in halves])
+        cos, sin = [math.cos(half) for half in halves], [math.sin(half) for half in halves]
+        return np.array([cos, [-s for s in sin], sin, cos]).T.reshape(-1, 2, 2)
     a, b = 1.0 + 0.0j, 0.0j
     products = [(a, b)]
     for step, b_y in steps:
@@ -546,7 +575,10 @@ def _turn_every_site(psi: np.ndarray, n_sites: int, turns: np.ndarray) -> np.nda
     single-site pass for odd N) every site is turned once and the bit order
     is back where it started.  While the states are one vector (``psi``, or
     the only row of one turn) a pass is one 2-D product for every turn;
-    after that it is one stacked product, a 4x4 matrix per row.
+    after that it is one stacked product, a 4x4 matrix per row.  numpy
+    computes each product in ``np.result_type(psi, turns)``: real for a
+    real state and real turns, while a complex state or complex turns make
+    it complex, so a complex state keeps its imaginary part.
     """
     count = len(turns)
     # each pass's matrices stacked as rows: 2-D for a product with one vector
@@ -583,8 +615,10 @@ def evolve_state(
     turns it by all U_k, and in augment mode one pass through the
     eigensystem gives each its own exp(-i E t_k).  Returns (time, state) at
     t = 0 and each segment boundary, the times summed segment by segment.
-    Norms are checked against 1e-10 drift, in time order, and never
-    renormalized.
+    A real initial state stays real in replace mode, whose turns are real;
+    augment mode is complex.  Every boundary's norm is checked against
+    1e-10 drift in one pass, the first drifting boundary in time order is
+    named, and no state is renormalized.
     """
     if state.n_sites != lattice.n_sites:
         raise ValueError("state and lattice site counts differ")
@@ -597,14 +631,28 @@ def evolve_state(
             states = [_exchange_evolution(states[0], exchange, times[0])]
         else:
             states = np.ascontiguousarray(_exchange_evolution(states.T, exchange, np.array(times)).T)
-    trajectory = [(0.0, state)]
-    for t, psi in zip(times, states):
-        try:
-            evolved = QuantumState(amplitudes=psi, n_sites=state.n_sites, norm_tol=1e-10)
-        except ValueError as exc:  # the norm check: psi keeps its length
-            raise NumericalDriftError(f"{exc} at t = {t}") from exc
-        trajectory.append((t, evolved))
-    return trajectory
+    drift = _first_drift(states, 1e-10)
+    if drift is not None:
+        raise NumericalDriftError(f"state norm off unity by {drift[1]:.3e} at t = {times[drift[0]]}")
+    return [(0.0, state)] + [
+        (t, QuantumState._from_checked(psi, state.n_sites, 1e-10)) for t, psi in zip(times, states)
+    ]
+
+
+def _first_drift(states, tol: float) -> tuple[int, float] | None:
+    """(index, drift) of the first state whose norm is off unity by more than
+    ``tol`` (NaN is), or None.  The norms of several states come from one
+    product over their real and imaginary parts; a lone state's ``vdot``
+    costs less."""
+    if len(states) == 1:
+        drift = abs(math.sqrt(np.vdot(states[0], states[0]).real) - 1.0)
+        return None if drift <= tol else (0, drift)
+    parts = states.view(float).reshape(len(states), -1)
+    drifts = np.abs(np.sqrt(np.einsum("ij,ij->i", parts, parts)) - 1.0)
+    if drifts.max() <= tol:  # a NaN maximum fails this
+        return None
+    first = int(np.argmin(drifts <= tol))
+    return first, float(drifts[first])
 
 
 def propagator(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> np.ndarray:
@@ -705,8 +753,9 @@ def _spin_spectrum(lattice: LatticeSpec, amplitudes: np.ndarray | None = None) -
         values.append((eigvals[:, None] - lattice.b_z * (sectors - 0.5 * n)).ravel())
         counts.append(sectors.ravel())
         if amplitudes is not None:
+            # complex amplitudes as their real and imaginary parts
             part = amplitudes[order[lo:hi]].view(float).reshape(eigvals.size, -1)
-            weights.append((np.abs((eigvecs.T @ part).view(complex)) ** 2).ravel())
+            weights.append((np.abs((eigvecs.T @ part).view(amplitudes.dtype)) ** 2).ravel())
     return np.concatenate(values), np.concatenate(counts), (np.concatenate(weights) if weights else None)
 
 

@@ -124,6 +124,10 @@ class TestSpinCommands:
         for k, (args, message) in enumerate((
             (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--theta", "nan"], "duration must be finite, got nan"),
             (["spin-sigma", "--n", "4", "--stot", "nan", "--m", "0"], "s_tot must be finite, got nan"),
+            (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--mode", "augment", "--times", "0", "nan"],
+             "--times must be finite, got nan"),
+            (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--mode", "augment", "--times", "inf", "1"],
+             "--times must be finite, got inf"),
             (["spin-dist", "--n", "4", "--stot", "2", "--m", "inf", "--theta", "1"], "m must be finite, got inf"),
             (["dicke-entropy", "--n", "4", "--m", "nan"], "m must be finite, got nan"),
             (["bounds-check", "--m", "nan"], "m must be finite, got nan"),

@@ -167,9 +167,11 @@ class TestDriveSchedule:
             cs.DriveSchedule("sideways", ((1.0, 1.0),), 1.0)
 
     def test_range_error(self):
+        # written so that NaN fails the range test too
         sched = replace_schedule(1.0)
-        with pytest.raises(cs.ScheduleRangeError):
-            sched.theta_at(2.0)
+        for t in (2.0, -1e-9, math.nan):
+            with pytest.raises(cs.ScheduleRangeError, match="outside schedule span"):
+                sched.theta_at(t)
 
 
 FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)

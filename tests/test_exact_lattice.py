@@ -124,6 +124,15 @@ class TestDickeState:
             xl.dicke_state(4, 0.5)
 
 
+@pytest.mark.parametrize(
+    "dtype,kept",
+    [(np.float64, np.float64), (np.float32, np.complex128), (np.int64, np.complex128), (np.complex64, np.complex128), (np.complex128, np.complex128)],
+)
+def test_state_keeps_float64_and_makes_other_dtypes_complex(dtype, kept):
+    amplitudes = np.array([1, 0, 0, 0], dtype=dtype)
+    assert xl.QuantumState(amplitudes, 2).amplitudes.dtype == kept
+
+
 class TestEvolution:
     def test_eigenstate_static(self):
         lat = xl.LatticeSpec.chain(3, 1.0, 1.0)
@@ -158,6 +167,17 @@ class TestEvolution:
         ]
         assert len(expected) == 20 * (n + 1)
         assert oracles.sigma_sweep(lat, schedule) == expected
+        # a Dicke state stays real through replace mode, and its real route
+        # gives the complex route's states bit for bit
+        for m in (-n / 2 + k for k in range(n + 1)):
+            dicke = xl.dicke_state(n, m)
+            assert dicke.amplitudes.dtype == np.float64
+            real = xl.evolve_state(dicke, lat, schedule)[1:]
+            complex_route = xl.evolve_state(xl.QuantumState(dicke.amplitudes.astype(complex), n), lat, schedule)[1:]
+            for (_, state), (_, reference) in zip(real, complex_route, strict=True):
+                assert state.amplitudes.dtype == np.float64
+                assert reference.amplitudes.dtype == np.complex128
+                assert np.array_equal(state.amplitudes, reference.amplitudes)
 
     def test_full_rotation_returns_observables(self):
         lat = xl.LatticeSpec.chain(4, 1.0, 1.0)
@@ -199,14 +219,20 @@ class TestEvolution:
 
     @pytest.mark.parametrize("mode", ["replace", "augment"])
     def test_drift_raises_at_first_offending_boundary(self, monkeypatch, mode):
-        # every boundary state is computed at once; the check still runs in
-        # time order and names the first boundary that drifts
+        # every boundary state is computed and checked at once; the check
+        # names the first boundary that drifts, in time order, even where a
+        # later one drifts more, and NaN drifts
         rotate = xl._turn_every_site
-        scale = np.array([[1.0], [1.0 + 1e-11], [1.002], [1.001]])
-        monkeypatch.setattr(xl, "_turn_every_site", lambda *args: scale * rotate(*args))
         sched = cs.DriveSchedule(mode, ((0.5, 1.0), (0.25, -0.7), (0.125, 1.3), (0.25, 0.4)), 1.0)
-        with pytest.raises(xl.NumericalDriftError, match=r"by 2\.000e-03 at t = 0\.875$"):
-            xl.evolve_state(xl.dicke_state(3, 0.5), xl.LatticeSpec.chain(3), sched)
+        for scales, message in (
+            ((1.0, 1.0 + 1e-11, 1.002, 1.001), r"by 2\.000e-03 at t = 0\.875$"),
+            ((1.0, 1.001, 1.003, 1.0), r"by 1\.000e-03 at t = 0\.75$"),
+            ((1.0, 1.0, math.nan, 1.0), r"by nan at t = 0\.875$"),
+        ):
+            scale = np.array(scales)[:, None]
+            monkeypatch.setattr(xl, "_turn_every_site", lambda *args, scale=scale: scale * rotate(*args))
+            with pytest.raises(xl.NumericalDriftError, match=message):
+                xl.evolve_state(xl.dicke_state(3, 0.5), xl.LatticeSpec.chain(3), sched)
 
     def test_augment_sigma_matches_closed_form(self):
         lat = xl.LatticeSpec.chain(4, 1.0, 0.8)
@@ -677,8 +703,16 @@ def test_batched_boundaries_match_per_segment_reference(mode, kind, n, count):
     assert [t for t, _ in trajectory] == times
     assert trajectory[0][1] is state
     for (t, evolved), psi in zip(trajectory[1:], per_segment_states(lattice, schedule, state.amplitudes), strict=True):
+        # a complex state keeps its imaginary part through the real replace turns
+        assert evolved.amplitudes.dtype == np.complex128
         assert close(evolved.amplitudes, psi)
         assert close(evolved.amplitudes, xl.propagator(lattice, schedule, t) @ state.amplitudes)
+    # a real state stays real in replace mode; augment mode makes it complex
+    real = xl.QuantumState(state.amplitudes.real / np.linalg.norm(state.amplitudes.real), n)
+    want = np.float64 if mode == "replace" else np.complex128
+    for (_, evolved), psi in zip(xl.evolve_state(real, lattice, schedule)[1:], per_segment_states(lattice, schedule, real.amplitudes), strict=True):
+        assert evolved.amplitudes.dtype == want
+        assert close(evolved.amplitudes, psi)
 
 
 AUGMENT_LATTICES = [("chain", n) for n in range(2, 9)] + [("complete", n) for n in range(3, 7)]
@@ -821,11 +855,13 @@ class TestSparseOperatorChecks:
     def test_builders_hermitian_and_resumming(self, lattice, b_y):
         # the builders' CSR is stored unchecked: each term is Hermitian and
         # the terms sum to the operator by construction
-        for operator in (
-            xl.build_spin_hamiltonian(lattice),
-            xl.build_spin_hamiltonian(lattice, with_decomposition=False),
-            xl.build_transverse_field(lattice.n_sites, b_y),
-        ):
+        ham = xl.build_spin_hamiltonian(lattice)
+        bare = xl.build_spin_hamiltonian(lattice, with_decomposition=False)
+        field = xl.build_transverse_field(lattice.n_sites, b_y)
+        # the spin Hamiltonian and its terms are real, the transverse field complex
+        assert ham.array.dtype == ham.term_stack.dtype == bare.array.dtype == np.float64
+        assert field.array.dtype == field.term_stack.dtype == np.complex128
+        for operator in (ham, bare, field):
             terms = operator.terms or ()
             for array in (operator.array, *terms):
                 assert abs(array - array.conj().T).max() <= 1e-12

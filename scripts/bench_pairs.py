@@ -4,14 +4,16 @@
 
 Pair p (p = 0 .. P-1) runs ``perfbench/run.py --trace 0`` with seed S + p
 once in each checkout, the parent first in even pairs and the change first
-in odd ones, each run as long as ``BENCHMARK.json`` sets (``--seconds``
-overrides it for a quick look).  For every end-to-end metric the summary
-gives each side's median and quartiles, how many pairs the change won
-(ties count for neither side), and a verdict:
+in odd ones, each run as long as ``BENCHMARK.json`` sets.  The summary
+first gives each side's failed jobs of all it attempted; then, for every
+end-to-end metric, each side's median and quartiles, how many pairs the
+change won (ties count for neither side), and a verdict:
 
 - ``gain``: the change won at least nine tenths of the pairs, and the
   medians differ, in its favour, by more than the parent's interquartile
   range;
+- ``withheld``: the same, but a larger share of the change's jobs failed
+  than of the parent's, so the gain does not count;
 - ``unresolved``: the parent's interquartile range exceeds the metric's
   bound (as a fraction of the parent's median), unless every run of the
   change is better than every run of the parent;
@@ -43,8 +45,9 @@ import job_table  # noqa: E402
 SIDES = ("parent", "change")
 
 
-def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One benchmark run in ``checkout``: its end-to-end metrics and its record."""
+def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict, tuple[int, int]]:
+    """One benchmark run in ``checkout``: its end-to-end metrics, its record
+    and its (failed, attempted) jobs."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", f"{seconds:g}", "--trace", "0"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -54,7 +57,8 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
     if not result["correct"] or result["failed"]:
         print(f"warning: {checkout} seed {seed}: correct {result['correct']}, {result['failed']} failed jobs")
     record = json.loads((checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
-    return {name: entry["value"] for name, entry in result["metrics"].items()}, record
+    metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    return metrics, record, (result["failed"], result["attempted"])
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -65,8 +69,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def verdict(spec: dict, parent: list[float], change: list[float]) -> dict:
-    """The gain rule for one metric over paired runs (``parent[p]`` with ``change[p]``)."""
+def verdict(spec: dict, parent: list[float], change: list[float], more_failures: bool = False) -> dict:
+    """The gain rule for one metric over paired runs (``parent[p]`` with
+    ``change[p]``); ``more_failures`` when a larger share of the change's
+    jobs failed."""
     sign = 1.0 if spec["better"] == "lower" else -1.0
     # positive where the change is better
     wins = sum(sign * (old - new) > 0 for old, new in zip(parent, change))
@@ -76,7 +82,7 @@ def verdict(spec: dict, parent: list[float], change: list[float]) -> dict:
     gap = sign * (p_median - c_median)
     separated = all(sign * (old - new) > 0 for old in parent for new in change)
     if wins >= math.ceil(0.9 * len(parent)) and gap > iqr:
-        outcome = "gain"
+        outcome = "withheld" if more_failures else "gain"
     elif iqr > spec["bound"] * abs(p_median) and not separated:
         outcome = "unresolved"
     elif -gap > spec["bound"] * abs(p_median):
@@ -115,8 +121,17 @@ def job_rows(pairs: list[tuple[dict, dict]]) -> list[tuple[str, float, float, fl
     return rows
 
 
-def report(workload: str, pairs: int, verdicts: list[dict], rows: list[tuple]) -> str:
+def failure_share(counts: list[tuple[int, int]]) -> float:
+    """Failed jobs as a share of the attempted ones, over (failed, attempted) runs."""
+    attempted = sum(total for _, total in counts)
+    return sum(failed for failed, _ in counts) / attempted if attempted else 0.0
+
+
+def report(workload: str, pairs: int, failures: dict, verdicts: list[dict], rows: list[tuple]) -> str:
     lines = [f"workload {workload}: {pairs} pairs"]
+    lines.append("failed jobs: " + ", ".join(
+        f"{side} {sum(f for f, _ in failures[side])} of {sum(a for _, a in failures[side])}" for side in SIDES
+    ))
     lines.append(f"{'metric':<14} {'parent q1 / median / q3':>32}  {'change q1 / median / q3':>32}  {'won':>6}  verdict")
     for v in verdicts:
         sides = ["{:>10.4g} {:>10.4g} {:>10.4g}".format(*v[side]) for side in SIDES]
@@ -136,33 +151,34 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True, help="pair p runs seed S + p")
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
     parser.add_argument("--jobs", action="store_true", help="sum per job, not per kind of job")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
     checkouts = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
 
     metrics = {side: [] for side in SIDES}
+    failures = {side: [] for side in SIDES}
     sums = []
     for p in range(args.pairs):
         seed = args.seed + p
         labels = job_table.job_labels(args.workload, seed)
         runs = {}
         for side in (SIDES if p % 2 == 0 else SIDES[::-1]):
-            runs[side] = run_side(checkouts[side], args.workload, seed, seconds)
+            runs[side] = run_side(checkouts[side], args.workload, seed, spec["run_seconds"])
             print(f"pair {p} seed {seed} {side}: " + "  ".join(f"{k} {v:.4g}" for k, v in runs[side][0].items()), flush=True)
         for side in SIDES:
             metrics[side].append(runs[side][0])
+            failures[side].append(runs[side][2])
         sums.append(tuple(job_sums(runs[side][1], labels, args.jobs) for side in SIDES))
 
+    more_failures = failure_share(failures["change"]) > failure_share(failures["parent"])
     verdicts = [
-        verdict(m, [run[m["name"]] for run in metrics["parent"]], [run[m["name"]] for run in metrics["change"]])
+        verdict(m, [run[m["name"]] for run in metrics["parent"]], [run[m["name"]] for run in metrics["change"]], more_failures)
         for m in spec["end_to_end"]
     ]
-    print(report(args.workload, args.pairs, verdicts, job_rows(sums)))
+    print(report(args.workload, args.pairs, failures, verdicts, job_rows(sums)))
     return 0
 
 

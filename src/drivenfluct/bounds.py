@@ -77,8 +77,8 @@ def uncertainty_check(
     # each operator is applied to the state once, for its variance, the
     # commutator and its correlators' variance identity
     psi = state.amplitudes
-    system_psi = h_system.array @ psi
-    total_psi = h_total.array @ psi
+    system_psi = h_system._times(psi)
+    total_psi = h_total._times(psi)
     var_system = _applied_variance(psi, system_psi)
     var_total = _applied_variance(psi, total_psi)
     robertson, commutator_mean = _robertson_report(system_psi, total_psi, var_system, var_total, n_sites)

@@ -34,8 +34,9 @@ single-site turns alone.  Each eigenvector of E lies in one sector, so
 the same eigensystem gives the spectrum of the whole spin Hamiltonian
 E - B_z S^z_tot: ``eigenbasis_distribution`` (one atom per eigenvector)
 and the spin side of ``bose_dual`` read it there.  The only dense routes
-(16 * 4^N bytes per 2^N x 2^N complex array, 4.3 GB at N = 14) are
-``MatrixOperator.matrix`` and ``propagator``.  Each counts every dense array it holds at once and
+(8 * 4^N bytes per 2^N x 2^N real array, 16 * 4^N per complex one,
+4.3 GB at N = 14) are ``MatrixOperator.matrix`` and ``propagator``.  Each
+counts every dense array it holds at once, at its dtype's size, and
 raises :class:`SizeLimitError` before allocating more than the machine's
 physical memory, as ``bose_dual`` does for its largest number-sector block.
 
@@ -44,8 +45,9 @@ its terms are stored as real (float64) CSR, the transverse field as
 complex.  Dicke states are real and replace-mode turns are real rotations,
 so a real state stays real through a replace-mode drive, in real
 arithmetic; augment turns and exp(-i E t) are complex, and a complex state
-stays complex everywhere.  A real operator applied to a complex state
-takes scipy's conversion of its entries to complex in that product.
+stays complex everywhere.  A real operator meets a complex state through
+a complex copy of its entries, made on first use and kept with the
+operator, so that scipy does not convert them again on every product.
 """
 
 from __future__ import annotations
@@ -188,11 +190,14 @@ def _require_memory(needed: int, what: str) -> None:
         )
 
 
-def _require_dense_memory(n_sites: int, arrays: int = 1, route: str = "a dense operator") -> None:
-    """Refuse a route that holds ``arrays`` dense 2^N x 2^N complex arrays at
-    once, 16 * 4^N bytes each, if together they exceed physical memory."""
+def _require_dense_memory(
+    n_sites: int, itemsize: int, arrays: int = 1, route: str = "a dense operator"
+) -> None:
+    """Refuse a route that holds ``arrays`` dense 2^N x 2^N arrays at once,
+    ``itemsize`` * 4^N bytes each (8 real, 16 complex), if together they
+    exceed physical memory."""
     held = f"{arrays} dense 2^N x 2^N array{'s' if arrays > 1 else ''} at once"
-    _require_memory(arrays * 16 * 4**n_sites, f"{route} on {n_sites} sites ({held})")
+    _require_memory(arrays * itemsize * 4**n_sites, f"{route} on {n_sites} sites ({held})")
 
 
 class MatrixOperator:
@@ -207,7 +212,9 @@ class MatrixOperator:
     of 2^N x 2^N matrices, and must be Hermitian, with terms that sum back
     to it, each within 1e-12.  ``matrix`` is the dense form, a new array of
     8 * 4^N bytes (real) or 16 * 4^N bytes (complex) on each read of a
-    sparse operator.  Bond terms are split half-half
+    sparse operator.  A complex state meets a real operator or term stack
+    through its complex copy, made on its first such product and kept,
+    twice the bytes of the real entries.  Bond terms are split half-half
     between their two sites, one fixed choice among the many admissible
     splits.
     """
@@ -235,6 +242,8 @@ class MatrixOperator:
         self.array = array
         self.term_stack = term_stack
         self.n_sites = n_sites
+        self._real_entries = False
+        self._complex_copies = {}
 
     @classmethod
     def _from_builder(
@@ -248,7 +257,24 @@ class MatrixOperator:
         operator.array = array
         operator.term_stack = term_stack
         operator.n_sites = n_sites
+        operator._real_entries = array.dtype == np.float64
+        operator._complex_copies = {}
         return operator
+
+    def _times(self, vectors: np.ndarray, terms: bool = False) -> np.ndarray:
+        """The operator, or its term stack, times ``vectors``, in their arithmetic.
+
+        Real vectors take the operator as stored.  Complex vectors take a
+        complex operator; a real CSR one is copied to complex once, on the
+        first such product, and the copy is kept for the next.
+        """
+        operator = self.term_stack if terms else self.array
+        if self._real_entries and vectors.dtype.kind == "c":
+            twin = self._complex_copies.get(terms)
+            if twin is None:
+                twin = self._complex_copies[terms] = _complex_copy(operator)
+            operator = twin
+        return operator @ vectors
 
     @property
     def terms(self) -> tuple | None:
@@ -266,7 +292,7 @@ class MatrixOperator:
     def matrix(self) -> np.ndarray:
         if not sparse.issparse(self.array):
             return self.array
-        _require_dense_memory(self.n_sites)
+        _require_dense_memory(self.n_sites, self.array.dtype.itemsize)
         return self.array.toarray()
 
 
@@ -308,6 +334,18 @@ def _csr(cols: np.ndarray, values: np.ndarray, dim: int) -> sparse.csr_array:
     )
     out.eliminate_zeros()
     return out
+
+
+def _complex_copy(array: sparse.csr_array) -> sparse.csr_array:
+    """``array`` with its entries as complex128, sharing its index arrays.
+
+    A shallow copy of the attributes with new entries, as ``copy.copy``
+    makes it but without its reduce protocol: the structure is that of a
+    valid CSR array, so scipy's constructor, which would check it again at
+    several times the cost of one product, is not called either."""
+    twin = object.__new__(type(array))
+    twin.__dict__.update(array.__dict__, data=array.data.astype(complex))
+    return twin
 
 
 def _site_bits(n_sites: int) -> np.ndarray:
@@ -642,13 +680,13 @@ def evolve_state(
 def _first_drift(states, tol: float) -> tuple[int, float] | None:
     """(index, drift) of the first state whose norm is off unity by more than
     ``tol`` (NaN is), or None.  The norms of several states come from one
-    product over their real and imaginary parts; a lone state's ``vdot``
-    costs less."""
+    ``vecdot`` over their real and imaginary parts, the inner loop that
+    ``vdot`` also runs; a lone state's ``vdot`` costs less."""
     if len(states) == 1:
         drift = abs(math.sqrt(np.vdot(states[0], states[0]).real) - 1.0)
         return None if drift <= tol else (0, drift)
     parts = states.view(float).reshape(len(states), -1)
-    drifts = np.abs(np.sqrt(np.einsum("ij,ij->i", parts, parts)) - 1.0)
+    drifts = np.abs(np.sqrt(np.vecdot(parts, parts)) - 1.0)
     if drifts.max() <= tol:  # a NaN maximum fails this
         return None
     first = int(np.argmin(drifts <= tol))
@@ -658,7 +696,8 @@ def _first_drift(states, tol: float) -> tuple[int, float] | None:
 def propagator(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> np.ndarray:
     """Exact unitary U(t) for the schedule's ``pieces(t)`` (segments cut at t).
 
-    Dense, 16 * 4^N bytes.  Every segment turns each site by the same 2x2
+    Dense: real, 8 * 4^N bytes, in replace mode and complex, 16 * 4^N
+    bytes, in augment mode.  Every segment turns each site by the same 2x2
     unitary, so the product of the turns is the N-fold Kronecker power of
     the last of ``_accumulated_turns``: about y in replace mode, and in
     augment mode followed by exp(-i E t) of the exchange, which commutes
@@ -667,7 +706,7 @@ def propagator(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> np.nd
     steps = schedule.pieces(t)
     replace = schedule.mode == "replace"
     # augment mode also holds the exchange's gathered copy and its result
-    _require_dense_memory(lattice.n_sites, 1 if replace else 3, "propagator")
+    _require_dense_memory(lattice.n_sites, 8 if replace else 16, 1 if replace else 3, "propagator")
     unitary = _kron_power(_accumulated_turns(steps, schedule.mode, lattice.b_z)[-1], lattice.n_sites)
     if replace:
         return unitary
@@ -676,7 +715,7 @@ def propagator(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> np.nd
 
 
 def expectation(state: QuantumState, operator: MatrixOperator) -> float:
-    value = np.vdot(state.amplitudes, operator.array @ state.amplitudes)
+    value = np.vdot(state.amplitudes, operator._times(state.amplitudes))
     return float(value.real)
 
 
@@ -688,7 +727,7 @@ def variance(state: QuantumState, operator: MatrixOperator) -> float:
     rounding (1 ulp for a Dicke state, up to 1e-10 after evolution) out of
     the result.
     """
-    return _applied_variance(state.amplitudes, operator.array @ state.amplitudes)
+    return _applied_variance(state.amplitudes, operator._times(state.amplitudes))
 
 
 def _applied_variance(psi: np.ndarray, applied: np.ndarray) -> float:
@@ -728,10 +767,13 @@ def _pair_correlators(state: QuantumState, operator: MatrixOperator, total_varia
     if operator.term_stack is None:
         raise ValueError("operator carries no local-term decomposition")
     psi = state.amplitudes
-    terms_psi = (operator.term_stack @ psi).reshape(-1, psi.size)
+    terms_psi = operator._times(psi, terms=True).reshape(-1, psi.size)
     n_terms = terms_psi.shape[0]
     means = (terms_psi @ psi.conj()).real
-    overlap = terms_psi.conj() @ terms_psi.T
+    # <H_i psi|H_j psi> for every pair, one dot product each: ``vecdot``
+    # runs the loop of ``vdot``, where a matrix product of a real stack
+    # with its own transpose would load BLAS's syrk code on top of gemm's
+    overlap = np.vecdot(terms_psi[:, None], terms_psi[None])
     g_matrix = overlap.real - means[:, None] * means
     g_matrix = 0.5 * (g_matrix + g_matrix.T)
     gbar = float(np.abs(g_matrix).sum() / g_matrix.size)

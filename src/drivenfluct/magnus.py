@@ -243,9 +243,9 @@ def variance_rate(
     if h_drive.dim != h_ref.dim:
         raise ValueError("operator dimensions differ")
     psi = state_t.amplitudes
-    h_psi = h_ref.array @ psi
-    t_psi = h_drive.array @ psi
-    hh_psi = h_ref.array @ h_psi
+    h_psi = h_ref._times(psi)
+    t_psi = h_drive._times(psi)
+    hh_psi = h_ref._times(h_psi)
     mean_h = np.vdot(psi, h_psi).real
     # for Hermitian T and H, <T H^2> - <H^2 T> = 2i Im <T psi|H^2 psi> and
     # <D> = 2i Im <T psi|H psi>, so the rate is real by construction

@@ -26,6 +26,17 @@ def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parent_iqr():
     assert (result["wins"], result["verdict"]) == (10, "within bound")
 
 
+def test_a_gain_is_withheld_when_more_of_the_change_s_jobs_fail():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    assert bench_pairs.verdict(WALL, parent, [0.80] * 10, more_failures=True)["verdict"] == "withheld"
+    # the failures withhold only a gain
+    assert bench_pairs.verdict(WALL, parent, [1.30] * 10, more_failures=True)["verdict"] == "worse"
+    # shares of the attempted jobs, over every run of a side
+    assert bench_pairs.failure_share([(0, 100), (0, 90)]) == 0.0
+    assert bench_pairs.failure_share([(1, 100), (2, 200)]) == pytest.approx(0.01)
+    assert bench_pairs.failure_share([]) == 0.0
+
+
 def test_quartiles_are_inclusive():
     assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
     assert bench_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
@@ -70,7 +81,9 @@ def test_report_rows_give_medians_ratios_and_wins():
     [(kind, old, new, ratio, faster)] = bench_pairs.job_rows(pairs)
     assert (kind, old, new, ratio, faster) == ("sector N=4", 2.0, 1.0, 0.5, 2)
     verdicts = [bench_pairs.verdict(WALL, [1.0, 1.0, 1.0], [0.5, 0.5, 0.5])]
-    text = bench_pairs.report("oracle-sweep", 3, verdicts, bench_pairs.job_rows(pairs))
+    failures = {"parent": [(0, 40), (0, 40), (1, 40)], "change": [(0, 50), (0, 50), (0, 50)]}
+    text = bench_pairs.report("oracle-sweep", 3, failures, verdicts, bench_pairs.job_rows(pairs))
     assert text.splitlines()[0] == "workload oracle-sweep: 3 pairs"
-    assert text.splitlines()[2].endswith(" 3/3    gain")
+    assert text.splitlines()[1] == "failed jobs: parent 1 of 120, change 0 of 150"
+    assert text.splitlines()[3].endswith(" 3/3    gain")
     assert text.splitlines()[-1].split() == ["sector", "N=4", "2000.000", "1000.000", "0.500", "2/3"]

@@ -641,6 +641,23 @@ def test_matrix_free_routes_match_kron_reference(kind, n):
     rate = 1j * (anti - 2.0 * mean_h * np.vdot(psi, d_apply(psi))) / n**2
     assert close(mg.variance_rate(final, drive, ham), rate.real)
 
+    # the complex state met the real Hamiltonian and term stack through one
+    # complex copy of each, made once and kept; the products equal scipy's
+    # own conversion of the real entries bit for bit
+    copies = dict(ham._complex_copies)
+    for terms, real in ((False, ham.array), (True, ham.term_stack)):
+        twin = copies[terms]
+        assert twin.dtype == np.complex128 and twin.indices is real.indices
+        assert np.array_equal(twin.data, real.data)
+        assert np.array_equal(ham._times(psi, terms), real @ psi)
+    xl.connected_pair_correlators(final, ham)
+    assert ham._complex_copies == copies
+    # the complex transverse field and real states need no copy
+    assert drive._complex_copies == {}
+    fresh = xl.build_spin_hamiltonian(lattice)
+    xl.connected_pair_correlators(xl.dicke_state(n, n / 2.0 - 1.0), fresh)
+    assert fresh._complex_copies == {}
+
 
 def check_augment_against_expm(lattice, segments, rng):
     """Augment evolution and propagator against expm of Kronecker-built H."""
@@ -873,8 +890,8 @@ class TestSparseOperatorChecks:
 class TestDenseMemoryGuard:
     @pytest.fixture
     def tiny_memory(self, monkeypatch):
-        # 1000 bytes: a 3-site dense operator needs 16 * 4^3 = 1024
-        monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 1000)
+        # 500 bytes: a 3-site dense operator needs 8 * 4^3 = 512 (real)
+        monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 500)
 
     @staticmethod
     def dense_routes():
@@ -883,14 +900,16 @@ class TestDenseMemoryGuard:
         ham = xl.build_spin_hamiltonian(lattice)
         replace = cs.DriveSchedule("replace", ((0.4, 1.0),), 1.37)
         augment = cs.DriveSchedule("augment", ((0.4, 0.777), (0.2, -0.3)), 1.37)
-        # dense 3-site arrays, 1024 bytes each
+        # dense 3-site arrays, 512 bytes each if real, 1024 if complex
         routes = [
-            (route, 1024 * arrays, rf"\({arrays} dense 2\^N x 2\^N arrays? at once\)")
-            for route, arrays in [
-                (lambda: ham.matrix, 1),
-                (lambda: xl.propagator(lattice, replace, 0.4), 1),
+            (route, itemsize * 64 * arrays, rf"\({arrays} dense 2\^N x 2\^N arrays? at once\)")
+            for route, itemsize, arrays in [
+                # the spin Hamiltonian and the replace-mode propagator are real
+                (lambda: ham.matrix, 8, 1),
+                (lambda: xl.build_transverse_field(3, 0.7).matrix, 16, 1),
+                (lambda: xl.propagator(lattice, replace, 0.4), 8, 1),
                 # the Kronecker power, the exchange's gathered copy and its result
-                (lambda: xl.propagator(lattice, augment, 0.4), 3),
+                (lambda: xl.propagator(lattice, augment, 0.4), 16, 3),
             ]
         ]
         # the boson dual holds one real number-sector block at a time, the
@@ -903,7 +922,7 @@ class TestDenseMemoryGuard:
 
     def test_dense_routes_refuse_before_allocating(self, monkeypatch):
         routes = self.dense_routes()  # with the memory there is, to fill the cache
-        monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 1000)
+        monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 500)
         for dense_route, needed, _ in routes:
             with pytest.raises(xl.SizeLimitError, match=f"needs {needed} bytes"):
                 dense_route()

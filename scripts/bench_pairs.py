@@ -23,8 +23,11 @@ change won (ties count for neither side), and a verdict:
 
 Below it, per kind of job (``scripts/job_table.py``'s labels without their
 ordinal), the sum of the fastest times of its jobs: each side's median over
-the pairs, the median of the per-pair ratios change / parent, and how many
-pairs the change was faster.  ``--jobs`` gives the same for every job.
+the pairs, the median of the per-pair ratios change / parent, how many
+pairs the change was faster, and the median over the pairs of the kind's
+share of the parent's round total (the sum over every kind), so a change
+that helps only some jobs can quote the share of the round they take.
+``--jobs`` gives the same for every job.
 Each run's record stays in its checkout's ``.perfbench_out/``.
 """
 
@@ -108,16 +111,18 @@ def job_sums(record: dict, labels: list[str], per_job: bool = False) -> dict[str
     return sums
 
 
-def job_rows(pairs: list[tuple[dict, dict]]) -> list[tuple[str, float, float, float, int]]:
+def job_rows(pairs: list[tuple[dict, dict]]) -> list[tuple[str, float, float, float, int, float]]:
     """(kind, parent median s, change median s, median ratio, change faster in
-    how many pairs) per kind, from (parent sums, change sums) per pair."""
+    how many pairs, median share of the parent's round total) per kind, from
+    (parent sums, change sums) per pair."""
+    totals = [sum(before.values()) for before, _ in pairs]
     rows = []
     for kind in pairs[0][0]:
         old = [before[kind] for before, _ in pairs]
         new = [after[kind] for _, after in pairs]
         ratios = [b / a for a, b in zip(old, new)]
         rows.append((kind, statistics.median(old), statistics.median(new), statistics.median(ratios),
-                     sum(b < a for a, b in zip(old, new))))
+                     sum(b < a for a, b in zip(old, new)), statistics.median(a / t for a, t in zip(old, totals))))
     return rows
 
 
@@ -138,9 +143,11 @@ def report(workload: str, pairs: int, failures: dict, verdicts: list[dict], rows
         lines.append(f"{v['name']:<14} {sides[0]:>32}  {sides[1]:>32}  {v['wins']:>2}/{pairs:<3}  {v['verdict']}")
     if rows:
         width = max(len(row[0]) for row in rows)
-        lines += ["", f"{'job kind':<{width}}  {'parent ms':>10}  {'change ms':>10}  {'ratio':>6}  faster"]
-        for kind, old, new, ratio, faster in rows:
-            lines.append(f"{kind:<{width}}  {old * 1e3:>10.3f}  {new * 1e3:>10.3f}  {ratio:>6.3f}  {faster}/{pairs}")
+        lines += ["", f"{'job kind':<{width}}  {'parent ms':>10}  {'change ms':>10}  {'ratio':>6}  faster  share"]
+        for kind, old, new, ratio, faster, share in rows:
+            lines.append(
+                f"{kind:<{width}}  {old * 1e3:>10.3f}  {new * 1e3:>10.3f}  {ratio:>6.3f}  {faster:>3}/{pairs:<3}{share:>6.1%}"
+            )
     return "\n".join(lines)
 
 

@@ -293,19 +293,23 @@ def _rotated_axis(schedule: DriveSchedule, t_f: float) -> tuple[float, float]:
     return n_perp, cos_phase + tilt * (1.0 - cos_phase)
 
 
-def analytic_sigma(sector: SpinSector, schedule: DriveSchedule, t_f: float) -> float:
-    """Standard deviation of the energy density after driving to time t_f:
-    B_z S n_perp sqrt(1 + 1/S - w^2) / (N sqrt(2)), with n_perp the
-    transverse part of the rotated z axis (|sin theta| under replace)."""
+def _sigma_prefactor(sector: SpinSector, schedule: DriveSchedule) -> float:
+    """|B_z| S sqrt(1 + 1/S - w^2) / (N sqrt(2)): ``analytic_sigma`` over n_perp."""
     if sector.s_tot == 0:
         raise UndefinedSpinError("sigma needs w = m/s_tot; s_tot = 0 sector rejected")
-    prefactor = (
+    return (
         abs(schedule.b_z)
         * sector.s_tot
         / (sector.n_sites * math.sqrt(2.0))
         * _fluctuation_factor(sector)
     )
-    return prefactor * _rotated_axis(schedule, t_f)[0]
+
+
+def analytic_sigma(sector: SpinSector, schedule: DriveSchedule, t_f: float) -> float:
+    """Standard deviation of the energy density after driving to time t_f:
+    B_z S n_perp sqrt(1 + 1/S - w^2) / (N sqrt(2)), with n_perp the
+    transverse part of the rotated z axis (|sin theta| under replace)."""
+    return _sigma_prefactor(sector, schedule) * _rotated_axis(schedule, t_f)[0]
 
 
 def analytic_energy_mean(

@@ -26,14 +26,19 @@ the initial state together in N/2 batched pair passes (O(K N 2^N)), and
 augment mode takes the K states through exp(-i E t_k) together, from one
 cached real eigensystem of E per lattice (one block per magnetisation
 sector, O(sum_k C(N,k)^3) time once, 208 MB of eigenvectors at N = 14,
-refused beyond physical memory).  ``expectation``, ``variance``,
-``connected_pair_correlators``, ``bounds.uncertainty_check``,
-``magnus.variance_expansion`` and ``magnus.variance_rate`` use
-matrix-vector products only, and ``magnus.magnus_error`` works on the
-single-site turns alone.  Each eigenvector of E lies in one sector, so
-the same eigensystem gives the spectrum of the whole spin Hamiltonian
-E - B_z S^z_tot: ``eigenbasis_distribution`` (one atom per eigenvector)
-and the spin side of ``bose_dual`` read it there.  The only dense routes
+refused beyond physical memory).  The K boundary states are the rows of
+one read-only array, which every state of the trajectory shares.
+``expectation``, ``variance``, ``connected_pair_correlators``,
+``bounds.uncertainty_check``, ``magnus.variance_expansion`` and
+``magnus.variance_rate`` use matrix-vector products only, with one
+exception: the second ``variance`` query on the rows of one trajectory
+under one lattice-built operator takes every row's variance from one
+product with the whole array, and keeps them with the trajectory.
+``magnus.magnus_error`` works on the single-site turns alone.  Each
+eigenvector of E lies in one sector, so the same eigensystem gives the
+spectrum of the whole spin Hamiltonian E - B_z S^z_tot:
+``eigenbasis_distribution`` (one atom per eigenvector) and the spin side
+of ``bose_dual`` read it there.  The only dense routes
 (8 * 4^N bytes per 2^N x 2^N real array, 16 * 4^N per complex one,
 4.3 GB at N = 14) are ``MatrixOperator.matrix`` and ``propagator``.  Each
 counts every dense array it holds at once, at its dtype's size, and
@@ -54,7 +59,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -149,12 +154,17 @@ class QuantumState:
 
     Float64 amplitudes stay float64, so a real state (a Dicke state, and
     every replace-mode state evolved from one) is computed in real
-    arithmetic; amplitudes of any other dtype become complex128.
+    arithmetic; amplitudes of any other dtype become complex128.  The
+    boundary states of ``evolve_state`` are read-only rows of one array,
+    and those of a drive of several segments hold (trajectory, row), the
+    trajectory record that their variances are kept in; a state built
+    here holds None.
     """
 
     amplitudes: np.ndarray
     n_sites: int
     norm_tol: float = 1e-12
+    _trajectory: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes)
@@ -168,13 +178,41 @@ class QuantumState:
             raise ValueError(f"state norm off unity by {drift:.3e}")
 
     @classmethod
-    def _from_checked(cls, amplitudes: np.ndarray, n_sites: int, norm_tol: float) -> "QuantumState":
+    def _from_checked(
+        cls, amplitudes: np.ndarray, n_sites: int, norm_tol: float, trajectory: tuple | None = None
+    ) -> "QuantumState":
         """Amplitudes whose dtype, length and norm the caller has checked, stored as given."""
         state = cls.__new__(cls)
-        object.__setattr__(state, "amplitudes", amplitudes)
-        object.__setattr__(state, "n_sites", n_sites)
-        object.__setattr__(state, "norm_tol", norm_tol)
+        # one write of the instance's fields, past the frozen __setattr__
+        state.__dict__.update(amplitudes=amplitudes, n_sites=n_sites, norm_tol=norm_tol, _trajectory=trajectory)
         return state
+
+
+class _Trajectory:
+    """The boundary states of one drive, the rows of one read-only
+    C-contiguous (K, 2^N) array, and their variances under each
+    lattice-built operator, keyed by the operator object (which the record
+    keeps alive): None once one row has been asked for, every row's from
+    the second query on."""
+
+    __slots__ = ("states", "variances")
+
+    def __init__(self, states: np.ndarray):
+        self.states = states
+        self.variances: dict = {}
+
+    def variance(self, row: int, operator: "MatrixOperator") -> float | None:
+        """Row ``row``'s kept variance under ``operator``, or None where it
+        is to be taken from the row alone: on the first query, and for an
+        operator given as a dense array, whose product with several states
+        is a different BLAS kernel from its product with one."""
+        kept = self.variances.get(operator)
+        if kept is None:
+            if operator not in self.variances or isinstance(operator.array, np.ndarray):
+                self.variances[operator] = None
+                return None
+            kept = self.variances[operator] = _row_variances(self.states, operator)
+        return float(kept[row])
 
 
 def _physical_memory_bytes() -> int:
@@ -657,6 +695,13 @@ def evolve_state(
     augment mode is complex.  Every boundary's norm is checked against
     1e-10 drift in one pass, the first drifting boundary in time order is
     named, and no state is renormalized.
+
+    The boundary states are the rows of one read-only C-contiguous array,
+    so a variance kept from them cannot go stale.  With more than one
+    boundary they share one trajectory record: the first ``variance`` query
+    on its rows under a lattice-built operator takes that row alone, and
+    the second takes every row's variance from one product of the operator
+    with the array and keeps them, bit for bit the per-state values.
     """
     if state.n_sites != lattice.n_sites:
         raise ValueError("state and lattice site counts differ")
@@ -666,14 +711,17 @@ def evolve_state(
     if schedule.mode == "augment":
         exchange = _segment_eigensystem(lattice.n_sites, lattice.couplings)
         if len(times) == 1:  # numpy gathers a lone state faster as a vector
-            states = [_exchange_evolution(states[0], exchange, times[0])]
+            states = _exchange_evolution(states[0], exchange, times[0])[None]
         else:
             states = np.ascontiguousarray(_exchange_evolution(states.T, exchange, np.array(times)).T)
     drift = _first_drift(states, 1e-10)
     if drift is not None:
         raise NumericalDriftError(f"state norm off unity by {drift[1]:.3e} at t = {times[drift[0]]}")
+    states.flags.writeable = False
+    trajectory = _Trajectory(states) if len(times) > 1 else None
     return [(0.0, state)] + [
-        (t, QuantumState._from_checked(psi, state.n_sites, 1e-10)) for t, psi in zip(times, states)
+        (t, QuantumState._from_checked(psi, state.n_sites, 1e-10, None if trajectory is None else (trajectory, row)))
+        for row, (t, psi) in enumerate(zip(times, states))
     ]
 
 
@@ -725,8 +773,18 @@ def variance(state: QuantumState, operator: MatrixOperator) -> float:
     Immune to the <A^2> - <A>^2 cancellation that floors sigma at ~1e-8 near
     zero-variance states.  Dividing by <psi|psi> keeps the state's norm
     rounding (1 ulp for a Dicke state, up to 1e-10 after evolution) out of
-    the result.
+    the result.  A boundary state of an ``evolve_state`` trajectory of
+    several segments is taken alone on the first query under a
+    lattice-built operator; the second query on any row of the trajectory
+    takes every row's variance from one product and keeps them, so later
+    queries, ``energy_density_sigma`` and ``connected_pair_correlators``
+    included, read a kept value, equal to the per-state one bit for bit.
     """
+    if state._trajectory is not None:
+        trajectory, row = state._trajectory
+        kept = trajectory.variance(row, operator)
+        if kept is not None:
+            return kept
     return _applied_variance(state.amplitudes, operator._times(state.amplitudes))
 
 
@@ -735,6 +793,19 @@ def _applied_variance(psi: np.ndarray, applied: np.ndarray) -> float:
     norm_sq = np.vdot(psi, psi).real
     residual = applied - (np.vdot(psi, applied).real / norm_sq) * psi
     return float(np.vdot(residual, residual).real / norm_sq)
+
+
+def _row_variances(states: np.ndarray, operator: MatrixOperator) -> np.ndarray:
+    """``_applied_variance`` of every row of ``states`` from one product
+    with the operator.  Row by row, ``vecdot`` runs the loop of ``vdot`` and
+    a CSR product sums each entry in the order of a product with one
+    vector, so each value equals the per-state one bit for bit, provided the
+    product's rows are C-contiguous as well: read with a stride, the dot
+    products sum in another order."""
+    applied = np.ascontiguousarray(operator._times(states.T).T)
+    norm_sq = np.vecdot(states, states).real
+    residual = applied - (np.vecdot(states, applied).real / norm_sq)[:, None] * states
+    return np.vecdot(residual, residual).real / norm_sq
 
 
 def energy_density_sigma(state: QuantumState, operator: MatrixOperator) -> float:

@@ -59,20 +59,21 @@ def sigma_sweep(
     ``sectors`` (default: all N + 1 of them) through the schedule and
     returns one row (m, t, sigma_oracle, sigma_analytic) per segment
     boundary after t = 0, in sector order: ``energy_density_sigma`` of each
-    state, from one product of the Hamiltonian with a sector's states.
+    state, whose trajectory gives its rows' variances from one product with
+    the Hamiltonian, and ``analytic_sigma`` from one rotated axis per
+    boundary, shared by the sectors.
     """
     n = lattice.n_sites
     ham = xl.build_spin_hamiltonian(lattice, with_decomposition=False)
     if sectors is None:
         sectors = [-n / 2.0 + k for k in range(n + 1)]
+    axes = [cs._rotated_axis(schedule, t)[0] for t in schedule.boundary_times()[1:]]
     rows = []
     for m in sectors:
-        sector = cs.SpinSector(n, n / 2.0, m)
+        prefactor = cs._sigma_prefactor(cs.SpinSector(n, n / 2.0, m), schedule)
         trajectory = xl.evolve_state(xl.dicke_state(n, m), lattice, schedule)[1:]
-        states = np.array([state.amplitudes for _, state in trajectory])
-        applied = np.ascontiguousarray((ham.array @ states.T).T)
-        for (t, _), psi, h_psi in zip(trajectory, states, applied):
-            rows.append((m, t, math.sqrt(xl._applied_variance(psi, h_psi)) / n, cs.analytic_sigma(sector, schedule, t)))
+        for (t, state), n_perp in zip(trajectory, axes, strict=True):
+            rows.append((m, t, xl.energy_density_sigma(state, ham), prefactor * n_perp))
     return rows
 
 

@@ -77,13 +77,21 @@ def test_job_kinds_sum_the_fastest_untraced_times():
 
 
 def test_report_rows_give_medians_ratios_and_wins():
-    pairs = [({"sector N=4": 2.0}, {"sector N=4": 1.0}), ({"sector N=4": 2.0}, {"sector N=4": 3.0}), ({"sector N=4": 4.0}, {"sector N=4": 1.0})]
-    [(kind, old, new, ratio, faster)] = bench_pairs.job_rows(pairs)
-    assert (kind, old, new, ratio, faster) == ("sector N=4", 2.0, 1.0, 0.5, 2)
+    pairs = [
+        ({"sector N=4": 2.0, "build N=4": 2.0}, {"sector N=4": 1.0, "build N=4": 2.0}),
+        ({"sector N=4": 2.0, "build N=4": 6.0}, {"sector N=4": 3.0, "build N=4": 6.0}),
+        ({"sector N=4": 4.0, "build N=4": 1.0}, {"sector N=4": 1.0, "build N=4": 1.5}),
+    ]
+    # shares of the parent's round total, per pair: sector 1/2, 1/4 and 4/5
+    sector, build = bench_pairs.job_rows(pairs)
+    assert sector == ("sector N=4", 2.0, 1.0, 0.5, 2, 0.5)
+    assert build == ("build N=4", 2.0, 2.0, 1.0, 0, 0.5)
     verdicts = [bench_pairs.verdict(WALL, [1.0, 1.0, 1.0], [0.5, 0.5, 0.5])]
     failures = {"parent": [(0, 40), (0, 40), (1, 40)], "change": [(0, 50), (0, 50), (0, 50)]}
     text = bench_pairs.report("oracle-sweep", 3, failures, verdicts, bench_pairs.job_rows(pairs))
     assert text.splitlines()[0] == "workload oracle-sweep: 3 pairs"
     assert text.splitlines()[1] == "failed jobs: parent 1 of 120, change 0 of 150"
     assert text.splitlines()[3].endswith(" 3/3    gain")
-    assert text.splitlines()[-1].split() == ["sector", "N=4", "2000.000", "1000.000", "0.500", "2/3"]
+    assert text.splitlines()[-3].split() == ["job", "kind", "parent", "ms", "change", "ms", "ratio", "faster", "share"]
+    assert text.splitlines()[-2].split() == ["sector", "N=4", "2000.000", "1000.000", "0.500", "2/3", "50.0%"]
+    assert text.splitlines()[-1].split() == ["build", "N=4", "2000.000", "2000.000", "1.000", "0/3", "50.0%"]

@@ -40,6 +40,12 @@ def readme_examples():
     return examples
 
 
+def readme_library_example():
+    """The code block of the README's "Library example" section."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library example\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
 def run_cli(args, outdir):
     return cli.main([*args, "--outdir", str(outdir)])
 
@@ -553,6 +559,12 @@ class TestCliBehavior:
         for path in (tmp_path / "out").glob("*.json"):
             payload = read_json(path)
             assert all(payload[gate] is True for gate in GATES if gate in payload), path.name
+
+    def test_readme_library_example(self):
+        namespace = {}
+        exec(compile(readme_library_example(), "README.md", "exec"), namespace)
+        # the block's own assert, which python -O would strip
+        assert abs(namespace["closed_form"] - namespace["oracle"]) < 1e-10
 
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         # read on each call, not when the (kept) parser was built

@@ -153,15 +153,21 @@ class TestEvolution:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_sigma_sweep_rows_equal_per_state_route(self, n):
-        # one product per sector's boundary states gives the same floats as
-        # energy_density_sigma state by state
+        # the sweep's batched variances and shared rotated axes give the same
+        # floats as the unbatched route: each state's own product with H, and
+        # analytic_sigma row by row
         rng = np.random.default_rng([17, n])
         lat = xl.LatticeSpec.chain(n, float(rng.normal()), float(rng.normal()))
         segments = tuple((float(rng.uniform(0.05, 0.5)), float(rng.normal())) for _ in range(20))
         schedule = cs.DriveSchedule("replace", segments, lat.b_z)
         ham = xl.build_spin_hamiltonian(lat, with_decomposition=False)
         expected = [
-            (m, t, xl.energy_density_sigma(state, ham), cs.analytic_sigma(cs.SpinSector(n, n / 2, m), schedule, t))
+            (
+                m,
+                t,
+                math.sqrt(xl._applied_variance(state.amplitudes, ham._times(state.amplitudes))) / n,
+                cs.analytic_sigma(cs.SpinSector(n, n / 2, m), schedule, t),
+            )
             for m in (-n / 2 + k for k in range(n + 1))
             for t, state in xl.evolve_state(xl.dicke_state(n, m), lat, schedule)[1:]
         ]
@@ -178,6 +184,16 @@ class TestEvolution:
                 assert state.amplitudes.dtype == np.float64
                 assert reference.amplitudes.dtype == np.complex128
                 assert np.array_equal(state.amplitudes, reference.amplitudes)
+
+    @pytest.mark.parametrize("mode", ["replace", "augment"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_boundary_amplitudes_are_read_only(self, mode, count):
+        # a variance kept with a trajectory cannot go stale under a write
+        lat = xl.LatticeSpec.chain(3, 1.0, 1.0)
+        sched = cs.DriveSchedule(mode, ((0.4, 1.0),) * count, 1.0)
+        for _, state in xl.evolve_state(xl.dicke_state(3, 0.5), lat, sched)[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                state.amplitudes[0] = 0.0
 
     def test_full_rotation_returns_observables(self):
         lat = xl.LatticeSpec.chain(4, 1.0, 1.0)
@@ -730,6 +746,32 @@ def test_batched_boundaries_match_per_segment_reference(mode, kind, n, count):
     for (_, evolved), psi in zip(xl.evolve_state(real, lattice, schedule)[1:], per_segment_states(lattice, schedule, real.amplitudes), strict=True):
         assert evolved.amplitudes.dtype == want
         assert close(evolved.amplitudes, psi)
+    # every boundary's variance equals its own product's bit for bit, for H,
+    # H with its terms (through the correlators), the complex transverse
+    # field and a dense operator, in any order of rows and operators: a
+    # trajectory of several boundaries takes every row's from one product
+    # on the second query under a lattice-built operator, and keeps each
+    # operator's apart
+    ham = xl.build_spin_hamiltonian(lattice, with_decomposition=False)
+    ham_terms = xl.build_spin_hamiltonian(lattice)
+    drive = xl.build_transverse_field(n, 0.7)
+    dense = xl.MatrixOperator(drive.matrix, n)
+    shuffled = list(rng.permutation(count))
+    for start in (state, real):
+        for order in (range(count), range(count - 1, -1, -1), shuffled):
+            boundaries = [evolved for _, evolved in xl.evolve_state(start, lattice, schedule)[1:]]
+            for row in order:
+                psi = boundaries[row].amplitudes
+                for op in (ham, drive, ham_terms, dense):
+                    want = xl._applied_variance(psi, op._times(psi))
+                    if op is ham_terms:
+                        assert xl.connected_pair_correlators(boundaries[row], op).sigma_sq == want / n**2
+                    assert xl.variance(boundaries[row], op) == want
+            # standalone states, a one-boundary drive's included, hold no trajectory
+            assert (boundaries[0]._trajectory is None) == (count == 1)
+            for lone in (start, xl.QuantumState(boundaries[-1].amplitudes, n)):
+                assert lone._trajectory is None
+                assert xl.variance(lone, drive) == xl._applied_variance(lone.amplitudes, drive._times(lone.amplitudes))
 
 
 AUGMENT_LATTICES = [("chain", n) for n in range(2, 9)] + [("complete", n) for n in range(3, 7)]

@@ -7,7 +7,9 @@ once in each checkout, the parent first in even pairs and the change first
 in odd ones, each run as long as ``BENCHMARK.json`` sets.  The summary
 first gives each side's failed jobs of all it attempted; then, for every
 end-to-end metric, each side's median and quartiles, how many pairs the
-change won (ties count for neither side), and a verdict:
+change won (ties count for neither side), the parent's interquartile
+range and the gap between the medians (positive where the change is
+better), each as a share of the parent's median, and a verdict:
 
 - ``gain``: the change won at least nine tenths of the pairs, and the
   medians differ, in its favour, by more than the parent's interquartile
@@ -29,6 +31,9 @@ share of the parent's round total (the sum over every kind), so a change
 that helps only some jobs can quote the share of the round they take.
 ``--jobs`` gives the same for every job.
 Each run's record stays in its checkout's ``.perfbench_out/``.
+
+Passing the parent checkout as both PARENT and CHANGE gives a null
+series: what the verdicts, margins and ratios read when nothing changed.
 """
 
 from __future__ import annotations
@@ -92,9 +97,11 @@ def verdict(spec: dict, parent: list[float], change: list[float], more_failures:
         outcome = "worse"
     else:
         outcome = "within bound"
+    scale = abs(p_median) if p_median else math.nan
     return {
         "name": spec["name"], "parent": (p_q1, p_median, p_q3),
         "change": (c_q1, c_median, c_q3), "wins": wins, "pairs": len(parent), "verdict": outcome,
+        "iqr_share": iqr / scale, "gap_share": gap / scale,
     }
 
 
@@ -137,10 +144,16 @@ def report(workload: str, pairs: int, failures: dict, verdicts: list[dict], rows
     lines.append("failed jobs: " + ", ".join(
         f"{side} {sum(f for f, _ in failures[side])} of {sum(a for _, a in failures[side])}" for side in SIDES
     ))
-    lines.append(f"{'metric':<14} {'parent q1 / median / q3':>32}  {'change q1 / median / q3':>32}  {'won':>6}  verdict")
+    lines.append(
+        f"{'metric':<14} {'parent q1 / median / q3':>32}  {'change q1 / median / q3':>32}  {'won':>6}"
+        f"  {'iqr':>7}  {'gap':>7}  verdict"
+    )
     for v in verdicts:
         sides = ["{:>10.4g} {:>10.4g} {:>10.4g}".format(*v[side]) for side in SIDES]
-        lines.append(f"{v['name']:<14} {sides[0]:>32}  {sides[1]:>32}  {v['wins']:>2}/{pairs:<3}  {v['verdict']}")
+        lines.append(
+            f"{v['name']:<14} {sides[0]:>32}  {sides[1]:>32}  {v['wins']:>2}/{pairs:<3}"
+            f"  {v['iqr_share']:>7.1%}  {v['gap_share']:>+7.1%}  {v['verdict']}"
+        )
     if rows:
         width = max(len(row[0]) for row in rows)
         lines += ["", f"{'job kind':<{width}}  {'parent ms':>10}  {'change ms':>10}  {'ratio':>6}  faster  share"]

@@ -11,9 +11,11 @@ basis index, with no per-site or per-bond matrices.
 
 Matrix-free routes (memory O(N 2^N) for a chain): operators and their
 local-term decompositions are written from bit operations straight into
-scipy CSR arrays and applied as such; that CSR is correct by construction
-and tested against Kronecker-product references, so it is stored unchecked,
-while operators given from outside are dense and checked to 1e-12.
+scipy CSR arrays, every bond's parts at once, and applied as such; that
+CSR is correct by construction and tested against Kronecker-product
+references, so it is stored unchecked, without scipy's validating
+constructor, while operators given from outside are dense and checked to
+1e-12.
 Evolution turns every site by the same single-site unitary, so a whole
 drive is evolved in one batched pass: replace-mode segments are
 y-rotations, which commute, and in augment mode the exchange
@@ -26,12 +28,14 @@ the initial state together in N/2 batched pair passes (O(K N 2^N)), and
 augment mode takes the K states through exp(-i E t_k) together, from one
 cached real eigensystem of E per lattice (one block per magnetisation
 sector, O(sum_k C(N,k)^3) time once, 208 MB of eigenvectors at N = 14,
-refused beyond physical memory).  The K boundary states are the rows of
+refused beyond physical memory).  A drive's K turns are computed once and
+shared, read-only, by every state evolved through it, such as the N + 1
+Dicke sectors of one sweep.  The K boundary states are the rows of
 one read-only array, which every state of the trajectory shares.
 ``expectation``, ``variance``, ``connected_pair_correlators``,
 ``bounds.uncertainty_check``, ``magnus.variance_expansion`` and
 ``magnus.variance_rate`` use matrix-vector products only, with one
-exception: the second ``variance`` query on the rows of one trajectory
+exception: the first ``variance`` query on the rows of one trajectory
 under one lattice-built operator takes every row's variance from one
 product with the whole array, and keeps them with the trajectory.
 ``magnus.magnus_error`` works on the single-site turns alone.  Each
@@ -148,7 +152,7 @@ class LatticeSpec:
         return cls(n_sites=n_sites, couplings=bonds, b_z=b_z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumState:
     """Normalized state vector on the 2^n product basis.
 
@@ -158,13 +162,14 @@ class QuantumState:
     boundary states of ``evolve_state`` are read-only rows of one array,
     and those of a drive of several segments hold (trajectory, row), the
     trajectory record that their variances are kept in; a state built
-    here holds None.
+    here holds None.  States compare and hash by identity: two states with
+    equal amplitudes are distinct objects, and a state can key a dict.
     """
 
     amplitudes: np.ndarray
     n_sites: int
     norm_tol: float = 1e-12
-    _trajectory: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _trajectory: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes)
@@ -192,8 +197,7 @@ class _Trajectory:
     """The boundary states of one drive, the rows of one read-only
     C-contiguous (K, 2^N) array, and their variances under each
     lattice-built operator, keyed by the operator object (which the record
-    keeps alive): None once one row has been asked for, every row's from
-    the second query on."""
+    keeps alive): every row's, as floats, from the first query on."""
 
     __slots__ = ("states", "variances")
 
@@ -202,17 +206,16 @@ class _Trajectory:
         self.variances: dict = {}
 
     def variance(self, row: int, operator: "MatrixOperator") -> float | None:
-        """Row ``row``'s kept variance under ``operator``, or None where it
-        is to be taken from the row alone: on the first query, and for an
-        operator given as a dense array, whose product with several states
-        is a different BLAS kernel from its product with one."""
+        """Row ``row``'s kept variance under ``operator``, taken for every
+        row on the first query, or None for an operator given as a dense
+        array, whose product with several states is a different BLAS kernel
+        from its product with one, so each state is taken alone."""
+        if isinstance(operator.array, np.ndarray):
+            return None
         kept = self.variances.get(operator)
         if kept is None:
-            if operator not in self.variances or isinstance(operator.array, np.ndarray):
-                self.variances[operator] = None
-                return None
-            kept = self.variances[operator] = _row_variances(self.states, operator)
-        return float(kept[row])
+            kept = self.variances[operator] = _row_variances(self.states, operator).tolist()
+        return kept[row]
 
 
 def _physical_memory_bytes() -> int:
@@ -358,6 +361,28 @@ class CorrelatorReport:
             raise ValueError("mean |G| cannot undercut the variance bound")
 
 
+# the print limit that scipy's constructor stores on every sparse array
+_MAXPRINT = sparse.csr_array((0, 0)).maxprint
+
+
+def _valid_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple) -> sparse.csr_array:
+    """The CSR array of parts that are valid by construction: ``indptr``
+    has one more entry than rows and rises from 0 to ``indices.size``, and
+    every index lies in 0 .. shape[1] - 1.
+
+    The parts are stored as given, int64 indices and the entries' dtype,
+    as scipy's constructor stores them for a sparse array, but without
+    that constructor, whose checks cost several times one product.  Stored
+    zeros are then dropped, where there are any.  This is the one place
+    that writes scipy's CSR attributes.
+    """
+    out = object.__new__(sparse.csr_array)
+    out.__dict__.update(_shape=shape, maxprint=_MAXPRINT, indices=indices, indptr=indptr, data=data)
+    if not data.all():
+        out.eliminate_zeros()
+    return out
+
+
 def _csr(cols: np.ndarray, values: np.ndarray, dim: int) -> sparse.csr_array:
     """CSR array whose row r holds values[r] at columns cols[r].
 
@@ -366,24 +391,12 @@ def _csr(cols: np.ndarray, values: np.ndarray, dim: int) -> sparse.csr_array:
     ``values``.  Stored zeros are dropped.
     """
     width = cols.shape[1]
-    out = sparse.csr_array(
-        (values.ravel(), cols.ravel(), np.arange(0, cols.size + 1, width)),
-        shape=(cols.shape[0], dim),
-    )
-    out.eliminate_zeros()
-    return out
+    return _valid_csr(values.ravel(), cols.ravel(), np.arange(0, cols.size + 1, width), (cols.shape[0], dim))
 
 
 def _complex_copy(array: sparse.csr_array) -> sparse.csr_array:
-    """``array`` with its entries as complex128, sharing its index arrays.
-
-    A shallow copy of the attributes with new entries, as ``copy.copy``
-    makes it but without its reduce protocol: the structure is that of a
-    valid CSR array, so scipy's constructor, which would check it again at
-    several times the cost of one product, is not called either."""
-    twin = object.__new__(type(array))
-    twin.__dict__.update(array.__dict__, data=array.data.astype(complex))
-    return twin
+    """``array`` with its entries as complex128, sharing its index arrays."""
+    return _valid_csr(array.data.astype(complex), array.indices, array.indptr, array.shape)
 
 
 def _site_bits(n_sites: int) -> np.ndarray:
@@ -392,16 +405,20 @@ def _site_bits(n_sites: int) -> np.ndarray:
     return (np.arange(1 << n_sites) >> np.arange(n_sites)[:, None]) & 1
 
 
-def _exchange_bonds(spin_z: np.ndarray, couplings):
-    """Per bond, (i, j, Ising diagonal, flip mask, flip values) of -J S_i.S_j.
+def _exchange_bonds(spin_z: np.ndarray, couplings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flip masks, Ising diagonals, flip values) of -J S_i.S_j, one row per bond.
 
     The flip-flop part swaps two antiparallel spins: row r holds it at
     column r ^ mask, and since flipping both spins keeps the pair
     antiparallel, the row's own spins decide the entry.
     """
-    for i, j, j_ij in couplings:
-        ising = -j_ij * (spin_z[i] * spin_z[j])
-        yield i, j, ising, (1 << i) | (1 << j), np.where(spin_z[i] != spin_z[j], -0.5 * j_ij, 0.0)
+    bonds = np.array(couplings, dtype=float).reshape(-1, 3)
+    first, second = bonds[:, :2].T.astype(int)
+    j_ij = bonds[:, 2]
+    z_first, z_second = spin_z[first], spin_z[second]
+    ising = -j_ij[:, None] * (z_first * z_second)
+    flips = np.where(z_first != z_second, (-0.5 * j_ij)[:, None], 0.0)
+    return (1 << first) | (1 << second), ising, flips
 
 
 def build_spin_hamiltonian(lattice: LatticeSpec, with_decomposition: bool = True) -> MatrixOperator:
@@ -410,41 +427,45 @@ def build_spin_hamiltonian(lattice: LatticeSpec, with_decomposition: bool = True
     Built from bit operations: the field and Ising parts are diagonal, and a
     bond's flip-flop part swaps two antiparallel spins.  The decomposition
     assigns each site its field term plus half of every incident bond, so the
-    term count equals the site count.
+    term count equals the site count.  Every bond's parts are computed at
+    once, one row per bond, and each diagonal sums its parts in a fixed
+    order: the field terms site by site, then the bonds in the order given.
     """
     n = lattice.n_sites
     idx = np.arange(lattice.dim)
     spin_z = _site_bits(n) - 0.5
-    diagonal = np.zeros(lattice.dim)
-    site_diagonals = []
-    for s in range(n):
-        field_term = lattice.b_z * spin_z[s]
-        diagonal -= field_term
-        site_diagonals.append(-field_term)
+    masks, ising, flips = _exchange_bonds(spin_z, lattice.couplings)
+    fields = -(lattice.b_z * spin_z)
+    diagonal = np.concatenate([fields, ising]).sum(axis=0, initial=0.0)
     # row r holds the diagonal and, per bond, column r ^ mask
-    flips = []
-    site_flips: list[list] = [[] for _ in range(n)]
-    for i, j, ising, mask, flip_values in _exchange_bonds(spin_z, lattice.couplings):
-        diagonal += ising
-        flips.append((mask, flip_values))
-        for site in (i, j):
-            site_diagonals[site] = site_diagonals[site] + 0.5 * ising
-            site_flips[site].append((mask, 0.5 * flip_values))
-    masks = np.array([0] + [mask for mask, _ in flips])
-    total = _csr(idx[:, None] ^ masks, np.column_stack([diagonal, *(v for _, v in flips)]), lattice.dim)
+    total = _csr(idx[:, None] ^ np.append(0, masks), np.column_stack([diagonal, flips.T]), lattice.dim)
     if not with_decomposition:
         return MatrixOperator._from_builder(total, n)
-    # row block s holds site s's term; rows of sites with fewer bonds are
-    # padded with zero diagonal slots, which _csr drops
-    width = 1 + max(map(len, site_flips))
-    cols = np.tile(idx[:, None], (n, 1, width))
-    values = np.zeros(cols.shape)
-    for s in range(n):
-        values[s, :, 0] = site_diagonals[s]
-        for k, (mask, flip_values) in enumerate(site_flips[s], start=1):
-            cols[s, :, k] ^= mask
-            values[s, :, k] = flip_values
-    terms = _csr(cols.reshape(-1, width), values.reshape(-1, width), lattice.dim)
+    # the bonds on each site in bond order, padded up to the most bonds on
+    # one site with index len(masks): a bond of mask 0 and no entries,
+    # whose slots _csr drops
+    on_site: list[list[int]] = [[] for _ in range(n)]
+    for bond, (i, j, _) in enumerate(lattice.couplings):
+        on_site[i].append(bond)
+        on_site[j].append(bond)
+    width = max(map(len, on_site))
+    table = np.array([bonds + [len(masks)] * (width - len(bonds)) for bonds in on_site], dtype=int)
+    pad = np.zeros((1, lattice.dim))
+    half_ising, half_flips = np.concatenate([0.5 * ising, pad]), np.concatenate([0.5 * flips, pad])
+    padded_masks = np.append(masks, 0)
+    # row block s holds site s's term: on the diagonal its field term plus
+    # half of each of its bonds' Ising parts, in bond order, and in the
+    # following slots half of each bond's flip; each slot is written for
+    # every site at once
+    cols = np.empty((n, lattice.dim, width + 1), dtype=int)
+    values = np.empty(cols.shape)
+    cols[:, :, 0] = idx
+    values[:, :, 0] = fields
+    for slot, bonds in enumerate(table.T, start=1):
+        values[:, :, 0] += half_ising[bonds]
+        np.bitwise_xor(idx, padded_masks[bonds, None], out=cols[:, :, slot])
+        values[:, :, slot] = half_flips[bonds]
+    terms = _csr(cols.reshape(-1, width + 1), values.reshape(-1, width + 1), lattice.dim)
     return MatrixOperator._from_builder(total, n, terms)
 
 
@@ -521,16 +542,12 @@ def _segment_eigensystem(n_sites: int, couplings: tuple) -> tuple:
     idx = np.arange(full + 1)
     spin_z = _site_bits(n_sites) - 0.5
     ups = np.bitwise_count(idx)
-    diagonal = np.zeros(idx.size)
-    rows, cols, values = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], [np.empty(0)]
-    for _, _, ising, mask, flip_values in _exchange_bonds(spin_z, couplings):
-        diagonal += ising
-        # a flip keeps the up-spin count: both ends lie in the row's sector
-        hit = np.flatnonzero(flip_values)
-        rows.append(hit)
-        cols.append(hit ^ mask)
-        values.append(flip_values[hit])
-    rows, cols, values = (np.concatenate(part) for part in (rows, cols, values))
+    masks, ising, flips = _exchange_bonds(spin_z, couplings)
+    diagonal = ising.sum(axis=0, initial=0.0)
+    # bond by bond, the rows each flips; a flip keeps the up-spin count, so
+    # both ends lie in the row's sector
+    bond, rows = np.nonzero(flips)
+    cols, values = rows ^ masks[bond], flips[bond, rows]
     row_ups = ups[rows]
     by_ups, offsets = np.argsort(ups, kind="stable"), np.cumsum([0, *sizes])
     position = np.empty_like(idx)
@@ -627,6 +644,25 @@ def _accumulated_turns(steps, mode: str, b_z: float) -> np.ndarray:
     return _su2(products)
 
 
+@lru_cache(maxsize=8)
+def _drive_turns(segments: tuple, mode: str, b_z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows 1 .. K of ``_accumulated_turns``, one turn U_k per boundary, and
+    the pair turns U_k (x) U_k, one 4x4 matrix per row, that
+    ``_turn_every_site`` applies: computed once per drive, so that every
+    state evolved through it shares them, as read-only arrays.  The key
+    compares floats by value, so a field of -0.0 and one of 0.0 share an
+    entry; their turns differ at most in the sign of a zero entry."""
+    turns = _accumulated_turns(segments, mode, b_z)[1:]
+    pairs = _pair_turns(turns)
+    turns.flags.writeable = pairs.flags.writeable = False
+    return turns, pairs
+
+
+def _pair_turns(turns: np.ndarray) -> np.ndarray:
+    """U (x) U of every turn U, stacked as the rows of one (4 K, 4) array."""
+    return (turns[:, :, None, :, None] * turns[:, None, :, None, :]).reshape(-1, 4)
+
+
 def _kron_power(single: np.ndarray, n_sites: int) -> np.ndarray:
     """The N-fold Kronecker power of a single-site matrix, as ``np.kron``
     would multiply it out, without its per-call overhead.  Each step writes
@@ -643,8 +679,9 @@ def _kron_power(single: np.ndarray, n_sites: int) -> np.ndarray:
     return out
 
 
-def _turn_every_site(psi: np.ndarray, n_sites: int, turns: np.ndarray) -> np.ndarray:
-    """Row k: every site of ``psi`` turned by ``turns[k]``, O(K N 2^N) in all.
+def _turn_every_site(psi: np.ndarray, n_sites: int, turns: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Row k: every site of ``psi`` turned by ``turns[k]``, O(K N 2^N) in all,
+    with ``pairs`` the ``_pair_turns`` of ``turns``.
 
     Each pass applies R (x) R to the two least significant sites and moves
     them to the most significant positions, so after N/2 passes (and one
@@ -658,7 +695,6 @@ def _turn_every_site(psi: np.ndarray, n_sites: int, turns: np.ndarray) -> np.nda
     """
     count = len(turns)
     # each pass's matrices stacked as rows: 2-D for a product with one vector
-    pairs = (turns[:, :, None, :, None] * turns[:, None, :, None, :]).reshape(-1, 4)
     passes = [pairs] * (n_sites // 2)
     if n_sites % 2:
         passes.append(turns.reshape(-1, 2))
@@ -696,18 +732,20 @@ def evolve_state(
     1e-10 drift in one pass, the first drifting boundary in time order is
     named, and no state is renormalized.
 
-    The boundary states are the rows of one read-only C-contiguous array,
-    so a variance kept from them cannot go stale.  With more than one
-    boundary they share one trajectory record: the first ``variance`` query
-    on its rows under a lattice-built operator takes that row alone, and
-    the second takes every row's variance from one product of the operator
-    with the array and keeps them, bit for bit the per-state values.
+    The turns come from a small cache keyed by the drive's segments, mode
+    and B_z, so the states evolved through one drive share them.  The
+    boundary states are the rows of one read-only C-contiguous array, so a
+    variance kept from them cannot go stale.  With more than one boundary
+    they share one trajectory record: the first ``variance`` query on any
+    of its rows under a lattice-built operator takes every row's variance
+    from one product of the operator with the array and keeps them, bit
+    for bit the per-state values.
     """
     if state.n_sites != lattice.n_sites:
         raise ValueError("state and lattice site counts differ")
     times = schedule.boundary_times()[1:]
-    turns = _accumulated_turns(schedule.segments, schedule.mode, lattice.b_z)[1:]
-    states = _turn_every_site(state.amplitudes, lattice.n_sites, turns)
+    turns, pairs = _drive_turns(schedule.segments, schedule.mode, lattice.b_z)
+    states = _turn_every_site(state.amplitudes, lattice.n_sites, turns, pairs)
     if schedule.mode == "augment":
         exchange = _segment_eigensystem(lattice.n_sites, lattice.couplings)
         if len(times) == 1:  # numpy gathers a lone state faster as a vector
@@ -773,12 +811,12 @@ def variance(state: QuantumState, operator: MatrixOperator) -> float:
     Immune to the <A^2> - <A>^2 cancellation that floors sigma at ~1e-8 near
     zero-variance states.  Dividing by <psi|psi> keeps the state's norm
     rounding (1 ulp for a Dicke state, up to 1e-10 after evolution) out of
-    the result.  A boundary state of an ``evolve_state`` trajectory of
-    several segments is taken alone on the first query under a
-    lattice-built operator; the second query on any row of the trajectory
-    takes every row's variance from one product and keeps them, so later
-    queries, ``energy_density_sigma`` and ``connected_pair_correlators``
-    included, read a kept value, equal to the per-state one bit for bit.
+    the result.  For a boundary state of an ``evolve_state`` trajectory of
+    several segments, the first query on any row under a lattice-built
+    operator takes every row's variance from one product and keeps them,
+    so later queries, ``energy_density_sigma`` and
+    ``connected_pair_correlators`` included, read a kept value, equal to
+    the per-state one bit for bit.  A dense operator takes each state alone.
     """
     if state._trajectory is not None:
         trajectory, row = state._trajectory

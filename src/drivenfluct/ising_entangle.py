@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -70,12 +71,21 @@ class DomainWallEnsemble:
         # k broken bonds at +J, the rest at -J (spins are +-1 here)
         return -self.coupling * (self.bond_count - 2 * self.wall_count)
 
+    @cached_property
+    def _wall_masks(self) -> np.ndarray:
+        """Every configuration of the ensemble as a bit mask over the bonds
+        (bit b marks a wall on bond b), ascending and read-only: filtered
+        from all 2^(L-1) masks once per ensemble, for every distance."""
+        configs = np.arange(1 << self.bond_count, dtype=np.uint32)
+        configs = configs[np.bitwise_count(configs) == self.wall_count]
+        configs.flags.writeable = False
+        return configs
+
 
 def _enumeration_fraction(ensemble: DomainWallEnsemble, distance: int, site: int) -> Fraction:
-    # bit b of a configuration marks a wall on bond b; S^z_r S^z_{r+d} is -1
-    # exactly when an odd number of walls sits on the bonds r .. r+d-1
-    configs = np.arange(1 << ensemble.bond_count, dtype=np.uint32)
-    configs = configs[np.bitwise_count(configs) == ensemble.wall_count]
+    # S^z_r S^z_{r+d} is -1 exactly when an odd number of walls sits on the
+    # bonds r .. r+d-1
+    configs = ensemble._wall_masks
     window = ((1 << distance) - 1) << site
     odd = int(np.count_nonzero(np.bitwise_count(configs & window) & 1))
     return Fraction(configs.size - 2 * odd, configs.size)

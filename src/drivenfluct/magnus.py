@@ -40,7 +40,9 @@ from .exact_lattice import (
     QuantumState,
     _accumulated_turns,
     _applied_variance,
+    _pair_turns,
     _turn_every_site,
+    _valid_csr,
     build_spin_hamiltonian,
     build_transverse_field,
 )
@@ -120,13 +122,11 @@ def _stacked_generators(lattice: LatticeSpec) -> sparse.csr_array:
     built once per lattice and shared read-only."""
     h_op = build_spin_hamiltonian(lattice, with_decomposition=False).array
     f_op = build_transverse_field(lattice.n_sites, 1.0, with_decomposition=False).array
-    stacked = sparse.csr_array(
-        (
-            np.concatenate([h_op.data, f_op.data]),
-            np.concatenate([h_op.indices, f_op.indices]),
-            np.concatenate([h_op.indptr, f_op.indptr[1:] + h_op.nnz]),
-        ),
-        shape=(2 * lattice.dim, lattice.dim),
+    stacked = _valid_csr(
+        np.concatenate([h_op.data, f_op.data]),
+        np.concatenate([h_op.indices, f_op.indices]),
+        np.concatenate([h_op.indptr, f_op.indptr[1:] + h_op.nnz]),
+        (2 * lattice.dim, lattice.dim),
     )
     for array in (stacked.data, stacked.indices, stacked.indptr):
         array.flags.writeable = False
@@ -186,7 +186,7 @@ def variance_expansion(
     n_sq = float(lattice.n_sites) ** 2
     psi = state.amplitudes
     turn = _accumulated_turns(schedule.pieces(t), schedule.mode, lattice.b_z)[-1:]
-    final = _turn_every_site(psi, lattice.n_sites, turn)[0]
+    final = _turn_every_site(psi, lattice.n_sites, turn, _pair_turns(turn))[0]
     # two products with [H_0; F], on psi and the final state and then on
     # H_0 psi and F psi, each transposed so that a row is one vector's images
     applied = (stacked @ np.array([psi, final]).T).T.copy()

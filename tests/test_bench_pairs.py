@@ -16,7 +16,12 @@ WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
 def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parent_iqr():
     parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
     faster = [0.80] * 10
-    assert bench_pairs.verdict(WALL, parent, faster)["verdict"] == "gain"
+    result = bench_pairs.verdict(WALL, parent, faster)
+    assert result["verdict"] == "gain"
+    # the margin, as shares of the parent median 1.00: the quartiles
+    # 0.9825 and 1.0175 lie 0.035 apart, and the medians 0.20
+    assert result["iqr_share"] == pytest.approx(0.035)
+    assert result["gap_share"] == pytest.approx(0.20)
     # two lost pairs of ten: no gain, however large the gap
     mixed = [0.80] * 8 + [1.10, 1.10]
     result = bench_pairs.verdict(WALL, parent, mixed)
@@ -24,6 +29,11 @@ def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parent_iqr():
     # every pair won, but by less than the parent's interquartile range
     result = bench_pairs.verdict(WALL, parent, [value - 0.01 for value in parent])
     assert (result["wins"], result["verdict"]) == (10, "within bound")
+    assert result["gap_share"] == pytest.approx(0.01) and result["gap_share"] < result["iqr_share"]
+    # a slower change reads a negative gap; so does a higher-is-better fall
+    assert bench_pairs.verdict(WALL, parent, [1.10] * 10)["gap_share"] == pytest.approx(-0.10)
+    ratio = {"name": "hit_ratio", "unit": "1", "better": "higher", "bound": 0.1}
+    assert bench_pairs.verdict(ratio, [0.5] * 4, [0.4] * 4)["gap_share"] == pytest.approx(-0.2)
 
 
 def test_a_gain_is_withheld_when_more_of_the_change_s_jobs_fail():
@@ -91,7 +101,8 @@ def test_report_rows_give_medians_ratios_and_wins():
     text = bench_pairs.report("oracle-sweep", 3, failures, verdicts, bench_pairs.job_rows(pairs))
     assert text.splitlines()[0] == "workload oracle-sweep: 3 pairs"
     assert text.splitlines()[1] == "failed jobs: parent 1 of 120, change 0 of 150"
-    assert text.splitlines()[3].endswith(" 3/3    gain")
+    assert text.splitlines()[2].split()[-4:] == ["won", "iqr", "gap", "verdict"]
+    assert text.splitlines()[3].split() == ["wall_s", "1", "1", "1", "0.5", "0.5", "0.5", "3/3", "0.0%", "+50.0%", "gain"]
     assert text.splitlines()[-3].split() == ["job", "kind", "parent", "ms", "change", "ms", "ratio", "faster", "share"]
     assert text.splitlines()[-2].split() == ["sector", "N=4", "2000.000", "1000.000", "0.500", "2/3", "50.0%"]
     assert text.splitlines()[-1].split() == ["build", "N=4", "2000.000", "2000.000", "1.000", "0/3", "50.0%"]

@@ -1,9 +1,11 @@
 """Dense-oracle construction, evolution, correlators, and the boson dual."""
 
+import contextlib
 import csv
 import math
 from functools import reduce
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -133,6 +135,14 @@ def test_state_keeps_float64_and_makes_other_dtypes_complex(dtype, kept):
     assert xl.QuantumState(amplitudes, 2).amplitudes.dtype == kept
 
 
+def test_states_compare_and_hash_by_identity():
+    first, second = xl.dicke_state(4, 0), xl.dicke_state(4, 0)
+    assert np.array_equal(first.amplitudes, second.amplitudes)
+    assert first != second and not first == second
+    assert first == first
+    assert {first: 1, second: 2}[first] == 1
+
+
 class TestEvolution:
     def test_eigenstate_static(self):
         lat = xl.LatticeSpec.chain(3, 1.0, 1.0)
@@ -184,6 +194,19 @@ class TestEvolution:
                 assert state.amplitudes.dtype == np.float64
                 assert reference.amplitudes.dtype == np.complex128
                 assert np.array_equal(state.amplitudes, reference.amplitudes)
+        # every sector evolved through the drive shares its turns, computed
+        # once, and a drive of other segments with the same mode and B_z
+        # computes its own; the shared arrays are read-only
+        before = xl._drive_turns.cache_info()
+        for m in (-n / 2 + k for k in range(n + 1)):
+            xl.evolve_state(xl.dicke_state(n, m), lat, schedule)
+        shorter = cs.DriveSchedule("replace", segments[:-1], lat.b_z)
+        xl.evolve_state(xl.dicke_state(n, n / 2), lat, shorter)
+        after = xl._drive_turns.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (n + 1, 1)
+        turns, pairs = xl._drive_turns(schedule.segments, schedule.mode, lat.b_z)
+        assert turns.shape == (20, 2, 2) and pairs.shape == (80, 4)
+        assert not turns.flags.writeable and not pairs.flags.writeable
 
     @pytest.mark.parametrize("mode", ["replace", "augment"])
     @pytest.mark.parametrize("count", [1, 3])
@@ -760,13 +783,22 @@ def test_batched_boundaries_match_per_segment_reference(mode, kind, n, count):
     for start in (state, real):
         for order in (range(count), range(count - 1, -1, -1), shuffled):
             boundaries = [evolved for _, evolved in xl.evolve_state(start, lattice, schedule)[1:]]
-            for row in order:
+            for position, row in enumerate(order):
                 psi = boundaries[row].amplitudes
                 for op in (ham, drive, ham_terms, dense):
                     want = xl._applied_variance(psi, op._times(psi))
                     if op is ham_terms:
                         assert xl.connected_pair_correlators(boundaries[row], op).sigma_sq == want / n**2
                     assert xl.variance(boundaries[row], op) == want
+                if position == 0 and count > 1:
+                    # one query on one row kept every row's variance, as
+                    # floats, under each lattice-built operator; the dense
+                    # operator took its row alone
+                    record = boundaries[row]._trajectory[0]
+                    assert set(record.variances) == {ham, drive, ham_terms}
+                    for op, kept in record.variances.items():
+                        assert all(type(value) is float for value in kept)
+                        assert kept == [xl._applied_variance(b.amplitudes, op._times(b.amplitudes)) for b in boundaries]
             # standalone states, a one-boundary drive's included, hold no trajectory
             assert (boundaries[0]._trajectory is None) == (count == 1)
             for lone in (start, xl.QuantumState(boundaries[-1].amplitudes, n)):
@@ -881,6 +913,24 @@ class TestEigenbasisAgainstDenseRoute:
             xl.eigenbasis_distribution(xl.dicke_state(3, 0.5), xl.LatticeSpec.chain(4))
 
 
+@contextlib.contextmanager
+def validated_csr_pairs():
+    """Record, while open, each array that ``_valid_csr`` makes together
+    with scipy's validated constructor's on copies of the same parts, less
+    their stored zeros."""
+    made = []
+    valid_csr = xl._valid_csr
+
+    def recording(data, indices, indptr, shape):
+        reference = sparse.csr_array((data.copy(), indices.copy(), indptr.copy()), shape=shape)
+        reference.eliminate_zeros()
+        made.append((valid_csr(data, indices, indptr, shape), reference))
+        return made[-1][0]
+
+    with mock.patch.object(xl, "_valid_csr", recording), mock.patch.object(mg, "_valid_csr", recording):
+        yield made
+
+
 class TestSparseOperatorChecks:
     def test_operator_holds_no_dense_arrays(self):
         ham = xl.build_spin_hamiltonian(xl.LatticeSpec.chain(4, 0.9, 0.4))
@@ -911,12 +961,30 @@ class TestSparseOperatorChecks:
                 xl.MatrixOperator(matrix, 4, terms)
 
     @given(bond_lattices(), st.floats(-2.0, 2.0))
+    @example(xl.LatticeSpec.chain(9, 0.8, -0.3), 0.6)
+    @example(xl.LatticeSpec.complete(7, -1.2, 0.0), -1.4)
+    @example(xl.LatticeSpec(2, (), 0.5), 0.0)
     def test_builders_hermitian_and_resumming(self, lattice, b_y):
         # the builders' CSR is stored unchecked: each term is Hermitian and
         # the terms sum to the operator by construction
-        ham = xl.build_spin_hamiltonian(lattice)
-        bare = xl.build_spin_hamiltonian(lattice, with_decomposition=False)
-        field = xl.build_transverse_field(lattice.n_sites, b_y)
+        with validated_csr_pairs() as made:
+            ham = xl.build_spin_hamiltonian(lattice)
+            bare = xl.build_spin_hamiltonian(lattice, with_decomposition=False)
+            field = xl.build_transverse_field(lattice.n_sites, b_y)
+            xl.build_transverse_field(lattice.n_sites, b_y, with_decomposition=False)
+            xl._complex_copy(ham.term_stack)
+            mg._stacked_generators.__wrapped__(lattice)
+        # six arrays from the builders, one copy, and the stack with its own
+        # two builds: each equals what scipy's validating constructor makes
+        # of the same parts, less their zeros
+        assert len(made) == 10
+        for array, reference in made:
+            for part in ("data", "indices", "indptr"):
+                got, want = getattr(array, part), getattr(reference, part)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert array.shape == reference.shape
+            assert array.has_sorted_indices == reference.has_sorted_indices
+            array.check_format(full_check=True)
         # the spin Hamiltonian and its terms are real, the transverse field complex
         assert ham.array.dtype == ham.term_stack.dtype == bare.array.dtype == np.float64
         assert field.array.dtype == field.term_stack.dtype == np.complex128

@@ -207,6 +207,7 @@ def _cmd_spin_sigma(args: argparse.Namespace) -> Result:
             raise ValueError("augment mode needs --times values")
         for t_f in args.times:
             _finite_flag("--times", t_f)
+        _finite_flag("--by", args.by)
         header = ["t", "sigma", "mean"]
         sched = cs.DriveSchedule("augment", ((max(max(args.times), 1e-12), args.by),), args.bz)
         runs = ((t_f, sched, t_f) for t_f in args.times)
@@ -347,6 +348,7 @@ def _cmd_variance_rate(args: argparse.Namespace) -> Result:
 
 def _cmd_bounds_check(args: argparse.Namespace) -> Result:
     _finite_flag("--theta", args.theta)
+    _finite_flag("--by", args.by)
     _sites_flag("--n", args.n)
     lat = xl.LatticeSpec.chain(args.n, args.j, args.bz)
     sched = cs.DriveSchedule("replace", ((max(abs(args.theta), 1e-12), args.by),), args.bz)

@@ -14,8 +14,8 @@ local-term decompositions are written from bit operations straight into
 scipy CSR arrays, every bond's parts at once, and applied as such; that
 CSR is correct by construction and tested against Kronecker-product
 references, so it is stored unchecked, without scipy's validating
-constructor, while operators given from outside are dense and checked to
-1e-12.
+constructor; an operator given from outside, dense or sparse, is stored as
+complex CSR and checked to 1e-12.
 Evolution turns every site by the same single-site unitary, so a whole
 drive is evolved in one batched pass: replace-mode segments are
 y-rotations, which commute, and in augment mode the exchange
@@ -36,8 +36,8 @@ one read-only array, which every state of the trajectory shares.
 ``bounds.uncertainty_check``, ``magnus.variance_expansion`` and
 ``magnus.variance_rate`` use matrix-vector products only, with one
 exception: the first ``variance`` query on the rows of one trajectory
-under one lattice-built operator takes every row's variance from one
-product with the whole array, and keeps them with the trajectory.
+under one operator takes every row's variance from one product with the
+whole array, and keeps them with the trajectory.
 ``magnus.magnus_error`` works on the single-site turns alone.  Each
 eigenvector of E lies in one sector, so the same eigensystem gives the
 spectrum of the whole spin Hamiltonian E - B_z S^z_tot:
@@ -195,9 +195,9 @@ class QuantumState:
 
 class _Trajectory:
     """The boundary states of one drive, the rows of one read-only
-    C-contiguous (K, 2^N) array, and their variances under each
-    lattice-built operator, keyed by the operator object (which the record
-    keeps alive): every row's, as floats, from the first query on."""
+    C-contiguous (K, 2^N) array, and their variances under each operator,
+    keyed by the operator object (which the record keeps alive): every
+    row's, as floats, from the first query on."""
 
     __slots__ = ("states", "variances")
 
@@ -205,13 +205,9 @@ class _Trajectory:
         self.states = states
         self.variances: dict = {}
 
-    def variance(self, row: int, operator: "MatrixOperator") -> float | None:
+    def variance(self, row: int, operator: "MatrixOperator") -> float:
         """Row ``row``'s kept variance under ``operator``, taken for every
-        row on the first query, or None for an operator given as a dense
-        array, whose product with several states is a different BLAS kernel
-        from its product with one, so each state is taken alone."""
-        if isinstance(operator.array, np.ndarray):
-            return None
+        row on the first query."""
         kept = self.variances.get(operator)
         if kept is None:
             kept = self.variances[operator] = _row_variances(self.states, operator).tolist()
@@ -245,41 +241,38 @@ class MatrixOperator:
     """Hermitian operator, optionally with a local-term decomposition.
 
     ``array`` holds the operator and ``term_stack`` its terms, term k in rows
-    k*2^N .. (k+1)*2^N - 1, so one product gives every term's.  The lattice
-    builders store scipy CSR arrays, Hermitian and resumming by construction,
-    without re-checking them: real (float64) for the spin Hamiltonian and
-    its terms, complex for the transverse field.  Any other operator comes
-    through this constructor as dense complex arrays, ``terms`` a sequence
-    of 2^N x 2^N matrices, and must be Hermitian, with terms that sum back
-    to it, each within 1e-12.  ``matrix`` is the dense form, a new array of
-    8 * 4^N bytes (real) or 16 * 4^N bytes (complex) on each read of a
-    sparse operator.  A complex state meets a real operator or term stack
-    through its complex copy, made on its first such product and kept,
-    twice the bytes of the real entries.  Bond terms are split half-half
-    between their two sites, one fixed choice among the many admissible
-    splits.
+    k*2^N .. (k+1)*2^N - 1, so one product gives every term's; both are
+    scipy CSR arrays.  The lattice builders store theirs, Hermitian and
+    resumming by construction, without re-checking them: real (float64) for
+    the spin Hamiltonian and its terms, complex for the transverse field.
+    This constructor stores any other operator, dense or sparse, and
+    ``terms``, a sequence of 2^N x 2^N matrices, as complex CSR, which must
+    be Hermitian, with terms that sum back to it, each within 1e-12 on the
+    stored entries (NaN and inf fail).  ``matrix`` is the dense form, a new
+    array of 8 * 4^N bytes (real) or 16 * 4^N bytes (complex) on each read.
+    A complex state meets a real operator or term stack through its complex
+    copy, made on its first such product and kept, twice the bytes of the
+    real entries.  Bond terms are split half-half between their two sites,
+    one fixed choice among the many admissible splits.
     """
 
     def __init__(self, matrix, n_sites: int, terms=None):
-        parts = [] if terms is None else list(terms)
-        if sparse.issparse(matrix) or any(map(sparse.issparse, parts)):
-            raise TypeError("MatrixOperator takes dense arrays; sparse operators come only from the lattice builders")
         dim = 1 << n_sites
-        array = np.asarray(matrix, dtype=complex)
+        array = sparse.csr_array(matrix, dtype=complex)
         if array.shape != (dim, dim):
             raise ValueError("matrix shape must be 2^n x 2^n")
-        herm = float(np.abs(array - array.conj().T).max())
-        if herm > 1e-12:
+        herm = abs(array - array.conj().T).max()
+        if not herm <= 1e-12:  # NaN and inf fail too
             raise ValueError(f"operator not Hermitian within 1e-12 (max dev {herm:.3e})")
         term_stack = None
         if terms is not None:
-            stacked = np.asarray(parts, dtype=complex)
-            if stacked.shape[1:] != (dim, dim):
+            parts = [sparse.csr_array(term, dtype=complex) for term in terms]
+            if not parts or any(part.shape != (dim, dim) for part in parts):
                 raise ValueError("terms must be 2^n x 2^n matrices")
-            gap = float(np.abs(stacked.sum(axis=0) - array).max())
-            if gap > 1e-12:
+            gap = abs(sum(parts) - array).max()
+            if not gap <= 1e-12:
                 raise ValueError(f"decomposition does not resum to operator ({gap:.3e})")
-            term_stack = stacked.reshape(-1, dim)
+            term_stack = sparse.vstack(parts, format="csr")
         self.array = array
         self.term_stack = term_stack
         self.n_sites = n_sites
@@ -331,8 +324,6 @@ class MatrixOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        if not sparse.issparse(self.array):
-            return self.array
         _require_dense_memory(self.n_sites, self.array.dtype.itemsize)
         return self.array.toarray()
 
@@ -353,11 +344,11 @@ class CorrelatorReport:
     def __post_init__(self):
         n_terms = self.g_matrix.shape[0]
         resummed = float(np.sum(self.g_matrix)) / n_terms**2
-        if abs(resummed - self.sigma_sq) > 1e-12:
+        if not abs(resummed - self.sigma_sq) <= 1e-12:  # NaN fails too
             raise ValueError(
                 f"variance identity violated: sum G/N'^2 = {resummed}, sigma^2 = {self.sigma_sq}"
             )
-        if self.gbar < self.sigma_sq - 1e-12:
+        if not self.gbar >= self.sigma_sq - 1e-12:
             raise ValueError("mean |G| cannot undercut the variance bound")
 
 
@@ -471,8 +462,12 @@ def build_spin_hamiltonian(lattice: LatticeSpec, with_decomposition: bool = True
 
 def build_transverse_field(n_sites: int, b_y: float, with_decomposition: bool = True) -> MatrixOperator:
     """Uniform transverse drive -b_y sum_i S_i^y, with its per-site decomposition."""
+    if n_sites < 1:
+        raise ValueError("n_sites must be positive")
     if n_sites > MAX_SITES:
         raise SizeLimitError(f"lattice oracle capped at {MAX_SITES} sites")
+    if not math.isfinite(b_y):
+        raise ValueError(f"b_y must be finite, got {b_y}")
     idx = np.arange(1 << n_sites)
     sites = np.arange(n_sites)
     # row r holds column c = r ^ 2^s for every site s, with
@@ -737,9 +732,9 @@ def evolve_state(
     boundary states are the rows of one read-only C-contiguous array, so a
     variance kept from them cannot go stale.  With more than one boundary
     they share one trajectory record: the first ``variance`` query on any
-    of its rows under a lattice-built operator takes every row's variance
-    from one product of the operator with the array and keeps them, bit
-    for bit the per-state values.
+    of its rows under an operator takes every row's variance from one
+    product of the operator with the array and keeps them, bit for bit the
+    per-state values.
     """
     if state.n_sites != lattice.n_sites:
         raise ValueError("state and lattice site counts differ")
@@ -812,17 +807,14 @@ def variance(state: QuantumState, operator: MatrixOperator) -> float:
     zero-variance states.  Dividing by <psi|psi> keeps the state's norm
     rounding (1 ulp for a Dicke state, up to 1e-10 after evolution) out of
     the result.  For a boundary state of an ``evolve_state`` trajectory of
-    several segments, the first query on any row under a lattice-built
-    operator takes every row's variance from one product and keeps them,
-    so later queries, ``energy_density_sigma`` and
-    ``connected_pair_correlators`` included, read a kept value, equal to
-    the per-state one bit for bit.  A dense operator takes each state alone.
+    several segments, the first query on any row under an operator takes
+    every row's variance from one product and keeps them, so later
+    queries, ``energy_density_sigma`` and ``connected_pair_correlators``
+    included, read a kept value, equal to the per-state one bit for bit.
     """
     if state._trajectory is not None:
         trajectory, row = state._trajectory
-        kept = trajectory.variance(row, operator)
-        if kept is not None:
-            return kept
+        return trajectory.variance(row, operator)
     return _applied_variance(state.amplitudes, operator._times(state.amplitudes))
 
 

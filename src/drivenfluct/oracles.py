@@ -292,14 +292,15 @@ def magnus_suite() -> list[dict]:
     _check(checks, "zero-time-error", mg.magnus_error(lat, commuting, 0.0) == 0.0)
     t = 0.2
     sched = magnus_schedule(t)
-    # c [H_0, F] against the pairwise commutator of the two dense segment
-    # Hamiltonians H_0 + b_k F
-    h_0 = xl.build_spin_hamiltonian(lat, with_decomposition=False).matrix
-    field = xl.build_transverse_field(3, 1.0).matrix
+    # c [g_0, f] against the pairwise commutator of the two single-site
+    # segment generators g_0 + b_k f, with g_0 = -B_z s^z and f = -s^y in
+    # the basis order (down, up); [g_0, f] = -i B_z s^x is nonzero, so a
+    # wrong c fails
+    g_0, f = -lat.b_z * np.diag([-0.5, 0.5]), np.array([[0.0, -0.5j], [0.5j, 0.0]])
     (dt1, b1), (dt2, b2) = sched.pieces(t)
-    h1, h2 = h_0 + b1 * field, h_0 + b2 * field
+    h1, h2 = g_0 + b1 * f, g_0 + b2 * f
     reference = -0.5 * dt1 * dt2 * (h2 @ h1 - h1 @ h2)
-    omega2 = mg.magnus_terms(sched, t).c * (h_0 @ field - field @ h_0)
+    omega2 = mg.magnus_terms(sched, t).c * (g_0 @ f - f @ g_0)
     _check(checks, "omega2-closed-form", np.max(np.abs(omega2 - reference)) < 1e-12)
     _, slope = magnus_slope(lat, np.geomspace(1e-3, 1e-1, 7))
     _check(checks, "error-slope-3", abs(slope - 3.0) < 0.2, slope)

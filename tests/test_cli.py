@@ -147,6 +147,9 @@ class TestSpinCommands:
             (["variance-rate", "--by", "0"], "--by must be positive and finite, got 0.0"),
             (["variance-rate", "--by", "inf"], "--by must be positive and finite, got inf"),
             (["bounds-check", "--theta", "nan"], "--theta must be finite, got nan"),
+            (["bounds-check", "--by", "nan"], "--by must be finite, got nan"),
+            (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--mode", "augment", "--by", "inf", "--times", "1"],
+             "--by must be finite, got inf"),
             (["variance-rate", "--bz", "inf"], "b_z must be finite, got inf"),
             (["exact-check", "--j", "nan"], bond),
             (fit + ["--abar-hi", "inf"], "abar bounds must satisfy 0 < lo < hi < inf, got lo = 0.001, hi = inf"),

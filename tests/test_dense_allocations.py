@@ -1,6 +1,7 @@
-"""Where ``src/`` may build dense 2^N x 2^N arrays: a sparse operator is made
-dense only in ``MatrixOperator.matrix``, and the dense-memory guard is
-called only from there and from ``propagator``, the two dense routes."""
+"""Where ``src/`` may build dense 2^N x 2^N arrays: an operator, always CSR,
+is made dense only in ``MatrixOperator.matrix``, which no module in ``src/``
+reads, and the dense-memory guard is called only from there and from
+``propagator``, the two dense routes."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,14 @@ def test_dense_memory_guard_only_on_the_dense_routes():
         "exact_lattice.py:MatrixOperator.matrix",
         "exact_lattice.py:propagator",
     }
+
+
+def test_no_module_reads_the_dense_operator():
+    # any ``x.matrix`` read, a ``self.matrix`` in exact_lattice.py included
+    readers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "matrix"
+    )
+    assert readers == []

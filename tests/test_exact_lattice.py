@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import math
+import warnings
 from functools import reduce
 from pathlib import Path
 from unittest import mock
@@ -100,11 +101,14 @@ class TestSpinHamiltonian:
     def test_resum_enforced(self):
         ham = xl.build_spin_hamiltonian(xl.LatticeSpec.chain(4, 0.9, 0.4))
         matrix, terms = ham.matrix, [term.toarray() for term in ham.terms]
-        dense = xl.MatrixOperator(matrix, 4, terms)
-        assert all(np.array_equal(a, b) for a, b in zip(dense.terms, terms))
-        terms[2] = terms[2] * (1.0 + 1e-9)
-        with pytest.raises(ValueError, match="resum"):
-            xl.MatrixOperator(matrix, 4, terms)
+        outside = xl.MatrixOperator(matrix, 4, terms)
+        # stored as CSR, term by term the terms given
+        assert all(sparse.issparse(a) and np.array_equal(a.toarray(), b) for a, b in zip(outside.terms, terms))
+        for bad in (1e-9, math.nan, math.inf):
+            wrong = [term.copy() for term in terms]
+            wrong[2][0, 0] += bad
+            with pytest.raises(ValueError, match="resum"):
+                xl.MatrixOperator(matrix, 4, wrong)
 
 
 class TestDickeState:
@@ -391,6 +395,19 @@ class TestCorrelators:
         ham = xl.build_spin_hamiltonian(lat, with_decomposition=False)
         with pytest.raises(ValueError):
             xl.connected_pair_correlators(xl.dicke_state(3, 1.5), ham)
+
+    def test_report_gates_refuse_nan(self):
+        # a NaN anywhere fails a gate: G, its mean |G| or the variance
+        good = np.full((2, 2), 0.25)
+        xl.CorrelatorReport(g_matrix=good, gbar=0.25, sigma_sq=0.25)
+        for g_matrix, gbar, sigma_sq, message in (
+            (np.full((2, 2), math.nan), math.nan, math.nan, "variance identity"),
+            (good, 0.25, math.nan, "variance identity"),
+            (np.array([[0.25, math.nan], [0.25, 0.25]]), 0.25, 0.25, "variance identity"),
+            (good, math.nan, 0.25, "undercut"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                xl.CorrelatorReport(g_matrix=g_matrix, gbar=gbar, sigma_sq=sigma_sq)
 
 
 class TestEigenbasisDistribution:
@@ -771,31 +788,30 @@ def test_batched_boundaries_match_per_segment_reference(mode, kind, n, count):
         assert close(evolved.amplitudes, psi)
     # every boundary's variance equals its own product's bit for bit, for H,
     # H with its terms (through the correlators), the complex transverse
-    # field and a dense operator, in any order of rows and operators: a
-    # trajectory of several boundaries takes every row's from one product
-    # on the second query under a lattice-built operator, and keeps each
+    # field and an operator given densely from outside, in any order of rows
+    # and operators: a trajectory of several boundaries takes every row's
+    # from one product on the first query under an operator, and keeps each
     # operator's apart
     ham = xl.build_spin_hamiltonian(lattice, with_decomposition=False)
     ham_terms = xl.build_spin_hamiltonian(lattice)
     drive = xl.build_transverse_field(n, 0.7)
-    dense = xl.MatrixOperator(drive.matrix, n)
+    outside = xl.MatrixOperator(drive.matrix, n)
     shuffled = list(rng.permutation(count))
     for start in (state, real):
         for order in (range(count), range(count - 1, -1, -1), shuffled):
             boundaries = [evolved for _, evolved in xl.evolve_state(start, lattice, schedule)[1:]]
             for position, row in enumerate(order):
                 psi = boundaries[row].amplitudes
-                for op in (ham, drive, ham_terms, dense):
+                for op in (ham, drive, ham_terms, outside):
                     want = xl._applied_variance(psi, op._times(psi))
                     if op is ham_terms:
                         assert xl.connected_pair_correlators(boundaries[row], op).sigma_sq == want / n**2
                     assert xl.variance(boundaries[row], op) == want
                 if position == 0 and count > 1:
                     # one query on one row kept every row's variance, as
-                    # floats, under each lattice-built operator; the dense
-                    # operator took its row alone
+                    # floats, under each operator, the outside one included
                     record = boundaries[row]._trajectory[0]
-                    assert set(record.variances) == {ham, drive, ham_terms}
+                    assert set(record.variances) == {ham, drive, ham_terms, outside}
                     for op, kept in record.variances.items():
                         assert all(type(value) is float for value in kept)
                         assert kept == [xl._applied_variance(b.amplitudes, op._times(b.amplitudes)) for b in boundaries]
@@ -932,6 +948,58 @@ def validated_csr_pairs():
 
 
 class TestSparseOperatorChecks:
+    def test_transverse_field_refuses_bad_input_by_name(self):
+        for n_sites, b_y, message in (
+            (3, math.nan, "b_y must be finite, got nan"),
+            (3, math.inf, "b_y must be finite, got inf"),
+            (3, -math.inf, "b_y must be finite, got -inf"),
+            (0, 1.0, "n_sites must be positive"),
+            (-2, 1.0, "n_sites must be positive"),
+        ):
+            for with_decomposition in (True, False):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # refused before any arithmetic
+                    with pytest.raises(ValueError, match=message):
+                        xl.build_transverse_field(n_sites, b_y, with_decomposition)
+        with pytest.raises(xl.SizeLimitError):
+            xl.build_transverse_field(xl.MAX_SITES + 1, 1.0)
+
+    def test_every_operator_stores_csr(self):
+        # both builders in both forms, and outside input given dense or as
+        # CSR: the operator and its term stack are CSR arrays; dense and CSR
+        # input of the same operator store equal parts
+        lattice = xl.LatticeSpec.complete(4, 0.8, 1.3)
+        built = [
+            xl.build_spin_hamiltonian(lattice),
+            xl.build_spin_hamiltonian(lattice, with_decomposition=False),
+            xl.build_transverse_field(4, -0.6),
+            xl.build_transverse_field(4, -0.6, with_decomposition=False),
+        ]
+        for operator in built:
+            dense_terms = None if operator.terms is None else [term.toarray() for term in operator.terms]
+            csr_terms = None if operator.terms is None else [sparse.csr_array(term) for term in dense_terms]
+            from_dense = xl.MatrixOperator(operator.matrix, 4, dense_terms)
+            from_csr = xl.MatrixOperator(sparse.csr_array(operator.matrix), 4, csr_terms)
+            from_builder = xl.MatrixOperator(operator.array, 4, operator.terms)
+            for stored in (operator, from_dense, from_csr, from_builder):
+                assert isinstance(stored.array, sparse.csr_array)
+                assert stored.array.shape == (16, 16)
+                if operator.terms is None:
+                    assert stored.term_stack is None
+                else:
+                    assert isinstance(stored.term_stack, sparse.csr_array)
+                    assert stored.term_stack.shape == (16 * len(operator.terms), 16)
+            for stored in (from_dense, from_csr, from_builder):
+                assert stored.array.dtype == np.complex128
+                assert (stored.array != operator.array).nnz == 0
+            pairs = [(from_dense.array, from_csr.array)]
+            if operator.terms is not None:
+                pairs.append((from_dense.term_stack, from_csr.term_stack))
+                assert (from_builder.term_stack != operator.term_stack).nnz == 0
+            for a, b in pairs:
+                for part in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(a, part), getattr(b, part))
+
     def test_operator_holds_no_dense_arrays(self):
         ham = xl.build_spin_hamiltonian(xl.LatticeSpec.chain(4, 0.9, 0.4))
         assert sparse.issparse(ham.array) and all(sparse.issparse(term) for term in ham.terms)
@@ -939,25 +1007,37 @@ class TestSparseOperatorChecks:
         assert not any(isinstance(value, np.ndarray) for value in held)
 
     def test_sparse_hermiticity_enforced(self):
-        # an entry whose transposed partner is missing, and a wrong partner:
-        # refused as non-Hermitian given densely, and as sparse given as CSR
-        for bad in ([[0.0, 1e-9], [0.0, 0.0]], [[0.0, 1.0], [1.0 + 1e-9, 0.0]]):
+        # an entry whose transposed partner is missing, a wrong partner, a
+        # NaN and an inf on the diagonal: refused as non-Hermitian on the
+        # stored entries, given densely or as CSR
+        for bad in (
+            [[0.0, 1e-9], [0.0, 0.0]],
+            [[0.0, 1.0], [1.0 + 1e-9, 0.0]],
+            [[math.nan, 0.0], [0.0, 1.0]],
+            [[math.inf, 0.0], [0.0, 1.0]],
+        ):
             dense = np.array(bad, dtype=complex)
-            with pytest.raises(ValueError, match="Hermitian"):
-                xl.MatrixOperator(dense, 1)
-            with pytest.raises(TypeError, match="dense arrays"):
-                xl.MatrixOperator(sparse.csr_array(dense), 1)
+            for given in (dense, sparse.csr_array(dense)):
+                with pytest.raises(ValueError, match="Hermitian"):
+                    xl.MatrixOperator(given, 1)
         ham = xl.build_spin_hamiltonian(xl.LatticeSpec.complete(4, 0.8, 1.3))
-        assert xl.MatrixOperator(ham.matrix, 4).dim == 16
+        for given in (ham.matrix, ham.array):
+            assert xl.MatrixOperator(given, 4).dim == 16
 
     def test_sparse_input_refused(self):
+        # sparse input, accepted as test_every_operator_stores_csr shows,
+        # takes the dense input's checks: a wrong shape, a term stack in place
+        # of a sequence of terms, no terms, a mis-shaped term, and terms that
+        # do not resum
         ham = xl.build_spin_hamiltonian(xl.LatticeSpec.chain(4, 0.9, 0.4))
-        for matrix, terms in (
-            (ham.array, None),
-            (ham.matrix, ham.terms),
-            (ham.matrix, ham.term_stack),
+        for matrix, terms, message in (
+            (sparse.eye_array(8), None, "matrix shape"),
+            (ham.array, ham.term_stack, "terms must be"),
+            (ham.array, (), "terms must be"),
+            (ham.array, (*ham.terms, sparse.eye_array(8)), "terms must be"),
+            (ham.array, ham.terms[1:], "resum"),
         ):
-            with pytest.raises(TypeError, match="dense arrays"):
+            with pytest.raises(ValueError, match=message):
                 xl.MatrixOperator(matrix, 4, terms)
 
     @given(bond_lattices(), st.floats(-2.0, 2.0))

@@ -218,6 +218,22 @@ class TestMagnusTerms:
         with pytest.raises(ValueError, match="Magnus scalar beta must be finite, got inf"):
             mg.magnus_terms(cs.DriveSchedule("replace", ((1e300, 1e10),), 1.0), 1e300)
 
+    def test_selftest_closed_form_check_fails_on_a_wrong_c(self, monkeypatch):
+        # the selftest checks c on the single-site generators g_0 = -B_z s^z
+        # and f = -s^y, which do not commute, so a c of the wrong sign fails
+        def omega2_ok():
+            return {check["name"]: check["ok"] for check in oracles.magnus_suite()}["omega2-closed-form"]
+
+        assert omega2_ok()
+        magnus_terms = mg.magnus_terms
+
+        def flipped(schedule, t):
+            terms = magnus_terms(schedule, t)
+            return mg.MagnusTerms(terms.tau, terms.beta, -terms.c)
+
+        monkeypatch.setattr(mg, "magnus_terms", flipped)
+        assert not omega2_ok()
+
 
 class TestMagnusError:
     def test_zero_time(self):

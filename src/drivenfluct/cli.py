@@ -196,10 +196,13 @@ def _rotation(theta: float, b_z: float) -> cs.DriveSchedule:
 
 def _cmd_spin_sigma(args: argparse.Namespace) -> Result:
     sector = cs.SpinSector(args.n, args.stot, args.m)
+    _finite_flag("--by", args.by)
     # (abscissa, schedule, t_f) per row
     if args.mode == "replace":
         if not args.theta:
             raise ValueError("replace mode needs --theta values")
+        for theta in args.theta:
+            _finite_flag("--theta", theta)
         header = ["theta", "sigma", "mean"]
         runs = ((theta, _rotation(theta, args.bz), abs(theta)) for theta in args.theta)
     else:
@@ -207,7 +210,8 @@ def _cmd_spin_sigma(args: argparse.Namespace) -> Result:
             raise ValueError("augment mode needs --times values")
         for t_f in args.times:
             _finite_flag("--times", t_f)
-        _finite_flag("--by", args.by)
+            if t_f < 0.0:
+                raise ValueError(f"--times must be non-negative, got {t_f!r}")
         header = ["t", "sigma", "mean"]
         sched = cs.DriveSchedule("augment", ((max(max(args.times), 1e-12), args.by),), args.bz)
         runs = ((t_f, sched, t_f) for t_f in args.times)
@@ -688,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("bose-dual", help="hard-core boson duality check")
     p.add_argument("--n", type=int, default=6, help="max sites")
     p.add_argument("--sets", type=_count, default=10)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_count, default=7)
     p.set_defaults(func=_cmd_bose_dual)
 
     p = subparsers.add_parser("magnus-check", help="truncation error scaling")

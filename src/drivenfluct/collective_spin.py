@@ -29,7 +29,6 @@ __all__ = [
     "DriveSchedule",
     "EmpiricalDistribution",
     "UndefinedSpinError",
-    "UnsupportedScheduleError",
     "ScheduleRangeError",
     "DegenerateDistributionError",
     "InvalidSectorError",
@@ -54,10 +53,6 @@ class InvalidSectorError(ValueError):
 
 class UndefinedSpinError(ValueError):
     """Raised when a quantity needs m/S and the sector has S = 0."""
-
-
-class UnsupportedScheduleError(ValueError):
-    """Raised for drive protocols outside an operation's closed form."""
 
 
 class ScheduleRangeError(ValueError):
@@ -275,22 +270,26 @@ def _fluctuation_factor(sector: SpinSector) -> float:
 def _rotated_axis(schedule: DriveSchedule, t_f: float) -> tuple[float, float]:
     """(n_perp, n_z): the transverse and z parts of the image of z-hat under
     the drive up to t_f.  Replace mode turns it by theta about y, giving
-    (|sin theta|, cos theta); a one-segment augment drive precesses it by the
-    angle B t_f about (0, b_y, B_z)/B with B = hypot(b_y, B_z)."""
+    (|sin theta|, cos theta); each augment piece turns it by B dt about
+    k = (0, b_y, B_z)/B, B = hypot(b_y, B_z) (Rodrigues).  Every k lies in the
+    y-z plane, where x -> -x maps each turn to its inverse, so the turns'
+    order and sense leave n_perp and n_z unchanged."""
     if schedule.mode == "replace":
         theta = schedule.theta_at(t_f)
         return abs(math.sin(theta)), math.cos(theta)
-    if len(schedule.segments) != 1:
-        raise UnsupportedScheduleError("augment-mode closed form requires a single constant-b_y segment")
-    schedule.pieces(t_f)
-    b_y = schedule.segments[0][1]
-    b_total = math.hypot(b_y, schedule.b_z)
-    if b_total == 0.0:
-        return 0.0, 1.0
-    sin_phase, cos_phase = math.sin(b_total * t_f), math.cos(b_total * t_f)
-    tilt = schedule.b_z**2 / b_total**2
-    n_perp = (abs(b_y) / b_total) * math.sqrt(sin_phase**2 + tilt * (1.0 - cos_phase) ** 2)
-    return n_perp, cos_phase + tilt * (1.0 - cos_phase)
+    n_x, n_y, n_z = 0.0, 0.0, 1.0
+    for step, b_y in schedule.pieces(t_f):
+        b_total = math.hypot(b_y, schedule.b_z)
+        if b_total > 0.0:  # no field, no turn
+            k_y, k_z = b_y / b_total, schedule.b_z / b_total
+            cos, sin = math.cos(b_total * step), math.sin(b_total * step)
+            along = (k_y * n_y + k_z * n_z) * (1.0 - cos)  # (k . n)(1 - cos)
+            n_x, n_y, n_z = (
+                n_x * cos + (k_y * n_z - k_z * n_y) * sin,
+                n_y * cos + k_z * n_x * sin + k_y * along,
+                n_z * cos - k_y * n_x * sin + k_z * along,
+            )
+    return math.hypot(n_x, n_y), n_z
 
 
 def _sigma_prefactor(sector: SpinSector, schedule: DriveSchedule) -> float:

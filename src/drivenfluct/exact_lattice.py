@@ -247,9 +247,10 @@ class MatrixOperator:
     the spin Hamiltonian and its terms, complex for the transverse field.
     This constructor stores any other operator, dense or sparse, and
     ``terms``, a sequence of 2^N x 2^N matrices, as complex CSR, which must
-    be Hermitian, with terms that sum back to it, each within 1e-12 on the
-    stored entries (NaN and inf fail).  ``matrix`` is the dense form, a new
-    array of 8 * 4^N bytes (real) or 16 * 4^N bytes (complex) on each read.
+    be Hermitian, with Hermitian terms that sum back to it, each within
+    1e-12 on the stored entries (NaN and inf fail).  ``matrix`` is the dense
+    form, a new array of 8 * 4^N bytes (real) or 16 * 4^N bytes (complex) on
+    each read.
     A complex state meets a real operator or term stack through its complex
     copy, made on its first such product and kept, twice the bytes of the
     real entries.  Bond terms are split half-half between their two sites,
@@ -272,6 +273,10 @@ class MatrixOperator:
             gap = abs(sum(parts) - array).max()
             if not gap <= 1e-12:
                 raise ValueError(f"decomposition does not resum to operator ({gap:.3e})")
+            for index, part in enumerate(parts):
+                dev = abs(part - part.conj().T).max()
+                if not dev <= 1e-12:
+                    raise ValueError(f"term {index} not Hermitian within 1e-12 (max dev {dev:.3e})")
             term_stack = sparse.vstack(parts, format="csr")
         self.array = array
         self.term_stack = term_stack

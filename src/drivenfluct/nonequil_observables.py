@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 _LN10 = math.log(10.0)
+# the largest x at which e^x, and so math.expm1(x), is a finite float
+_LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 # Gaussian kernels are integrated over +-12 sigma; the excluded tail mass is
 # below 1e-32, far under the quadrature's tolerance (see kernel_average).
 _GAUSS_SPAN = 12.0
@@ -442,12 +444,19 @@ def spectral_weight(
 
 
 def planck_radiance(nu: float, temperature: float) -> float:
-    """Thermal occupancy 1/(e^(nu/T) - 1); the 2 h nu / c^3 prefactor is unity here."""
+    """Thermal occupancy 1/(e^(nu/T) - 1); the 2 h nu / c^3 prefactor is unity here.
+
+    Past nu/T = log(max float), where e^(nu/T) overflows, it is evaluated as
+    e^(-nu/T)/(1 - e^(-nu/T)), which underflows toward 0 instead.
+    """
     if not 0.0 < nu < math.inf:
         raise ValueError(f"frequency must be positive and finite, got {nu!r}")
     if not 0.0 < temperature < math.inf:
         raise KernelDomainError(f"temperature must be positive and finite, got {temperature!r}")
-    return 1.0 / math.expm1(nu / temperature)
+    x = nu / temperature
+    if x > _LOG_MAX_FLOAT:
+        return math.exp(-x) / -math.expm1(-x)
+    return 1.0 / math.expm1(x)
 
 
 def smeared_planck(

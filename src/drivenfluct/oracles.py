@@ -307,6 +307,9 @@ def magnus_suite() -> list[dict]:
     psi = xl.dicke_state(3, 0.5)
     expansion = mg.variance_expansion(psi, lat, magnus_schedule(0.05), 0.05)
     _check(checks, "eigenstate-first-bracket", abs(expansion.first_bracket) < 1e-12)
+    closed = cs.analytic_sigma(cs.SpinSector(3, 1.5, 0.5), magnus_schedule(0.05), 0.05) ** 2
+    gap = abs(expansion.exact - closed) / closed
+    _check(checks, "exact-closed-form", gap <= 1e-12, gap)
     [(_, rate, fd)] = rate_against_finite_difference(psi, lat, 1.0, [0.7])
     _check(checks, "rate-finite-difference", abs(rate - fd) <= 1e-6 * abs(fd), abs(rate - fd) / abs(fd))
     ham = xl.build_spin_hamiltonian(lat)

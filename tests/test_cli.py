@@ -128,7 +128,11 @@ class TestSpinCommands:
         data, meta = write_fixture(tmp_path, [("glassa", 0.085, 1000.0, 2.0, np.linspace(620.0, 1000.0, 14))])
         fit = ["viscosity-fit", "--data", str(data), "--meta", str(meta)]
         for k, (args, message) in enumerate((
-            (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--theta", "nan"], "duration must be finite, got nan"),
+            (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--theta", "nan"], "--theta must be finite, got nan"),
+            (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--theta", "1", "--by", "nan"],
+             "--by must be finite, got nan"),
+            (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--mode", "augment", "--times", "-1"],
+             "--times must be non-negative, got -1.0"),
             (["spin-sigma", "--n", "4", "--stot", "nan", "--m", "0"], "s_tot must be finite, got nan"),
             (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--mode", "augment", "--times", "0", "nan"],
              "--times must be finite, got nan"),
@@ -474,6 +478,7 @@ class TestCliBehavior:
             (["exact-check", "--thetas", "0"], "argument --thetas: expected a positive integer, got '0'"),
             (["smear-green", "--kernel", "delta:0", "--count", "0"], "argument --count: expected a positive integer, got '0'"),
             (["bose-dual", "--sets", "-3"], "argument --sets: expected"),
+            (["bose-dual", "--seed", "-1"], "argument --seed: expected a non-negative integer, got '-1'"),
             (["moment-compare", "--g-max", "-1"], "argument --g-max: expected"),
             (["moment-compare", "--g-max", "two"], "argument --g-max: expected a non-negative integer, got 'two'"),
             (["multiplicity", "--n", "-3"], "argument --n: expected a non-negative integer, got '-3'"),

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from drivenfluct import collective_spin as cs
+from drivenfluct import exact_lattice as xl
 from drivenfluct import ising_entangle as ie
 
 PI = math.pi
@@ -250,10 +251,32 @@ class TestAnalyticSigma:
             cs.SpinSector(4, 2, 0), sched, 1.0
         )
 
-    def test_augment_multi_segment_rejected(self):
+    def test_augment_multi_segment_matches_lattice(self):
+        # mid-way through the second segment, against the 2^N oracle evolved
+        # through the drive cut at t = 1.5
         sched = cs.DriveSchedule("augment", ((1.0, 1.0), (1.0, 0.5)), 1.0)
-        with pytest.raises(cs.UnsupportedScheduleError):
-            cs.analytic_sigma(cs.SpinSector(4, 2, 0), sched, 1.5)
+        lattice = xl.LatticeSpec.chain(4, 1.0, 1.0)
+        cut = cs.DriveSchedule("augment", tuple(sched.pieces(1.5)), 1.0)
+        state = xl.evolve_state(xl.dicke_state(4, 0), lattice, cut)[-1][1]
+        oracle = xl.energy_density_sigma(state, xl.build_spin_hamiltonian(lattice))
+        assert oracle > 0.1
+        assert abs(cs.analytic_sigma(cs.SpinSector(4, 2, 0), sched, 1.5) - oracle) < 1e-12
+
+    def test_augment_huge_field_is_finite(self):
+        # B = hypot(b_y, B_z) is never squared, so b_y = 1e300 does not
+        # overflow; the axis then turns about y by b_y t, as on the lattice
+        sector, sched = cs.SpinSector(4, 2, 1), cs.DriveSchedule("augment", ((1.0, 1e300),), 1.0)
+        lattice = xl.LatticeSpec.chain(4, 1.0, 1.0)
+        state = xl.evolve_state(xl.dicke_state(4, 1), lattice, sched)[-1][1]
+        ham = xl.build_spin_hamiltonian(lattice)
+        values = [
+            (cs.analytic_sigma(sector, sched, 1.0), xl.energy_density_sigma(state, ham)),
+            (cs.analytic_energy_mean(sector, sched, 1.0, -0.75), xl.expectation(state, ham) / 4),
+        ]
+        for closed, oracle in values:
+            assert math.isfinite(closed)
+            assert abs(closed - oracle) < 1e-12
+        assert math.isfinite(cs.central_moment(sector, sched, 1.0, 3, "exact"))
 
     def test_augment_zero_field_is_zero(self):
         sched = cs.DriveSchedule("augment", ((1.0, 0.0),), 0.0)
@@ -332,9 +355,16 @@ class TestCentralMoments:
         sector = cs.SpinSector(4, 2, 0)
         with pytest.raises(ValueError):
             cs.central_moment(sector, replace_schedule(1.0), 1.0, 0, "exact")
+
+    def test_augment_multi_segment_matches_lattice(self):
+        # g = 1 at the end of both segments: the lattice variance per site^2
+        sector = cs.SpinSector(4, 2, 0)
         aug = cs.DriveSchedule("augment", ((1.0, 1.0), (1.0, 0.5)), 1.0)
-        with pytest.raises(cs.UnsupportedScheduleError):
-            cs.central_moment(sector, aug, 1.0, 1, "exact")
+        lattice = xl.LatticeSpec.chain(4, 1.0, 1.0)
+        state = xl.evolve_state(xl.dicke_state(4, 0), lattice, aug)[-1][1]
+        oracle = xl.variance(state, xl.build_spin_hamiltonian(lattice)) / 16
+        assert oracle > 0.01
+        assert abs(cs.central_moment(sector, aug, 2.0, 1, "exact") - oracle) < 1e-12
 
 
 class TestCharacteristic:

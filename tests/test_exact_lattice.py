@@ -295,7 +295,8 @@ class TestEvolution:
 class TestCollectiveSpinOracle:
     """``central_moment("exact")`` and ``analytic_energy_mean`` against the
     2^N lattice: ||(H - mu)^g psi||^2 / N^(2g) and <H>/N in every Dicke
-    sector, after a 4-segment replace drive and single-segment augment drives."""
+    sector, after a 4-segment replace drive and single-segment augment drives,
+    and along multi-segment augment drives on random chains and graphs."""
 
     @staticmethod
     def lattice_moments(state, ham, g_max):
@@ -332,6 +333,36 @@ class TestCollectiveSpinOracle:
                 for got, want in pairs:
                     worst = max(worst, abs(got - want) / abs(want))
         assert worst < 1e-12
+
+    @pytest.mark.parametrize("kind", ["chain", "graph"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_multi_segment_augment_matches_lattice(self, kind, n):
+        # a seeded random chain, or graph with each pair a bond at even odds,
+        # driven by 2-5 augment segments: at every boundary of every Dicke
+        # sector, sigma through sigma_sweep, the mean with e_symm = -sum J / 4
+        # and the exact moments g = 2, 3 from powers of H on the lattice state
+        rng = np.random.default_rng([29, n, kind == "chain"])
+        if kind == "chain":
+            pairs = [(i, i + 1) for i in range(n - 1)]
+        else:
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        bonds = tuple((i, j, float(rng.uniform(-1.5, 1.5))) for i, j in pairs)
+        lattice = xl.LatticeSpec(n, bonds, float(rng.uniform(-1.5, 1.5)))
+        count = int(rng.integers(2, 6))
+        segments = zip(rng.uniform(0.1, 0.8, count).tolist(), rng.uniform(-1.5, 1.5, count).tolist())
+        schedule = cs.DriveSchedule("augment", tuple(segments), lattice.b_z)
+        rows = oracles.sigma_sweep(lattice, schedule)
+        assert len(rows) == (n + 1) * count
+        assert max(abs(oracle - analytic) for _, _, oracle, analytic in rows) < 1e-12
+        ham = xl.build_spin_hamiltonian(lattice, with_decomposition=False)
+        e_symm = -0.25 * math.fsum(j for _, _, j in bonds)
+        for m in np.arange(n + 1) - n / 2:
+            sector = cs.SpinSector(n, n / 2, m)
+            for t, state in xl.evolve_state(xl.dicke_state(n, m), lattice, schedule)[1:]:
+                mu, moments = self.lattice_moments(state, ham, 3)
+                assert abs(mu / n - cs.analytic_energy_mean(sector, schedule, t, e_symm)) < 1e-12
+                for g in (2, 3):
+                    assert abs(moments[g - 1] / n ** (2 * g) - cs.central_moment(sector, schedule, t, g, "exact")) < 1e-12
 
 
 class TestGeneralSpinSectorOracle:
@@ -1023,6 +1054,17 @@ class TestSparseOperatorChecks:
         ham = xl.build_spin_hamiltonian(xl.LatticeSpec.complete(4, 0.8, 1.3))
         for given in (ham.matrix, ham.array):
             assert xl.MatrixOperator(given, 4).dim == 16
+
+    def test_each_term_hermitian(self):
+        # terms that resum to the Hermitian zero operator but are not
+        # Hermitian themselves, for which connected_pair_correlators would
+        # report a nonzero G: refused given densely or as CSR (a NaN term
+        # fails the resum check first)
+        a, b = np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([0.0, 1e-9j])
+        for terms, index in (([a, -a], 0), ([np.zeros((2, 2)), b, -b], 1)):
+            for given in (terms, [sparse.csr_array(term) for term in terms]):
+                with pytest.raises(ValueError, match=f"term {index} not Hermitian"):
+                    xl.MatrixOperator(np.zeros((2, 2)), 1, given)
 
     def test_sparse_input_refused(self):
         # sparse input, accepted as test_every_operator_stores_csr shows,

@@ -309,6 +309,17 @@ class TestSmearedPlanck:
         with pytest.raises(no.KernelDomainError):
             no.smeared_planck(1.0, no.EmpiricalKernel(points=((-0.1, 0.5), (1.0, 0.5))))
 
+    def test_far_tail_underflows_instead_of_overflowing(self):
+        # past nu/T = log(max float) e^(nu/T) overflows; the occupancy there
+        # is e^(-nu/T), subnormal, then 0
+        for x in (709.79, 720.0, 745.0, 800.0):
+            assert no.planck_radiance(x, 1.0) == math.exp(-x)
+        assert no.planck_radiance(800.0, 1.0) == 0.0
+        # the kernel reaches T = 0.4, nu/T = 1750; the occupancy rises with T
+        # and the kernel ends at T = 1.6
+        smeared = no.smeared_planck(700.0, no.GaussianKernel(1.0, 0.05))
+        assert 0.0 < smeared < no.planck_radiance(700.0, 1.6)
+
 
 class TestMomentCompare:
     def test_second_order_agreement(self):

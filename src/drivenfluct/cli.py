@@ -175,11 +175,13 @@ def _run_selftest(args: argparse.Namespace, subcommand: str) -> int:
 Result = tuple[dict[str, object], bool, list[Path]]
 
 
-def _finite_flag(flag: str, value: float, positive: bool = False) -> None:
-    """Refuse a float flag that is not finite (with ``positive``, not positive
-    and finite) by its name, before it reaches a grid or a drive duration."""
-    if not (0.0 if positive else -math.inf) < value < math.inf:
-        raise ValueError(f"{flag} must be {'positive and ' if positive else ''}finite, got {value!r}")
+def _finite_flags(args: argparse.Namespace) -> None:
+    """Refuse the first float flag, or float item of a list flag, that is not
+    finite, by its name, before any handler runs."""
+    for dest, value in vars(args).items():
+        for item in value if isinstance(value, list) else (value,):
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ValueError(f"--{dest.replace('_', '-')} must be finite, got {item!r}")
 
 
 def _sites_flag(flag: str, value: int, minimum: int = 1) -> None:
@@ -196,20 +198,12 @@ def _rotation(theta: float, b_z: float) -> cs.DriveSchedule:
 
 def _cmd_spin_sigma(args: argparse.Namespace) -> Result:
     sector = cs.SpinSector(args.n, args.stot, args.m)
-    _finite_flag("--by", args.by)
-    # (abscissa, schedule, t_f) per row
-    if args.mode == "replace":
-        if not args.theta:
-            raise ValueError("replace mode needs --theta values")
-        for theta in args.theta:
-            _finite_flag("--theta", theta)
+    # (abscissa, schedule, t_f) per row: --theta drives replace mode, --times augment mode
+    if args.theta is not None:
         header = ["theta", "sigma", "mean"]
         runs = ((theta, _rotation(theta, args.bz), abs(theta)) for theta in args.theta)
     else:
-        if not args.times:
-            raise ValueError("augment mode needs --times values")
         for t_f in args.times:
-            _finite_flag("--times", t_f)
             if t_f < 0.0:
                 raise ValueError(f"--times must be non-negative, got {t_f!r}")
         header = ["t", "sigma", "mean"]
@@ -300,10 +294,10 @@ def _cmd_bose_dual(args: argparse.Namespace) -> Result:
 def _cmd_magnus_check(args: argparse.Namespace) -> Result:
     if args.count < 2:
         raise ValueError(f"--count must be at least 2 to fit a slope, got {args.count}")
-    # checked before the time grid is built: np.geomspace warns on an
-    # infinite end and refuses a zero one
-    _finite_flag("--t-min", args.t_min, positive=True)
-    _finite_flag("--t-max", args.t_max, positive=True)
+    # checked before the time grid is built: np.geomspace refuses a zero end
+    for flag, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
+        if not value > 0.0:
+            raise ValueError(f"{flag} must be positive, got {value!r}")
     _sites_flag("--n", args.n)
     if args.bz == 0.0:
         raise ValueError("--bz must be nonzero: with no longitudinal field every segment commutes, so there is no truncation error to fit")
@@ -330,7 +324,8 @@ def _cmd_magnus_check(args: argparse.Namespace) -> Result:
 
 
 def _cmd_variance_rate(args: argparse.Namespace) -> Result:
-    _finite_flag("--by", args.by, positive=True)  # it divides every angle into a duration
+    if not args.by > 0.0:  # it divides every angle into a duration
+        raise ValueError(f"--by must be positive, got {args.by!r}")
     _sites_flag("--n", args.n)
     lat = xl.LatticeSpec.chain(args.n, args.j, args.bz)
     m = (0.0 if args.n % 2 == 0 else 0.5) if args.m is None else args.m
@@ -351,8 +346,6 @@ def _cmd_variance_rate(args: argparse.Namespace) -> Result:
 
 
 def _cmd_bounds_check(args: argparse.Namespace) -> Result:
-    _finite_flag("--theta", args.theta)
-    _finite_flag("--by", args.by)
     _sites_flag("--n", args.n)
     lat = xl.LatticeSpec.chain(args.n, args.j, args.bz)
     sched = cs.DriveSchedule("replace", ((max(abs(args.theta), 1e-12), args.by),), args.bz)
@@ -562,9 +555,6 @@ def _cmd_collapse(args: argparse.Namespace) -> Result:
 
 def _cmd_smear_green(args: argparse.Namespace) -> Result:
     kernel = _parse_kernel(args.kernel)
-    # checked before the grid is built: np.linspace warns on an infinite end
-    _finite_flag("--omega-min", args.omega_min)
-    _finite_flag("--omega-max", args.omega_max)
     grid = np.linspace(args.omega_min, args.omega_max, args.count)
     result = no.smeared_green(grid, args.eps_k, kernel, args.z, args.tau)
     rows = [
@@ -666,9 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--bz", type=float, default=1.0)
     p.add_argument("--by", type=float, default=1.0)
-    p.add_argument("--mode", choices=["replace", "augment"], default="replace")
-    p.add_argument("--theta", type=float, nargs="*", help="rotation angles (replace mode)")
-    p.add_argument("--times", type=float, nargs="*", help="drive times (augment mode)")
+    drive = p.add_mutually_exclusive_group(required=True)
+    drive.add_argument("--theta", type=float, nargs="+", help="rotation angles (replace mode)")
+    drive.add_argument("--times", type=float, nargs="+", help="times in one augment segment of field --by")
     p.add_argument("--e-symm", dest="e_symm", type=float, default=0.0)
     p.set_defaults(func=_cmd_spin_sigma)
 
@@ -819,6 +809,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     args = _main_parser().parse_args(argv)
     try:
+        _finite_flags(args)
         artifacts, ok, input_paths = args.func(args)
         _emit(args, args.subcommand, artifacts, input_paths)
     except (ValueError, ArithmeticError, OSError) as exc:

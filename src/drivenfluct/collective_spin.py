@@ -172,6 +172,9 @@ class DriveSchedule:
             if not duration > 0.0:
                 raise ValueError("segment durations must be strictly positive")
             _require_finite(b_y, f"segment {index} b_y")
+            # the angle every route turns the spins by: cos and sin of an infinite one fail
+            turn = (math.hypot(b_y, self.b_z) if self.mode == "augment" else b_y) * duration
+            _require_finite(turn, f"segment {index} turn angle")
 
     @cached_property
     def total_duration(self) -> float:
@@ -184,13 +187,14 @@ class DriveSchedule:
         if not -1e-12 <= t <= self.total_duration + 1e-9:
             raise ScheduleRangeError(f"t = {t} outside schedule span [0, {self.total_duration}]")
         out = []
-        remaining = t
+        start = 0.0
         for duration, b_y in self.segments:
-            step = min(duration, remaining)
-            if step <= 0.0:
+            if t <= start:
                 break
-            out.append((step, b_y))
-            remaining -= step
+            # the running sum of boundary_times, so each boundary cuts exactly there
+            end = start + duration
+            out.append((duration, b_y) if t >= end else (t - start, b_y))
+            start = end
         return out
 
     def theta_at(self, t: float) -> float:

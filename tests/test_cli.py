@@ -1,5 +1,6 @@
 """CLI surface: artifacts, manifests, ingestion, determinism, exit codes."""
 
+import argparse
 import csv
 import importlib.util
 import json
@@ -18,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from drivenfluct import cli
+from drivenfluct import ising_entangle as ie
 from drivenfluct import nonequil_observables as no
 from drivenfluct import oracles
 
@@ -124,55 +126,54 @@ class TestSpinCommands:
         assert read_csv(tmp_path / f"{stem}.csv") == []
 
     def test_spin_sigma_rejects_nan_by_name(self, tmp_path, capsys):
-        bond = "coupling of bond (0, 1) must be finite, got nan"
         data, meta = write_fixture(tmp_path, [("glassa", 0.085, 1000.0, 2.0, np.linspace(620.0, 1000.0, 14))])
         fit = ["viscosity-fit", "--data", str(data), "--meta", str(meta)]
         for k, (args, message) in enumerate((
             (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--theta", "nan"], "--theta must be finite, got nan"),
             (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--theta", "1", "--by", "nan"],
              "--by must be finite, got nan"),
-            (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--mode", "augment", "--times", "-1"],
+            (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--times", "-1"],
              "--times must be non-negative, got -1.0"),
-            (["spin-sigma", "--n", "4", "--stot", "nan", "--m", "0"], "s_tot must be finite, got nan"),
-            (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--mode", "augment", "--times", "0", "nan"],
+            (["spin-sigma", "--n", "4", "--stot", "nan", "--m", "0", "--theta", "1"], "--stot must be finite, got nan"),
+            (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--times", "0", "nan"],
              "--times must be finite, got nan"),
-            (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--mode", "augment", "--times", "inf", "1"],
+            (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--times", "inf", "1"],
              "--times must be finite, got inf"),
-            (["spin-dist", "--n", "4", "--stot", "2", "--m", "inf", "--theta", "1"], "m must be finite, got inf"),
-            (["dicke-entropy", "--n", "4", "--m", "nan"], "m must be finite, got nan"),
-            (["bounds-check", "--m", "nan"], "m must be finite, got nan"),
-            (["variance-rate", "--m", "inf"], "m must be finite, got inf"),
-            (["bounds-check", "--j", "nan"], bond),
-            (["magnus-check", "--j", "nan"], bond),
-            (["magnus-check", "--t-max", "inf"], "--t-max must be positive and finite, got inf"),
-            (["magnus-check", "--t-min", "0"], "--t-min must be positive and finite, got 0.0"),
+            (["spin-dist", "--n", "4", "--stot", "2", "--m", "inf", "--theta", "1"], "--m must be finite, got inf"),
+            (["dicke-entropy", "--n", "4", "--m", "nan"], "--m must be finite, got nan"),
+            (["bounds-check", "--m", "nan"], "--m must be finite, got nan"),
+            (["variance-rate", "--m", "inf"], "--m must be finite, got inf"),
+            (["bounds-check", "--j", "nan"], "--j must be finite, got nan"),
+            (["magnus-check", "--j", "nan"], "--j must be finite, got nan"),
+            (["magnus-check", "--t-max", "inf"], "--t-max must be finite, got inf"),
+            (["magnus-check", "--t-min", "0"], "--t-min must be positive, got 0.0"),
             (["magnus-check", "--bz", "0"], "--bz must be nonzero: with no longitudinal field every segment commutes"),
-            (["variance-rate", "--by", "nan"], "--by must be positive and finite, got nan"),
-            (["variance-rate", "--by", "0"], "--by must be positive and finite, got 0.0"),
-            (["variance-rate", "--by", "inf"], "--by must be positive and finite, got inf"),
+            (["variance-rate", "--by", "nan"], "--by must be finite, got nan"),
+            (["variance-rate", "--by", "0"], "--by must be positive, got 0.0"),
+            (["variance-rate", "--by", "inf"], "--by must be finite, got inf"),
             (["bounds-check", "--theta", "nan"], "--theta must be finite, got nan"),
             (["bounds-check", "--by", "nan"], "--by must be finite, got nan"),
-            (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--mode", "augment", "--by", "inf", "--times", "1"],
+            (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--by", "inf", "--times", "1"],
              "--by must be finite, got inf"),
-            (["variance-rate", "--bz", "inf"], "b_z must be finite, got inf"),
-            (["exact-check", "--j", "nan"], bond),
-            (fit + ["--abar-hi", "inf"], "abar bounds must satisfy 0 < lo < hi < inf, got lo = 0.001, hi = inf"),
+            (["variance-rate", "--bz", "inf"], "--bz must be finite, got inf"),
+            (["exact-check", "--j", "nan"], "--j must be finite, got nan"),
+            (fit + ["--abar-hi", "inf"], "--abar-hi must be finite, got inf"),
             (["ising-corr", "--length", "6", "--walls", "2", "--j", "nan", "--distances", "1"],
-             "coupling must be positive and finite, got nan"),
+             "--j must be finite, got nan"),
             (["ising-corr", "--length", "6", "--walls", "2", "--j", "inf", "--distances", "1"],
-             "coupling must be positive and finite, got inf"),
+             "--j must be finite, got inf"),
             (["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--theta", "1", "--e-symm", "nan"],
-             "e_symm must be finite, got nan"),
+             "--e-symm must be finite, got nan"),
             (["spin-dist", "--n", "4", "--stot", "2", "--m", "0", "--theta", "1", "--e-symm", "nan"],
-             "e_symm must be finite, got nan"),
+             "--e-symm must be finite, got nan"),
             (["spin-dist", "--n", "4", "--stot", "2", "--m", "0", "--theta", "1", "--bz", "nan"],
-             "b_z must be finite, got nan"),
-            (["spin-dist", "--n", "4", "--stot", "2", "--m", "0", "--theta", "nan"], "theta must be finite, got nan"),
-            (["smear-planck", "--nu", "nan", "--kernel", "delta:1.0"], "frequency must be positive and finite, got nan"),
+             "--bz must be finite, got nan"),
+            (["spin-dist", "--n", "4", "--stot", "2", "--m", "0", "--theta", "nan"], "--theta must be finite, got nan"),
+            (["smear-planck", "--nu", "nan", "--kernel", "delta:1.0"], "--nu must be finite, got nan"),
             (["smear-planck", "--nu", "1", "--kernel", "delta:1.0", "--ptei-weight", "0.5", "--ptei-temperature", "nan"],
-             "ptei contribution needs a positive, finite ptei_temperature, got nan"),
-            (["smear-green", "--kernel", "delta:0.0", "--tau", "nan"], "lifetime must be positive and finite, got nan"),
-            (["smear-green", "--kernel", "delta:0.0", "--eps-k", "nan"], "eps_k must be finite, got nan"),
+             "--ptei-temperature must be finite, got nan"),
+            (["smear-green", "--kernel", "delta:0.0", "--tau", "nan"], "--tau must be finite, got nan"),
+            (["smear-green", "--kernel", "delta:0.0", "--eps-k", "nan"], "--eps-k must be finite, got nan"),
             (["smear-green", "--kernel", "delta:0.0", "--omega-max", "inf"], "--omega-max must be finite, got inf"),
         )):
             with warnings.catch_warnings(record=True) as caught:
@@ -182,6 +183,13 @@ class TestSpinCommands:
             assert message in err
             assert "RuntimeWarning" not in err
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_overflowing_turn_refused_by_the_schedule(self, tmp_path, capsys):
+        # each field is finite, but the turn angle hypot(b_y, B_z) t is not
+        args = ["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", "--by", "1.5e308", "--bz", "1.5e308", "--times", "1"]
+        assert run_cli(args, tmp_path / "out") == 1
+        assert "segment 0 turn angle must be finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_site_flags_refused_by_name(self, tmp_path, capsys):
         # each is refused before any lattice is built, so a refused
@@ -213,7 +221,7 @@ class TestSpinCommands:
         assert float(rows[1]["arcsine"]) == 1.5
         assert float(rows[1]["gaussian"]) == 3.0
         assert run_cli(["moment-compare", "--sigma", "nan"], tmp_path) == 1
-        assert "sigma must be positive and finite, got nan" in capsys.readouterr().err
+        assert "--sigma must be finite, got nan" in capsys.readouterr().err
         assert run_cli(["moment-compare", "--g-max", "200"], tmp_path / "big") == 1
         # at sigma = 1 the moment (2g - 1)!! first leaves the float range at g = 151
         assert "g = 151: the Gaussian moment overflows a float" in capsys.readouterr().err
@@ -279,6 +287,27 @@ class TestPhysicsCommands:
         assert run_cli(["multiplicity", "--n", "4"], tmp_path) == 0
         rows = read_csv(tmp_path / "multiplicity.csv")
         assert [row["exact"] for row in rows] == ["1", "3", "2"]
+
+    def test_multiplicity_log_table(self, tmp_path):
+        assert run_cli(["multiplicity", "--n", "10", "--log"], tmp_path) == 0
+        rows = read_csv(tmp_path / "multiplicity.csv")
+        assert [float(row["s"]) for row in rows] == [5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
+        for row in rows:
+            s = float(row["s"])
+            k = 5 - int(s)  # C(N, k) - C(N, k - 1) states of total spin N/2 - k
+            assert float(row["exact"]) == math.log(math.comb(10, k) - (math.comb(10, k - 1) if k else 0))
+            if s > 0:
+                assert float(row["gaussian"]) == ie.spin_multiplicity_log(10, s, "gaussian")
+            else:
+                assert row["gaussian"] == ""
+
+    def test_smear_planck_si(self, tmp_path):
+        # nu in Hz, T in K, exact SI constants: 2 h nu / c^3 / expm1(h nu / k_B T)
+        h, k_b, c = 6.62607015e-34, 1.380649e-23, 299792458.0
+        assert run_cli(["smear-planck", "--nu", "1e12", "--kernel", "delta:300", "--si"], tmp_path) == 0
+        (row,) = read_csv(tmp_path / "smear_planck.csv")
+        expected = 2.0 * h * 1e12 / c**3 / math.expm1(h * 1e12 / (k_b * 300.0))
+        assert float(row["radiance_si"]) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_smear_green(self, tmp_path):
         assert run_cli(
@@ -468,6 +497,68 @@ class TestIngest:
             cli.ingest(data, meta)
 
 
+# argv that each subcommand with a float flag runs on, exit 0; spin-sigma's
+# drive is added where the flag under test is not itself the drive
+VALID_ARGV = {
+    "spin-sigma": ["--n", "4", "--stot", "2", "--m", "0"],
+    "spin-dist": ["--n", "4", "--stot", "2", "--m", "0", "--theta", "1"],
+    "exact-check": ["--n-max", "3", "--thetas", "2"],
+    "magnus-check": ["--count", "2"],
+    "variance-rate": ["--count", "2"],
+    "bounds-check": [],
+    "rate-threshold": ["--temperature", "1", "--cv-total", "1", "--cv-subsystem", "1"],
+    "ising-corr": ["--length", "6", "--walls", "2", "--distances", "1"],
+    "dicke-entropy": ["--n", "4"],
+    "smear-green": ["--kernel", "delta:0.0", "--count", "3"],
+    "smear-planck": ["--nu", "1", "--kernel", "delta:1.0"],
+    "moment-compare": [],
+}
+
+
+def float_flags():
+    """(subcommand, option) of every float flag in the parser, list flags included."""
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (name, next(opt for opt in action.option_strings if opt.startswith("--")))
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.type is float
+    ]
+
+
+class TestFiniteFlags:
+    def test_every_float_flag_refuses_non_finite_by_name(self, tmp_path, capsys):
+        data, meta = write_fixture(tmp_path, [("glassa", 0.085, 1000.0, 2.0, np.linspace(620.0, 1000.0, 14))])
+        valid = dict(VALID_ARGV, **{sub: ["--data", str(data), "--meta", str(meta)] for sub in ("viscosity-fit", "collapse")})
+        pairs = float_flags()
+        assert len(pairs) == 45
+        for sub in sorted({sub for sub, _ in pairs}):
+            drive = ["--theta", "1"] if sub == "spin-sigma" else []
+            assert run_cli([sub, *valid[sub], *drive], tmp_path / "valid" / sub) == 0, sub
+        # an inert flag is refused too: smear-planck --ptei-temperature at zero weight
+        cases = [(sub, flag, bad) for sub, flag in pairs for bad in ("nan", "inf", "1e999")]
+        for k, (sub, flag, bad) in enumerate(cases):
+            drive = ["--theta", "1"] if sub == "spin-sigma" and flag not in ("--theta", "--times") else []
+            out = tmp_path / str(k)
+            assert run_cli([sub, *valid[sub], *drive, flag, bad], out) == 1, (sub, flag, bad)
+            assert f"{flag} must be finite, got {float(bad)!r}" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("drive, message", [
+        (["--theta", "1", "--times", "nan"], "argument --times: not allowed with argument --theta"),
+        (["--times", "1", "--theta", "1"], "argument --theta: not allowed with argument --times"),
+        ([], "one of the arguments --theta --times is required"),
+        (["--theta"], "argument --theta: expected at least one argument"),
+        (["--times"], "argument --times: expected at least one argument"),
+    ])
+    def test_spin_sigma_takes_exactly_one_drive(self, tmp_path, capsys, drive, message):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["spin-sigma", "--n", "4", "--stot", "2", "--m", "0", *drive], tmp_path / "out")
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestCliBehavior:
     def test_usage_error_exit_2(self, tmp_path, capsys):
         cases = [
@@ -587,8 +678,10 @@ class TestCliBehavior:
     def test_kept_parser_carries_no_flags_over(self, tmp_path, capsys):
         base = ["spin-sigma", "--n", "4", "--stot", "2", "--m", "0"]
         assert run_cli([*base, "--theta", "1.0"], tmp_path / "a") == 0
-        assert run_cli(base, tmp_path / "b") == 1
-        assert "replace mode needs --theta values" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            run_cli(base, tmp_path / "b")
+        assert err.value.code == 2
+        assert "one of the arguments --theta --times is required" in capsys.readouterr().err
 
     def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
         # a fresh interpreter: importing the CLI constructs no parser at all

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, seed
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
@@ -220,6 +220,32 @@ class TestDrivePieces:
         for step, b_y in pieces:
             theta += b_y * step
         assert sched.theta_at(t) == theta
+
+
+    @seed(2017)
+    @given(
+        st.sampled_from(["replace", "augment"]),
+        st.lists(st.tuples(st.floats(0.05, 0.5), st.floats(-3.0, 3.0)), min_size=1, max_size=20),
+        st.floats(-3.0, 3.0),
+    )
+    def test_boundaries_cut_whole_segments(self, mode, segments, b_z):
+        # pieces and boundary_times read one running sum, so the drive up to
+        # boundary k is exactly its first k segments: no sliver of segment k,
+        # no ulp cut from segment k - 1
+        sched = cs.DriveSchedule(mode, tuple(segments), b_z)
+        for k, t in enumerate(sched.boundary_times()):
+            assert sched.pieces(t) == list(sched.segments[:k])
+
+
+class TestTurnAngle:
+    @pytest.mark.parametrize("mode, segment, b_z", [
+        ("augment", (1.0, 1.5e308), 1.5e308),  # each field finite, hypot(b_y, B_z) not
+        ("augment", (1e10, 1e300), 1.0),
+        ("replace", (2.0, 1e308), 1.0),
+    ])
+    def test_overflowing_turn_angle_rejected_by_segment(self, mode, segment, b_z):
+        with pytest.raises(ValueError, match="segment 1 turn angle must be finite, got inf"):
+            cs.DriveSchedule(mode, ((1.0, 1.0), segment), b_z)
 
 
 class TestAnalyticSigma:
@@ -471,6 +497,12 @@ class TestEigenweights:
         dist = cs.eigenweight_distribution(cs.SpinSector(6, 3, 1), 0.0)
         weights = {v: w for v, w in dist.points}
         assert max(weights.values()) == pytest.approx(1.0, abs=1e-14)
+
+    def test_singlet_is_one_atom(self):
+        # S = 0 has one ladder state, which no rotation moves: weight 1 at e_symm/N
+        for theta in (0.0, 0.7, 3.0):
+            dist = cs.eigenweight_distribution(cs.SpinSector(4, 0, 0), theta, b_z=1.3, e_symm=-0.75)
+            assert dist.points == ((-0.75 / 4, 1.0),)
 
     def test_half_spin_quarter_rotation(self):
         dist = cs.eigenweight_distribution(cs.SpinSector(1, 0.5, 0.5), PI / 2)

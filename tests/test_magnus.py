@@ -215,8 +215,10 @@ class TestMagnusTerms:
             fields = {"tau": 1.0, "beta": 0.5, "c": 0.1, name: math.nan}
             with pytest.raises(ValueError, match=f"Magnus scalar {name} must be finite, got nan"):
                 mg.MagnusTerms(**fields)
-        with pytest.raises(ValueError, match="Magnus scalar beta must be finite, got inf"):
-            mg.magnus_terms(cs.DriveSchedule("replace", ((1e300, 1e10),), 1.0), 1e300)
+        # every turn angle is finite (the schedule refuses one that is not), but
+        # the second segment's pair term 1e200 * 2e200 is not
+        with pytest.raises(ValueError, match="Magnus scalar c must be finite, got -inf"):
+            mg.magnus_terms(cs.DriveSchedule("augment", ((1e200, 1.0), (1e200, -1.0)), 1.0), 2e200)
 
     def test_selftest_closed_form_check_fails_on_a_wrong_c(self, monkeypatch):
         # the selftest checks c on the single-site generators g_0 = -B_z s^z

@@ -167,6 +167,7 @@ class DriveSchedule:
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
         _require_finite(self.b_z, "b_z")
+        total_turn = total_duration = 0.0
         for index, (duration, b_y) in enumerate(self.segments):
             _require_finite(duration, f"segment {index} duration")
             if not duration > 0.0:
@@ -175,6 +176,12 @@ class DriveSchedule:
             # the angle every route turns the spins by: cos and sin of an infinite one fail
             turn = (math.hypot(b_y, self.b_z) if self.mode == "augment" else b_y) * duration
             _require_finite(turn, f"segment {index} turn angle")
+            total_turn += abs(turn)
+            total_duration += duration
+        # the running sums of theta_at and boundary_times stay below these;
+        # a plain sum, since fsum raises OverflowError where one overflows
+        _require_finite(total_turn, f"the {self.mode} drive's total turn angle")
+        _require_finite(total_duration, f"the {self.mode} drive's total duration")
 
     @cached_property
     def total_duration(self) -> float:

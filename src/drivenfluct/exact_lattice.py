@@ -4,10 +4,10 @@ Everything here is built on the full product basis (bit i of a basis index is
 site i, bit value 1 = spin up): the point is an exact reference for the
 closed forms in :mod:`collective_spin`, not a production simulator, hence the
 cap at 14 sites.  Includes the hard-core-boson dual obtained from the spin
-algebra (boson number = up-spin indicator), whose spectrum must coincide with
-the spin Hamiltonian's; it conserves the boson number, so it is written one
-real number-sector block at a time straight from the occupation bits of the
-basis index, with no per-site or per-bond matrices.
+algebra (boson number = up-spin indicator), written as one real CSR array
+straight from the occupation bits of the basis index, with no per-site or
+per-bond matrices; it must equal the spin Hamiltonian entry for entry,
+which gives the same spectrum and number sectors without an eigensystem.
 
 Matrix-free routes (memory O(N 2^N) for a chain): operators and their
 local-term decompositions are written from bit operations straight into
@@ -41,13 +41,12 @@ whole array, and keeps them with the trajectory.
 ``magnus.magnus_error`` works on the single-site turns alone.  Each
 eigenvector of E lies in one sector, so the same eigensystem gives the
 spectrum of the whole spin Hamiltonian E - B_z S^z_tot:
-``eigenbasis_distribution`` (one atom per eigenvector) and the spin side
-of ``bose_dual`` read it there.  The only dense routes
-(8 * 4^N bytes per 2^N x 2^N real array, 16 * 4^N per complex one,
-4.3 GB at N = 14) are ``MatrixOperator.matrix`` and ``propagator``.  Each
-counts every dense array it holds at once, at its dtype's size, and
-raises :class:`SizeLimitError` before allocating more than the machine's
-physical memory, as ``bose_dual`` does for its largest number-sector block.
+``eigenbasis_distribution`` (one atom per eigenvector) reads it there.
+The only dense routes (8 * 4^N bytes per 2^N x 2^N real array, 16 * 4^N
+per complex one, 4.3 GB at N = 14) are ``MatrixOperator.matrix`` and
+``propagator``.  Each counts every dense array it holds at once, at its
+dtype's size, and raises :class:`SizeLimitError` before allocating more
+than the machine's physical memory.
 
 The arithmetic follows the dtype of the input.  The spin Hamiltonian and
 its terms are stored as real (float64) CSR, the transverse field as
@@ -888,23 +887,21 @@ def _pair_correlators(state: QuantumState, operator: MatrixOperator, total_varia
 
 
 def _spin_spectrum(lattice: LatticeSpec, amplitudes: np.ndarray | None = None) -> tuple:
-    """Eigenvalues of H = E - B_z S^z_tot from the cached exchange eigensystem,
-    their up-spin counts, and, given amplitudes, their weights: an eigenvector
-    of E in sector k has energy eps - B_z (k - N/2), its flipped image
-    eps - B_z (N/2 - k)."""
+    """Eigenvalues of H = E - B_z S^z_tot from the cached exchange eigensystem
+    and, given amplitudes, their weights: an eigenvector of E in sector k has
+    energy eps - B_z (k - N/2), its flipped image eps - B_z (N/2 - k)."""
     n = lattice.n_sites
     order, _, blocks, _ = _segment_eigensystem(n, lattice.couplings)
-    values, counts, weights = [], [], []
+    values, weights = [], []
     for lo, hi, ups, eigvals, eigvecs in blocks:
         # one column per sector: k, then N - k where the group pairs them
         sectors = np.column_stack([ups, n - ups])[:, : (hi - lo) // ups.size]
         values.append((eigvals[:, None] - lattice.b_z * (sectors - 0.5 * n)).ravel())
-        counts.append(sectors.ravel())
         if amplitudes is not None:
             # complex amplitudes as their real and imaginary parts
             part = amplitudes[order[lo:hi]].view(float).reshape(eigvals.size, -1)
             weights.append((np.abs((eigvecs.T @ part).view(amplitudes.dtype)) ** 2).ravel())
-    return np.concatenate(values), np.concatenate(counts), (np.concatenate(weights) if weights else None)
+    return np.concatenate(values), (np.concatenate(weights) if weights else None)
 
 
 def eigenbasis_distribution(state: QuantumState, lattice: LatticeSpec) -> EmpiricalDistribution:
@@ -914,7 +911,7 @@ def eigenbasis_distribution(state: QuantumState, lattice: LatticeSpec) -> Empiri
     laws by a distance continuous in the values, such as Wasserstein-1."""
     if state.n_sites != lattice.n_sites:
         raise ValueError("state and lattice site counts differ")
-    values, _, weights = _spin_spectrum(lattice, state.amplitudes)
+    values, weights = _spin_spectrum(lattice, state.amplitudes)
     return EmpiricalDistribution(
         points=tuple(zip((values / lattice.n_sites).tolist(), (weights / math.fsum(weights)).tolist()))
     )
@@ -924,16 +921,13 @@ def eigenbasis_distribution(state: QuantumState, lattice: LatticeSpec) -> Empiri
 class BoseDualReport:
     """Equivalence evidence for the hard-core-boson dual of the spin model."""
 
-    spectrum_max_delta: float
-    spectra_match: bool
+    entry_max_delta: float
+    entries_match: bool
     doping_matches_transverse: bool
-    number_maps_to_magnetization: bool
 
 
-def _bose_dual_blocks(lattice: LatticeSpec):
-    """Yield (states, block) per boson number k = 0..N: the basis indices
-    with k occupied sites, ascending, and the real C(N,k) x C(N,k) block of
-    the dual on them, which conserves the boson number.
+def _bose_dual_array(lattice: LatticeSpec) -> sparse.csr_array:
+    """The dual as one real 2^N x 2^N CSR array on the product basis.
 
     Written from the occupation bits n_i of the basis index: the number
     terms collect on the diagonal, and each bond hops the boson across
@@ -956,15 +950,9 @@ def _bose_dual_blocks(lattice: LatticeSpec):
     first, second = bonds[:, :2].T.astype(int)
     bond, src = np.nonzero(occupied[first] != occupied[second])
     dst = src ^ ((1 << first) | (1 << second))[bond]
-    count = np.bitwise_count(idx)
-    position = np.empty_like(idx)
-    for k in range(n + 1):
-        states = np.flatnonzero(count == k)
-        position[states] = np.arange(states.size)
-        block = np.diag(diagonal[states])
-        run = count[src] == k
-        block[position[dst[run]], position[src[run]]] = -0.5 * bonds[bond[run], 2]
-        yield states, block
+    values = np.concatenate([diagonal, -0.5 * bonds[bond, 2]])
+    rows, cols = np.concatenate([idx, dst]), np.concatenate([idx, src])
+    return sparse.csr_array((values, (rows, cols)), shape=(lattice.dim, lattice.dim))
 
 
 def bose_dual(lattice: LatticeSpec) -> BoseDualReport:
@@ -974,24 +962,20 @@ def bose_dual(lattice: LatticeSpec) -> BoseDualReport:
         -(J/2)(b_i^dag b_j + h.c.) - J n_i n_j + (J/2)(n_i + n_j) - J/4
     plus -B_z sum n_i + B_z N/2.  The c-number pieces keep the full spectrum
     identical to the spin Hamiltonian's, not merely equal up to a shift.
-    Its spectrum, one ``eigvalsh`` per block of ``_bose_dual_blocks``, is
-    checked against the spin spectrum read from the cached sector
-    eigensystem of the exchange, as a whole and per boson number k against
-    the sector with k up spins; the doping (i/2) sum_i (b_i^dag - b_i)
-    (with n_i = S_i^z + 1/2 the raising operator is b^dag, which fixes the
-    sign) against the CSR entries of the unit transverse drive.  One block
-    is held at a time, at most 8 C(N, N/2)^2 bytes (94 MB at 14 sites).
+    With n_i the up bit of site i, ``_bose_dual_array`` is the spin
+    Hamiltonian's CSR entry for entry, so equal entries give equal spectra,
+    and boson number k maps to the sector with k up spins, since neither
+    joins two of them; no eigensystem is taken.  The doping
+    (i/2) sum_i (b_i^dag - b_i) (with n_i = S_i^z + 1/2 the raising operator
+    is b^dag, which fixes the sign) is checked against the CSR entries of
+    the unit transverse drive.
     """
-    n = lattice.n_sites
-    size = math.comb(n, n // 2)
-    _require_memory(8 * size**2, f"bose_dual on {n} sites (a {size} x {size} number-sector block)")
-    values, ups, _ = _spin_spectrum(lattice)
-    dual = np.concatenate([np.linalg.eigvalsh(block) for _, block in _bose_dual_blocks(lattice)])
-    spec_gap = float(np.max(np.abs(np.sort(dual) - np.sort(values))))
-    # boson number k = S^z_tot + N/2: block k, ascending, is the spin sector with k up spins
-    number_gap = np.max(np.abs(dual - values[np.lexsort((values, ups))]))
+    spin = build_spin_hamiltonian(lattice, with_decomposition=False).array
+    # 0.0 where the difference stores no entry
+    entry_gap = float(abs(_bose_dual_array(lattice) - spin).max())
     # b_i^dag on the columns where site i is empty, -b_i where it is
     # occupied: the drive stores each of these entries and nothing else
+    n = lattice.n_sites
     idx = np.arange(lattice.dim)
     occupied = _site_bits(n)
     cols = np.tile(idx, n)
@@ -1000,8 +984,7 @@ def bose_dual(lattice: LatticeSpec) -> BoseDualReport:
     doping_gap = np.max(np.abs(transverse[rows, cols] - 0.5j * (1 - 2 * occupied.ravel())))
     doping_ok = bool(transverse.nnz == cols.size and doping_gap <= 1e-12)
     return BoseDualReport(
-        spectrum_max_delta=spec_gap,
-        spectra_match=spec_gap <= 1e-10,
+        entry_max_delta=entry_gap,
+        entries_match=entry_gap <= 1e-10,
         doping_matches_transverse=doping_ok,
-        number_maps_to_magnetization=bool(number_gap <= 1e-10),
     )

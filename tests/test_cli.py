@@ -302,11 +302,13 @@ class TestPhysicsCommands:
                 assert row["gaussian"] == ""
 
     def test_smear_planck_si(self, tmp_path):
-        # nu in Hz, T in K, exact SI constants: 2 h nu / c^3 / expm1(h nu / k_B T)
+        # nu in Hz, T in K, exact SI constants: Planck's spectral radiance
+        # 2 h nu^3 / c^2 / expm1(h nu / k_B T), 8.499e-14 W m^-2 Hz^-1 sr^-1
         h, k_b, c = 6.62607015e-34, 1.380649e-23, 299792458.0
         assert run_cli(["smear-planck", "--nu", "1e12", "--kernel", "delta:300", "--si"], tmp_path) == 0
         (row,) = read_csv(tmp_path / "smear_planck.csv")
-        expected = 2.0 * h * 1e12 / c**3 / math.expm1(h * 1e12 / (k_b * 300.0))
+        expected = 2.0 * h * 1e12**3 / c**2 / math.expm1(h * 1e12 / (k_b * 300.0))
+        assert expected == pytest.approx(8.499e-14, rel=1e-4)
         assert float(row["radiance_si"]) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_smear_green(self, tmp_path):

@@ -247,6 +247,17 @@ class TestTurnAngle:
         with pytest.raises(ValueError, match="segment 1 turn angle must be finite, got inf"):
             cs.DriveSchedule(mode, ((1.0, 1.0), segment), b_z)
 
+    @pytest.mark.parametrize("segments, total", [
+        # each turn finite, their sum not: theta_at(2.0) would read inf
+        (((1.0, 1e308), (1.0, 1e308)), "total turn angle"),
+        (((1.0, 1e308), (1.0, -1e308)), "total turn angle"),
+        # each duration finite, the drive's end not
+        (((1e308, 1e-10), (1e308, 1e-10)), "total duration"),
+    ])
+    def test_overflowing_drive_total_rejected(self, segments, total):
+        with pytest.raises(ValueError, match=f"the replace drive's {total} must be finite, got inf"):
+            cs.DriveSchedule("replace", segments, 1.0)
+
 
 class TestAnalyticSigma:
     def test_identity_rotation(self):

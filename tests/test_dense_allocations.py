@@ -1,7 +1,8 @@
 """Where ``src/`` may build dense 2^N x 2^N arrays: an operator, always CSR,
 is made dense only in ``MatrixOperator.matrix``, which no module in ``src/``
 reads, and the dense-memory guard is called only from there and from
-``propagator``, the two dense routes."""
+``propagator``, the two dense routes.  The memory guard itself guards only
+those and the exchange eigensystem."""
 
 import ast
 from pathlib import Path
@@ -39,6 +40,14 @@ def test_dense_memory_guard_only_on_the_dense_routes():
     assert calls_by_function("_require_dense_memory") == {
         "exact_lattice.py:MatrixOperator.matrix",
         "exact_lattice.py:propagator",
+    }
+
+
+def test_memory_guard_only_on_dense_arrays_and_the_exchange_eigensystem():
+    # the boson dual is compared entry by entry, with no dense block to guard
+    assert calls_by_function("_require_memory") == {
+        "exact_lattice.py:_require_dense_memory",
+        "exact_lattice.py:_segment_eigensystem",
     }
 
 

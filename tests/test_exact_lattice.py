@@ -469,10 +469,9 @@ class TestEigenbasisDistribution:
 class TestBoseDual:
     def test_two_site_chain(self):
         report = xl.bose_dual(xl.LatticeSpec(2, ((0, 1, 1.0),), 1.0))
-        assert report.spectra_match
-        assert report.spectrum_max_delta < 1e-10
+        assert report.entries_match
+        assert report.entry_max_delta < 1e-10
         assert report.doping_matches_transverse
-        assert report.number_maps_to_magnetization
 
     @staticmethod
     def _per_term_reference(lattice):
@@ -500,9 +499,9 @@ class TestBoseDual:
         return total
 
     def test_matrix_pinned_to_per_term_construction(self):
-        # the reference keeps the boson number, and each number-sector block
-        # equals it entry for entry on its states, so a change of basis or
-        # of rounding shows even where the spectra still agree
+        # the reference keeps the boson number, and the dual equals it entry
+        # for entry, so a change of basis or of rounding shows even where the
+        # spectra still agree
         rng = np.random.default_rng(2024)
         lattices = [
             xl.LatticeSpec(3, (), 0.8),
@@ -519,32 +518,30 @@ class TestBoseDual:
             reference = self._per_term_reference(lattice)
             count = np.bitwise_count(np.arange(lattice.dim))
             assert not np.any(reference[count[:, None] != count])
-            blocks = list(xl._bose_dual_blocks(lattice))
-            assert np.array_equal(np.sort(np.concatenate([states for states, _ in blocks])), np.arange(lattice.dim))
-            for states, block in blocks:
-                assert np.array_equal(block, reference[np.ix_(states, states)])
+            assert np.array_equal(xl._bose_dual_array(lattice).toarray(), reference)
 
     def test_number_gate_catches_bosons_on_down_spins(self, monkeypatch):
-        # with n_i read off the down spins, block k holds the spectrum of the
-        # spin sector with N - k up spins: the whole spectrum still matches
-        blocks, site_bits = xl._bose_dual_blocks, xl._site_bits
+        # with n_i read off the down spins, boson number k sits on the spin
+        # sector with N - k up spins: the whole spectrum still matches, the
+        # field's diagonal entries do not
+        dual_array, site_bits = xl._bose_dual_array, xl._site_bits
 
         def bosons_on_down_spins(lattice):
             with monkeypatch.context() as patch:
                 patch.setattr(xl, "_site_bits", lambda n: 1 - site_bits(n))
-                return list(blocks(lattice))
+                return dual_array(lattice)
 
         rng = np.random.default_rng(5)
         lattices = []
         for n in (3, 5, 7):
             bonds = tuple((i, j, float(rng.normal())) for i in range(n) for j in range(i + 1, n))
             lattices.append(xl.LatticeSpec(n, bonds, float(rng.uniform(0.5, 1.5))))
-        assert all(xl.bose_dual(lattice).number_maps_to_magnetization for lattice in lattices)
-        monkeypatch.setattr(xl, "_bose_dual_blocks", bosons_on_down_spins)
+        assert all(xl.bose_dual(lattice).entries_match for lattice in lattices)
+        monkeypatch.setattr(xl, "_bose_dual_array", bosons_on_down_spins)
         for lattice in lattices:
             report = xl.bose_dual(lattice)
-            assert report.spectra_match and report.doping_matches_transverse
-            assert not report.number_maps_to_magnetization
+            assert report.doping_matches_transverse
+            assert not report.entries_match
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_couplings(self, seed):
@@ -558,7 +555,8 @@ class TestBoseDual:
                 if rng.random() < 0.7
             )
             report = xl.bose_dual(xl.LatticeSpec(n, bonds, float(rng.normal())))
-            assert report.spectrum_max_delta < 1e-10
+            assert report.entries_match
+            assert report.entry_max_delta < 1e-10
 
     def test_doping_evolution_sigma(self):
         # doping drive on the boson side reproduces B_z |sin| sqrt(1 + 2/N - w^2)/(2 sqrt 2)
@@ -1144,12 +1142,6 @@ class TestDenseMemoryGuard:
                 (lambda: xl.propagator(lattice, augment, 0.4), 16, 3),
             ]
         ]
-        # the boson dual holds one real number-sector block at a time, the
-        # largest C(6, 3) = 20 rows square; its spin side reads the cached
-        # exchange eigensystem, which makes its own check
-        dual_lattice = xl.LatticeSpec.chain(6, 0.61, 1.37)
-        xl._segment_eigensystem(6, dual_lattice.couplings)
-        routes.append((lambda: xl.bose_dual(dual_lattice), 8 * 20**2, r"\(a 20 x 20 number-sector block\)"))
         return routes
 
     def test_dense_routes_refuse_before_allocating(self, monkeypatch):
@@ -1170,17 +1162,16 @@ class TestDenseMemoryGuard:
             monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: needed)
             dense_route()
 
-    def test_cli_names_the_bytes_of_a_refused_route(self, monkeypatch, tmp_path, capsys):
+    def test_cli_runs_sparse_routes_at_the_cap(self, monkeypatch, tmp_path, capsys):
         from drivenfluct import cli
 
-        # the Magnus routes hold no dense array: with 1000 bytes of memory
-        # magnus-check still runs at 14 sites, while bose-dual names the
-        # bytes of the largest number-sector block of the dual
+        # the Magnus routes and the boson dual hold no dense array: with
+        # 1000 bytes of memory both still run at 14 sites
         monkeypatch.setattr(xl, "_physical_memory_bytes", lambda: 1000)
         assert cli.main(["magnus-check", "--n", "14", "--outdir", str(tmp_path / "magnus")]) == 0
         assert "wrote magnus_check.json" in capsys.readouterr().out
-        assert cli.main(["bose-dual", "--n", "14", "--outdir", str(tmp_path)]) == 1
-        assert f"bose_dual on 14 sites (a 3432 x 3432 number-sector block) needs {8 * 3432**2} bytes" in capsys.readouterr().err
+        assert cli.main(["bose-dual", "--n", "14", "--outdir", str(tmp_path / "dual")]) == 0
+        assert "wrote bose_dual.json" in capsys.readouterr().out
 
     def test_matrix_free_routes_need_no_dense_memory(self, tiny_memory):
         lattice = xl.LatticeSpec.chain(3, 0.61, 1.37)

@@ -218,9 +218,8 @@ def _cmd_spin_sigma(args: argparse.Namespace) -> Result:
 
 def _cmd_spin_dist(args: argparse.Namespace) -> Result:
     sector = cs.SpinSector(args.n, args.stot, args.m)
-    dist = cs.eigenweight_distribution(sector, args.theta, b_z=args.bz, e_symm=args.e_symm)
-    sched = _rotation(args.theta, args.bz)
-    t_f = abs(args.theta)
+    sched, t_f = _rotation(args.theta, args.bz), abs(args.theta)
+    dist = cs.eigenweight_distribution(sector, sched, t_f, args.e_symm)
     sigma = cs.analytic_sigma(sector, sched, t_f)
     mean = cs.analytic_energy_mean(sector, sched, t_f, args.e_symm)
     summary = {
@@ -309,7 +308,7 @@ def _cmd_magnus_check(args: argparse.Namespace) -> Result:
     psi = xl.dicke_state(args.n, 0.0 if args.n % 2 == 0 else 0.5)
     series = {}
     for t in (0.02, 0.05, 0.1):
-        expansion = mg.variance_expansion(psi, lat, oracles.magnus_schedule(t), t)
+        expansion = mg.variance_expansion(psi, lat, oracles.magnus_schedule(t, lat.b_z), t)
         series[_fmt(t)] = {label: value for label, value in expansion.series()}
     artifacts = {
         "magnus_error.csv": (["t", "error"], list(zip(times, errors))),

@@ -14,6 +14,7 @@ are energies, and densities are per lattice site.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -178,7 +179,7 @@ class DriveSchedule:
             _require_finite(turn, f"segment {index} turn angle")
             total_turn += abs(turn)
             total_duration += duration
-        # the running sums of theta_at and boundary_times stay below these;
+        # the running sums of _rotated_axes and boundary_times stay below these;
         # a plain sum, since fsum raises OverflowError where one overflows
         _require_finite(total_turn, f"the {self.mode} drive's total turn angle")
         _require_finite(total_duration, f"the {self.mode} drive's total duration")
@@ -203,13 +204,6 @@ class DriveSchedule:
             out.append((duration, b_y) if t >= end else (t - start, b_y))
             start = end
         return out
-
-    def theta_at(self, t: float) -> float:
-        """Accumulated rotation angle integral of b_y up to time t (exact sum)."""
-        theta = 0.0
-        for step, b_y in self.pieces(t):
-            theta += b_y * step
-        return theta
 
     def boundary_times(self) -> list[float]:
         times = [0.0]
@@ -273,23 +267,20 @@ class EmpiricalDistribution:
         }
 
 
-def _fluctuation_factor(sector: SpinSector) -> float:
-    # sqrt(1 + 1/S - w^2); exact for all S, not only asymptotically
-    return math.sqrt(max(1.0 + 1.0 / sector.s_tot - sector.w**2, 0.0))
-
-
-def _rotated_axis(schedule: DriveSchedule, t_f: float) -> tuple[float, float]:
-    """(n_perp, n_z): the transverse and z parts of the image of z-hat under
-    the drive up to t_f.  Replace mode turns it by theta about y, giving
-    (|sin theta|, cos theta); each augment piece turns it by B dt about
-    k = (0, b_y, B_z)/B, B = hypot(b_y, B_z) (Rodrigues).  Every k lies in the
-    y-z plane, where x -> -x maps each turn to its inverse, so the turns'
-    order and sense leave n_perp and n_z unchanged."""
+def _rotated_axes(schedule: DriveSchedule, steps) -> list[tuple[float, float]]:
+    """Row k: (n_perp, n_z), the transverse and z parts of the image of z-hat
+    after the first k (step, b_y) of ``steps``, from one accumulation; row 0
+    is z-hat.  Replace mode turns it by the running sum theta of b_y step
+    about y: (|sin theta|, cos theta).  Each augment step turns it by B step
+    about k = (0, b_y, B_z)/B, B = hypot(b_y, B_z) (Rodrigues).  Every k lies
+    in the y-z plane, where x -> -x maps each turn to its inverse, so the
+    turns' order and sense leave n_perp and n_z unchanged."""
+    axes = [(0.0, 1.0)]
     if schedule.mode == "replace":
-        theta = schedule.theta_at(t_f)
-        return abs(math.sin(theta)), math.cos(theta)
+        thetas = itertools.accumulate(b_y * step for step, b_y in steps)
+        return axes + [(abs(math.sin(theta)), math.cos(theta)) for theta in thetas]
     n_x, n_y, n_z = 0.0, 0.0, 1.0
-    for step, b_y in schedule.pieces(t_f):
+    for step, b_y in steps:
         b_total = math.hypot(b_y, schedule.b_z)
         if b_total > 0.0:  # no field, no turn
             k_y, k_z = b_y / b_total, schedule.b_z / b_total
@@ -300,18 +291,24 @@ def _rotated_axis(schedule: DriveSchedule, t_f: float) -> tuple[float, float]:
                 n_y * cos + k_z * n_x * sin + k_y * along,
                 n_z * cos - k_y * n_x * sin + k_z * along,
             )
-    return math.hypot(n_x, n_y), n_z
+        axes.append((math.hypot(n_x, n_y), n_z))
+    return axes
+
+
+def _rotated_axis(schedule: DriveSchedule, t_f: float) -> tuple[float, float]:
+    """(n_perp, n_z) at t_f: the last row of ``_rotated_axes`` over ``pieces(t_f)``."""
+    return _rotated_axes(schedule, schedule.pieces(t_f))[-1]
 
 
 def _sigma_prefactor(sector: SpinSector, schedule: DriveSchedule) -> float:
-    """|B_z| S sqrt(1 + 1/S - w^2) / (N sqrt(2)): ``analytic_sigma`` over n_perp."""
+    """|B_z| S sqrt(1 + 1/S - w^2) / (N sqrt(2)), exact for all S: ``analytic_sigma`` over n_perp."""
     if sector.s_tot == 0:
         raise UndefinedSpinError("sigma needs w = m/s_tot; s_tot = 0 sector rejected")
     return (
         abs(schedule.b_z)
         * sector.s_tot
         / (sector.n_sites * math.sqrt(2.0))
-        * _fluctuation_factor(sector)
+        * math.sqrt(max(1.0 + 1.0 / sector.s_tot - sector.w**2, 0.0))
     )
 
 
@@ -444,19 +441,18 @@ def wigner_d_column(s_tot: float, m: float, theta: float) -> np.ndarray:
 
 
 def eigenweight_distribution(
-    sector: SpinSector,
-    theta: float,
-    b_z: float = 1.0,
-    e_symm: float = 0.0,
+    sector: SpinSector, schedule: DriveSchedule, t_f: float, e_symm: float = 0.0
 ) -> EmpiricalDistribution:
-    """Exact weights |d^S_{m',m}(theta)|^2 on energies (e_symm - B_z m')/N."""
-    for value, name in ((theta, "theta"), (b_z, "b_z"), (e_symm, "e_symm")):
-        _require_finite(value, name)
-    column = wigner_d_column(sector.s_tot, sector.m, theta)
+    """Exact weights |d^S_{m',m}(beta)|^2 on energies (e_symm - B_z m')/N after
+    driving to time t_f, with beta = atan2(n_perp, n_z) the polar angle of the
+    rotated z axis: a rotation that takes z-hat there is R_z R_y(beta) R_z,
+    and its turns about z change only the phases of the amplitudes."""
+    _require_finite(e_symm, "e_symm")
+    column = wigner_d_column(sector.s_tot, sector.m, math.atan2(*_rotated_axis(schedule, t_f)))
     weights = column**2
     weights = weights / weights.sum()
     m_values = np.arange(sector.dim, dtype=float) - sector.s_tot
-    energies = (e_symm - b_z * m_values) / sector.n_sites
+    energies = (e_symm - schedule.b_z * m_values) / sector.n_sites
     merged: dict[float, float] = {}
     for value, weight in zip(energies.tolist(), weights.tolist()):
         merged[value] = merged.get(value, 0.0) + weight

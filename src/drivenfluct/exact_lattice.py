@@ -643,6 +643,14 @@ def _accumulated_turns(steps, mode: str, b_z: float) -> np.ndarray:
     return _su2(products)
 
 
+def _drive_field(lattice: LatticeSpec, schedule: DriveSchedule) -> float:
+    """The lattice's B_z, by which a lattice route turns the spins, once the
+    drive, whose B_z the closed forms read, is checked to carry the same."""
+    if schedule.b_z != lattice.b_z:
+        raise ValueError(f"schedule b_z = {schedule.b_z!r} differs from lattice b_z = {lattice.b_z!r}")
+    return lattice.b_z
+
+
 @lru_cache(maxsize=8)
 def _drive_turns(segments: tuple, mode: str, b_z: float) -> tuple[np.ndarray, np.ndarray]:
     """Rows 1 .. K of ``_accumulated_turns``, one turn U_k per boundary, and
@@ -743,7 +751,7 @@ def evolve_state(
     if state.n_sites != lattice.n_sites:
         raise ValueError("state and lattice site counts differ")
     times = schedule.boundary_times()[1:]
-    turns, pairs = _drive_turns(schedule.segments, schedule.mode, lattice.b_z)
+    turns, pairs = _drive_turns(schedule.segments, schedule.mode, _drive_field(lattice, schedule))
     states = _turn_every_site(state.amplitudes, lattice.n_sites, turns, pairs)
     if schedule.mode == "augment":
         exchange = _segment_eigensystem(lattice.n_sites, lattice.couplings)
@@ -788,11 +796,11 @@ def propagator(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> np.nd
     augment mode followed by exp(-i E t) of the exchange, which commutes
     with them all.
     """
-    steps = schedule.pieces(t)
+    b_z, steps = _drive_field(lattice, schedule), schedule.pieces(t)
     replace = schedule.mode == "replace"
     # augment mode also holds the exchange's gathered copy and its result
     _require_dense_memory(lattice.n_sites, 8 if replace else 16, 1 if replace else 3, "propagator")
-    unitary = _kron_power(_accumulated_turns(steps, schedule.mode, lattice.b_z)[-1], lattice.n_sites)
+    unitary = _kron_power(_accumulated_turns(steps, schedule.mode, b_z)[-1], lattice.n_sites)
     if replace:
         return unitary
     exchange = _segment_eigensystem(lattice.n_sites, lattice.couplings)

@@ -40,6 +40,7 @@ from .exact_lattice import (
     QuantumState,
     _accumulated_turns,
     _applied_variance,
+    _drive_field,
     _pair_turns,
     _turn_every_site,
     _valid_csr,
@@ -101,15 +102,14 @@ def magnus_error(lattice: LatticeSpec, schedule: DriveSchedule, t: float) -> flo
     and b = (n_y + i n_x) sin(|n|/2)/|n|.  Two such turns differ by
     ||V - W||_F = sqrt(2 (|a_V - a_W|^2 + |b_V - b_W|^2)).
     """
-    if t == 0.0:
-        return 0.0
+    b_z = _drive_field(lattice, schedule)
     terms = magnus_terms(schedule, t)
-    n_x, n_y, n_z = -terms.c * lattice.b_z, terms.beta, terms.tau * lattice.b_z
+    n_x, n_y, n_z = -terms.c * b_z, terms.beta, terms.tau * b_z
     length = math.hypot(n_x, n_y, n_z)
     # sin(|n|/2) / |n|, continued to 1/2 at n = 0
     s = math.sin(0.5 * length) / length if length > 0.0 else 0.5
     a_v, b_v = complex(math.cos(0.5 * length), -s * n_z), complex(s * n_y, s * n_x)
-    w = _accumulated_turns(schedule.pieces(t), schedule.mode, lattice.b_z)[-1]
+    w = _accumulated_turns(schedule.pieces(t), schedule.mode, b_z)[-1]
     half_angle = math.asin(min(1.0, 0.5 * math.hypot(abs(a_v - complex(w[0, 0])), abs(b_v - complex(w[1, 0])))))
     return max(2.0 * abs(math.sin(m * half_angle)) for m in range(lattice.n_sites, 0, -2))
 
@@ -185,7 +185,7 @@ def variance_expansion(
     stacked, dim = _stacked_generators(lattice), lattice.dim
     n_sq = float(lattice.n_sites) ** 2
     psi = state.amplitudes
-    turn = _accumulated_turns(schedule.pieces(t), schedule.mode, lattice.b_z)[-1:]
+    turn = _accumulated_turns(schedule.pieces(t), schedule.mode, _drive_field(lattice, schedule))[-1:]
     final = _turn_every_site(psi, lattice.n_sites, turn, _pair_turns(turn))[0]
     # two products with [H_0; F], on psi and the final state and then on
     # H_0 psi and F psi, each transposed so that a row is one vector's images

@@ -60,14 +60,14 @@ def sigma_sweep(
     returns one row (m, t, sigma_oracle, sigma_analytic) per segment
     boundary after t = 0, in sector order: ``energy_density_sigma`` of each
     state, whose trajectory gives its rows' variances from one product with
-    the Hamiltonian, and ``analytic_sigma`` from one rotated axis per
-    boundary, shared by the sectors.
+    the Hamiltonian, and ``analytic_sigma`` from the rotated axis at every
+    boundary, one accumulation along the drive shared by the sectors.
     """
     n = lattice.n_sites
     ham = xl.build_spin_hamiltonian(lattice, with_decomposition=False)
     if sectors is None:
         sectors = [-n / 2.0 + k for k in range(n + 1)]
-    axes = [cs._rotated_axis(schedule, t)[0] for t in schedule.boundary_times()[1:]]
+    axes = [n_perp for n_perp, _ in cs._rotated_axes(schedule, schedule.segments)[1:]]
     rows = []
     for m in sectors:
         prefactor = cs._sigma_prefactor(cs.SpinSector(n, n / 2.0, m), schedule)
@@ -77,16 +77,16 @@ def sigma_sweep(
     return rows
 
 
-def magnus_schedule(t: float) -> cs.DriveSchedule:
-    """The standard non-commuting two-segment augment drive of duration t."""
-    return cs.DriveSchedule("augment", ((t / 3.0, 1.0), (2.0 * t / 3.0, -0.5)), 1.0)
+def magnus_schedule(t: float, b_z: float) -> cs.DriveSchedule:
+    """The standard non-commuting two-segment augment drive of duration t, in the lattice's b_z."""
+    return cs.DriveSchedule("augment", ((t / 3.0, 1.0), (2.0 * t / 3.0, -0.5)), b_z)
 
 
 def magnus_slope(lattice: xl.LatticeSpec, times) -> tuple[list[float], float]:
-    """Magnus truncation error of ``magnus_schedule(t)`` at each time, and the
+    """Magnus truncation error of ``magnus_schedule(t, B_z)`` at each time, and the
     slope of log(error) against log(t) fitted through them (3 at second order).
     An error that is not positive is refused, naming its time."""
-    errors = [mg.magnus_error(lattice, magnus_schedule(float(t)), float(t)) for t in times]
+    errors = [mg.magnus_error(lattice, magnus_schedule(float(t), lattice.b_z), float(t)) for t in times]
     for t, error in zip(times, errors):
         # with B_z = 0, say, the segments commute and there is no error to fit
         if not error > 0.0:
@@ -178,23 +178,16 @@ def collective_suite() -> list[dict]:
         "sigma-identity-rotation",
         cs.analytic_sigma(sector, cs.DriveSchedule("replace", ((1.0, 0.0),), 1.0), 1.0) == 0.0,
     )
-    dist = cs.eigenweight_distribution(cs.SpinSector(1, 0.5, 0.5), math.pi / 2)
+    dist = cs.eigenweight_distribution(cs.SpinSector(1, 0.5, 0.5), sched, math.pi / 2)
     _check(
         checks,
         "half-spin-weights",
         max(abs(w - 0.5) for _, w in dist.points) < 1e-14,
     )
-    big = cs.eigenweight_distribution(cs.SpinSector(80, 40, 0), 1.0)
-    _check(
-        checks,
-        "eigenweight-mean-consistency",
-        abs(big.mean() - cs.analytic_energy_mean(cs.SpinSector(80, 40, 0), cs.DriveSchedule("replace", ((1.0, 1.0),), 1.0), 1.0)) < 1e-12,
-    )
-    _check(
-        checks,
-        "eigenweight-sigma-consistency",
-        abs(big.std() - cs.analytic_sigma(cs.SpinSector(80, 40, 0), cs.DriveSchedule("replace", ((1.0, 1.0),), 1.0), 1.0)) < 1e-10,
-    )
+    big_sector, drive = cs.SpinSector(80, 40, 0), cs.DriveSchedule("replace", ((1.0, 1.0),), 1.0)
+    big = cs.eigenweight_distribution(big_sector, drive, 1.0)
+    _check(checks, "eigenweight-mean-consistency", abs(big.mean() - cs.analytic_energy_mean(big_sector, drive, 1.0)) < 1e-12)
+    _check(checks, "eigenweight-sigma-consistency", abs(big.std() - cs.analytic_sigma(big_sector, drive, 1.0)) < 1e-10)
     _check(checks, "odd-moment-zero", abs(big.central_moment(3)) < 1e-12)
     _check(checks, "char-q0", cs.characteristic_value(0.0, 1.3) == 1.0)
     root = sp.bessel_j0_first_zero()
@@ -290,7 +283,7 @@ def magnus_suite() -> list[dict]:
     _check(checks, "commuting-error", mg.magnus_error(lat, commuting, 0.3) < 1e-12)
     _check(checks, "zero-time-error", mg.magnus_error(lat, commuting, 0.0) == 0.0)
     t = 0.2
-    sched = magnus_schedule(t)
+    sched = magnus_schedule(t, lat.b_z)
     # c [g_0, f] against the pairwise commutator of the two single-site
     # segment generators g_0 + b_k f, with g_0 = -B_z s^z and f = -s^y in
     # the basis order (down, up); [g_0, f] = -i B_z s^x is nonzero, so a
@@ -304,9 +297,9 @@ def magnus_suite() -> list[dict]:
     _, slope = magnus_slope(lat, np.geomspace(1e-3, 1e-1, 7))
     _check(checks, "error-slope-3", abs(slope - 3.0) < 0.2, slope)
     psi = xl.dicke_state(3, 0.5)
-    expansion = mg.variance_expansion(psi, lat, magnus_schedule(0.05), 0.05)
+    expansion = mg.variance_expansion(psi, lat, magnus_schedule(0.05, lat.b_z), 0.05)
     _check(checks, "eigenstate-first-bracket", abs(expansion.first_bracket) < 1e-12)
-    closed = cs.analytic_sigma(cs.SpinSector(3, 1.5, 0.5), magnus_schedule(0.05), 0.05) ** 2
+    closed = cs.analytic_sigma(cs.SpinSector(3, 1.5, 0.5), magnus_schedule(0.05, lat.b_z), 0.05) ** 2
     gap = abs(expansion.exact - closed) / closed
     _check(checks, "exact-closed-form", gap <= 1e-12, gap)
     [(_, rate, fd)] = rate_against_finite_difference(psi, lat, 1.0, [0.7])

@@ -61,7 +61,7 @@ def test_criterion_02_distribution_law():
     s_tot, theta = 1000, 1.0
     sector = cs.SpinSector(2 * s_tot, s_tot, 0)
     schedule = cs.DriveSchedule("replace", ((theta, 1.0),), 1.0)
-    distribution = cs.eigenweight_distribution(sector, theta)
+    distribution = cs.eigenweight_distribution(sector, schedule, theta)
     sigma = cs.analytic_sigma(sector, schedule, theta)
     mean = cs.analytic_energy_mean(sector, schedule, theta)
     ks = cs.ks_distance_to_arcsine(distribution, mean, sigma)
@@ -127,7 +127,7 @@ def test_criterion_05_magnus():
 
     psi = xl.dicke_state(3, 0.5)
     bracket = max(
-        abs(mg.variance_expansion(psi, lattice, oracles.magnus_schedule(t), t).first_bracket)
+        abs(mg.variance_expansion(psi, lattice, oracles.magnus_schedule(t, lattice.b_z), t).first_bracket)
         for t in (0.05, 0.2)
     )
 

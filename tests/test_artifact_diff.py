@@ -37,4 +37,6 @@ def test_same_readme_flags_nothing():
 
 def test_repository_readme_parses():
     examples, selftests = artifact_diff.readme_runs((SCRIPT.parent.parent / "README.md").read_text(encoding="utf-8"))
-    assert examples and len(selftests) == 16
+    assert len(selftests) == 16
+    # an example of every subcommand of the table, so that each one's artifacts are compared
+    assert sorted({argv[0] for argv in examples}) == sorted(name for name, _ in selftests)

@@ -156,9 +156,11 @@ class TestSpinSector:
 
 class TestDriveSchedule:
     def test_theta_accumulation(self):
+        # the replace axis turns by the running sum of b_y dt: 0.5, then 0.0
         sched = cs.DriveSchedule("replace", ((1.0, 0.5), (2.0, -0.25)), 1.0)
-        assert sched.theta_at(1.0) == pytest.approx(0.5)
-        assert sched.theta_at(3.0) == pytest.approx(0.0)
+        assert cs._rotated_axes(sched, sched.segments) == [(0.0, 1.0), (math.sin(0.5), math.cos(0.5)), (0.0, 1.0)]
+        assert cs._rotated_axis(sched, 1.0) == (math.sin(0.5), math.cos(0.5))
+        assert cs._rotated_axis(sched, 0.0) == (0.0, 1.0)
         assert sched.boundary_times() == [0.0, 1.0, 3.0]
 
     def test_rejects_bad_segments(self):
@@ -172,7 +174,9 @@ class TestDriveSchedule:
         sched = replace_schedule(1.0)
         for t in (2.0, -1e-9, math.nan):
             with pytest.raises(cs.ScheduleRangeError, match="outside schedule span"):
-                sched.theta_at(t)
+                sched.pieces(t)
+            with pytest.raises(cs.ScheduleRangeError, match="outside schedule span"):
+                cs.analytic_sigma(cs.SpinSector(4, 2, 0), sched, t)
 
 
 FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -216,10 +220,12 @@ class TestDrivePieces:
         assert [b_y for _, b_y in pieces] == [b_y for _, b_y in sched.segments[: len(pieces)]]
         assert all(step == duration for step, (duration, _) in zip(steps[:-1], sched.segments))
         assert math.fsum(steps) == pytest.approx(t, rel=1e-12, abs=0.0)
-        theta = 0.0
-        for step, b_y in pieces:
-            theta += b_y * step
-        assert sched.theta_at(t) == theta
+        if mode == "replace":
+            # the axis turns by the running sum of the pieces' angles
+            theta = 0.0
+            for step, b_y in pieces:
+                theta += b_y * step
+            assert cs._rotated_axis(sched, t) == (abs(math.sin(theta)), math.cos(theta))
 
 
     @seed(2017)
@@ -235,6 +241,9 @@ class TestDrivePieces:
         sched = cs.DriveSchedule(mode, tuple(segments), b_z)
         for k, t in enumerate(sched.boundary_times()):
             assert sched.pieces(t) == list(sched.segments[:k])
+        # so the one accumulation along the drive gives each boundary's axis bit for bit
+        axes = [cs._rotated_axis(sched, t) for t in sched.boundary_times()]
+        assert cs._rotated_axes(sched, sched.segments) == axes
 
 
 class TestTurnAngle:
@@ -248,7 +257,7 @@ class TestTurnAngle:
             cs.DriveSchedule(mode, ((1.0, 1.0), segment), b_z)
 
     @pytest.mark.parametrize("segments, total", [
-        # each turn finite, their sum not: theta_at(2.0) would read inf
+        # each turn finite, their sum not: the replace axis at 2.0 would turn by inf
         (((1.0, 1e308), (1.0, 1e308)), "total turn angle"),
         (((1.0, 1e308), (1.0, -1e308)), "total turn angle"),
         # each duration finite, the drive's end not
@@ -505,25 +514,36 @@ class TestWignerColumn:
 
 class TestEigenweights:
     def test_identity_rotation_point_mass(self):
-        dist = cs.eigenweight_distribution(cs.SpinSector(6, 3, 1), 0.0)
+        dist = cs.eigenweight_distribution(cs.SpinSector(6, 3, 1), replace_schedule(0.0), 0.0)
         weights = {v: w for v, w in dist.points}
         assert max(weights.values()) == pytest.approx(1.0, abs=1e-14)
 
     def test_singlet_is_one_atom(self):
         # S = 0 has one ladder state, which no rotation moves: weight 1 at e_symm/N
         for theta in (0.0, 0.7, 3.0):
-            dist = cs.eigenweight_distribution(cs.SpinSector(4, 0, 0), theta, b_z=1.3, e_symm=-0.75)
+            dist = cs.eigenweight_distribution(cs.SpinSector(4, 0, 0), replace_schedule(theta, 1.3), theta, -0.75)
             assert dist.points == ((-0.75 / 4, 1.0),)
 
+    @pytest.mark.parametrize("theta", [-2.5, -0.4, 0.9, 2.0, 4.0, 7.5])
+    def test_replace_angle_folds_into_polar_angle(self, theta):
+        # the law reads beta = atan2(|sin theta|, cos theta) in [0, pi], and
+        # d^S_{m'm}(theta)^2 is even and 2 pi periodic in theta
+        sector = cs.SpinSector(9, 4.5, 1.5)
+        dist = cs.eigenweight_distribution(sector, replace_schedule(theta, -0.8), abs(theta))
+        weights = cs.wigner_d_column(4.5, 1.5, theta) ** 2
+        energies = 0.8 * (np.arange(10) - 4.5) / 9
+        assert [v for v, _ in dist.points] == pytest.approx(energies.tolist(), abs=1e-15)
+        assert [w for _, w in dist.points] == pytest.approx(weights.tolist(), abs=1e-14)
+
     def test_half_spin_quarter_rotation(self):
-        dist = cs.eigenweight_distribution(cs.SpinSector(1, 0.5, 0.5), PI / 2)
+        dist = cs.eigenweight_distribution(cs.SpinSector(1, 0.5, 0.5), replace_schedule(PI / 2), PI / 2)
         assert [w for _, w in dist.points] == pytest.approx([0.5, 0.5], abs=1e-14)
 
     def test_mean_matches_analytic(self):
         sector = cs.SpinSector(14, 7, 2)
         theta = 0.9
-        dist = cs.eigenweight_distribution(sector, theta, b_z=1.3, e_symm=0.4)
         sched = cs.DriveSchedule("replace", ((theta, 1.0),), 1.3)
+        dist = cs.eigenweight_distribution(sector, sched, theta, 0.4)
         assert dist.mean() == pytest.approx(
             cs.analytic_energy_mean(sector, sched, theta, 0.4), abs=1e-12
         )
@@ -532,13 +552,13 @@ class TestEigenweights:
     def test_sigma_matches_analytic(self, s, m):
         sector = cs.SpinSector(2 * s, s, m)
         for theta in (0.3, 1.2, 2.8):
-            dist = cs.eigenweight_distribution(sector, theta)
             sched = replace_schedule(theta)
+            dist = cs.eigenweight_distribution(sector, sched, theta)
             assert abs(dist.std() - cs.analytic_sigma(sector, sched, theta)) < 1e-10
 
     def test_odd_moments_vanish_for_balanced_sector(self):
         # at m = 0 the weights are exactly symmetric about the mean
-        dist = cs.eigenweight_distribution(cs.SpinSector(60, 30, 0), 1.0)
+        dist = cs.eigenweight_distribution(cs.SpinSector(60, 30, 0), replace_schedule(1.0), 1.0)
         for order in (1, 3, 5):
             assert abs(dist.central_moment(order)) < 1e-12
 
@@ -547,7 +567,7 @@ class TestEigenweights:
         # cos^2/sin^2 weights is the extreme case); the skew dies ~ 1/S^2
         skews = []
         for s in (15, 60, 240):
-            dist = cs.eigenweight_distribution(cs.SpinSector(2 * s, s, s // 3), 1.0)
+            dist = cs.eigenweight_distribution(cs.SpinSector(2 * s, s, s // 3), replace_schedule(1.0), 1.0)
             skews.append(abs(dist.central_moment(3)) / dist.std() ** 3)
         assert skews[0] > 1e-4
         assert skews[2] < skews[1] < skews[0]
@@ -557,8 +577,8 @@ class TestEigenweights:
         distances = []
         for s in (20, 40, 80, 160):
             sector = cs.SpinSector(2 * s, s, 0)
-            dist = cs.eigenweight_distribution(sector, 1.0)
             sched = replace_schedule(1.0)
+            dist = cs.eigenweight_distribution(sector, sched, 1.0)
             sigma = cs.analytic_sigma(sector, sched, 1.0)
             mean = cs.analytic_energy_mean(sector, sched, 1.0)
             distances.append(cs.ks_distance_to_arcsine(dist, mean, sigma))
@@ -567,7 +587,7 @@ class TestEigenweights:
 
 class TestSerialization:
     def test_empirical_round_trip(self):
-        dist = cs.eigenweight_distribution(cs.SpinSector(4, 2, 1), 0.7)
+        dist = cs.eigenweight_distribution(cs.SpinSector(4, 2, 1), replace_schedule(0.7), 0.7)
         record = dist.to_json_dict()
         assert record["type"] == "empirical"
         back = cs.EmpiricalDistribution(points=tuple((p["value"], p["weight"]) for p in record["points"]))

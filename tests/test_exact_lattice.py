@@ -461,9 +461,64 @@ class TestEigenbasisDistribution:
         state = xl.evolve_state(xl.dicke_state(n, m), lat, replace_schedule(theta))[-1][1]
         oracle = xl.eigenbasis_distribution(state, lat)
         e_symm = -0.25 * sum(j for _, _, j in lat.couplings)
-        ladder = cs.eigenweight_distribution(cs.SpinSector(n, n / 2, m), theta, 1.0, e_symm)
+        ladder = cs.eigenweight_distribution(cs.SpinSector(n, n / 2, m), replace_schedule(theta), theta, e_symm)
         assert len(oracle.points) == 2**n
         assert w1(oracle.points, ladder.points) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["chain", "complete", "random"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_law_matches_lattice_along_augment_drives(self, kind, n):
+        # a seeded chain or complete graph of random couplings, or a graph
+        # with each pair a bond at even odds, driven by 2-5 augment segments:
+        # the ladder law of every Dicke sector at every boundary, whose
+        # polar angle comes from the drive's own B_z, against the lattice's
+        # eigenbasis weights
+        rng = np.random.default_rng([43, n, ["chain", "complete", "random"].index(kind)])
+        if kind == "random":
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+            bonds = tuple((i, j, float(rng.uniform(-1.5, 1.5))) for i, j in pairs)
+            lattice = xl.LatticeSpec(n, bonds, float(rng.uniform(-1.5, 1.5)))
+        else:
+            lattice = random_lattice(kind, n, rng)
+        count = int(rng.integers(2, 6))
+        segments = zip(rng.uniform(0.1, 0.8, count).tolist(), rng.uniform(-1.5, 1.5, count).tolist())
+        schedule = cs.DriveSchedule("augment", tuple(segments), lattice.b_z)
+        e_symm = -0.25 * math.fsum(j for _, _, j in lattice.couplings)
+        worst = 0.0
+        for m in np.arange(n + 1) - n / 2:
+            trajectory = xl.evolve_state(xl.dicke_state(n, m), lattice, schedule)[1:]
+            assert len(trajectory) == count
+            for t, state in trajectory:
+                law = cs.eigenweight_distribution(cs.SpinSector(n, n / 2, m), schedule, t, e_symm)
+                worst = max(worst, w1(xl.eigenbasis_distribution(state, lattice).points, law.points))
+        assert worst <= 1e-12
+
+
+class TestOneField:
+    # N = 4 from m = 0 under this drive: the lattice, turning the spins with
+    # its own B_z = 1, read sigma = 0.14555, the closed form with the
+    # drive's B_z = 2 read 0.27390
+    LATTICE = xl.LatticeSpec.chain(4, 1.0, 1.0)
+
+    @pytest.mark.parametrize("mode", ["replace", "augment"])
+    def test_every_lattice_route_refuses_another_drive_field(self, mode):
+        sched = cs.DriveSchedule(mode, ((0.7, 0.5),), 2.0)
+        psi = xl.dicke_state(4, 0)
+        routes = (
+            lambda: xl.evolve_state(psi, self.LATTICE, sched),
+            lambda: xl.propagator(self.LATTICE, sched, 0.7),
+            lambda: mg.magnus_error(self.LATTICE, sched, 0.7),
+            lambda: mg.variance_expansion(psi, self.LATTICE, sched, 0.7),
+        )
+        for route in routes:
+            with pytest.raises(ValueError, match=r"^schedule b_z = 2\.0 differs from lattice b_z = 1\.0$"):
+                route()
+
+    def test_same_field_agrees_with_the_closed_form(self):
+        sched = cs.DriveSchedule("augment", ((0.7, 0.5),), self.LATTICE.b_z)
+        state = xl.evolve_state(xl.dicke_state(4, 0), self.LATTICE, sched)[-1][1]
+        oracle = xl.energy_density_sigma(state, xl.build_spin_hamiltonian(self.LATTICE))
+        assert abs(oracle - cs.analytic_sigma(cs.SpinSector(4, 2, 0), sched, 0.7)) < 1e-12
 
 
 class TestBoseDual:

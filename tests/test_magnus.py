@@ -198,7 +198,8 @@ class TestMagnusTerms:
         # propagator and the Magnus series refuse it with one message
         sched = cs.DriveSchedule(mode, tuple(segments), 1.0)
         t = sched.total_duration * (1.0 + 1e-12) + 2e-9 if late else -2e-12
-        for call in (sched.theta_at, lambda t: xl.propagator(LAT, sched, t), lambda t: mg.magnus_terms(sched, t)):
+        closed_form = lambda t: cs.analytic_energy_mean(cs.SpinSector(3, 1.5, 0.5), sched, t)  # noqa: E731
+        for call in (closed_form, lambda t: xl.propagator(LAT, sched, t), lambda t: mg.magnus_terms(sched, t)):
             with pytest.raises(cs.ScheduleRangeError) as info:
                 call(t)
             assert str(info.value) == f"t = {t} outside schedule span [0, {sched.total_duration}]"
@@ -290,7 +291,7 @@ class TestVarianceExpansion:
                     lattice = xl.LatticeSpec.chain(n, j, b_z)
                     for k in range(n + 1):
                         psi = xl.dicke_state(n, -n / 2 + k)
-                        expansion = mg.variance_expansion(psi, lattice, oracles.magnus_schedule(0.05), 0.05)
+                        expansion = mg.variance_expansion(psi, lattice, oracles.magnus_schedule(0.05, b_z), 0.05)
                         assert expansion.sigma2_initial >= 0.0 and expansion.exact >= 0.0, (n, j, b_z, k)
 
     def test_series_labels(self):

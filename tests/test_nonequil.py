@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,30 @@ class TestViscosityPredict:
             no.viscosity_predict(1100.0, 1000.0, 0.08, 1.0)
         with pytest.raises(ValueError):
             no.viscosity_predict(500.0, 1000.0, -0.1, 1.0)
+
+
+class TestViscosityFromPremise:
+    @pytest.mark.parametrize("c, abar, t_melt", [(0.7, 0.1, 1000.0), (2.3, 0.05, 600.0), (0.15, 0.2, 1500.0)])
+    def test_weight_above_melt_is_half_inverse_master_curve(self, c, abar, t_melt):
+        # the law's two premises: the energy density at T is Gaussian about
+        # eps(T) = c T with width glass_sigma(T), and the viscosity scales as
+        # the inverse of its weight above eps_melt.  That weight, integrated
+        # from the step itself, is erfc(x) / 2 = 1 / (2 master_curve(x)),
+        # here from x = 0 to 5.85, 0 to 15.9 decades of viscosity
+        eps_melt = c * t_melt
+        gaps, decades = [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in np.linspace(0.0, 5.85, 131)[1:]:
+                temperature = t_melt / (1.0 + float(x) * abar * math.sqrt(2.0))
+                sigma = no.glass_sigma(temperature, lambda t: c * t, t_melt, eps_melt, abar)
+                kernel = no.GaussianKernel(c * temperature, sigma)
+                weight, _ = quad(kernel.density, eps_melt, math.inf, epsabs=0.0, epsrel=1e-13)
+                viscosity = no.master_curve(no.collapse_abscissa(temperature, t_melt, abar))
+                gaps.append(abs(2.0 * viscosity * weight - 1.0))
+                decades.append(math.log10(viscosity))
+        assert decades[0] < 0.1 and decades[-1] > 15.8
+        assert max(gaps) <= 1e-12
 
 
 class TestCollapseFit:
